@@ -23,11 +23,11 @@ another process (the ``repro campaign status`` contract).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Union
+from typing import List, Optional, Set, Union
 
+from ..store.feature_store import atomic_write_text
 from .dag import STAGES, TaskGraph
 from .manifest import ChainSpec, TargetSpec
 
@@ -42,11 +42,8 @@ class CampaignStateError(RuntimeError):
 
 
 def atomic_write_json(path: pathlib.Path, doc) -> None:
-    """Write ``doc`` as JSON via temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n")
-    os.replace(tmp, path)
+    """Write ``doc`` as indented JSON through :func:`atomic_write_text`."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 class CampaignState:

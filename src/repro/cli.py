@@ -33,6 +33,42 @@ from .sequences.sample import InputSample, classify_complexity
 GIB = 1024 ** 3
 
 
+def _at_least(cast, low, strict: bool = False):
+    """An argparse ``type=`` that parses with ``cast`` and rejects
+    values below ``low`` (or equal to it when ``strict``), so a bad
+    flag exits 2 with a one-line usage error instead of a traceback."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not (value > low if strict else value >= low):   # NaN fails
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_COUNT = _at_least(int, 1)                  # workers, requests, batches
+_TALLY = _at_least(int, 0)                  # retries and fault counts
+_CHAINS = _at_least(int, 2)                 # a PPI screen pairs chains
+_POSITIVE = _at_least(float, 0, strict=True)   # rates, budgets, timeouts
+_SECONDS = _at_least(float, 0)              # waits and backoffs
+
+
+def _fault_kinds(text: str):
+    """``--kinds`` CSV -> tuple of fault-kind values (None if empty)."""
+    from .faults.audit import validate_fault_mix
+
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    try:
+        validate_fault_mix(1.0, kinds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return kinds or None
+
+
 @functools.lru_cache(maxsize=8)
 def _small_engine(
     seed: int = 0, plan: Optional[ExecutionPlan] = None
@@ -506,7 +542,6 @@ def cmd_campaign_differential(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import dataclasses
     import os
 
     from .faults import ChaosConfig, run_suite
@@ -531,10 +566,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         db_corruptions=args.db_corruptions,
         slow_nodes=args.slow_nodes,
         preemption_notices=args.preemption_notices,
-        kinds=(
-            tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            if args.kinds else None
-        ),
+        kinds=args.kinds,
         restart_seconds=args.restart,
         breaker_failure_threshold=args.breaker_threshold,
         breaker_cooldown_seconds=args.breaker_cooldown,
@@ -544,21 +576,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     results = run_suite(
         seeds, base, check_determinism=not args.no_determinism_check
     )
-    if args.format == "json":
+    return _print_chaos_suite("chaos", results, args.format)
+
+
+def _print_chaos_suite(command: str, results, fmt: str) -> int:
+    """Print a per-seed chaos suite; exit 4 if any seed failed."""
+    if fmt == "json":
         print(json.dumps(
             {str(seed): r.summary() for seed, r in results.items()},
             indent=2,
         ))
     else:
-        for i, (seed, result) in enumerate(results.items()):
-            if i:
-                print()
-            print(result.render())
-    if all(r.ok for r in results.values()):
-        return 0
+        print("\n\n".join(r.render() for r in results.values()))
     failing = [str(s) for s, r in results.items() if not r.ok]
+    if not failing:
+        return 0
     print(
-        f"chaos: invariant violation or nondeterminism on "
+        f"{command}: invariant violation or nondeterminism on "
         f"seed(s) {', '.join(failing)}",
         file=sys.stderr,
     )
@@ -581,10 +615,7 @@ def _cluster_chaos_config(args: argparse.Namespace, policy: str, seed: int):
         preemptions=args.preemptions,
         slow_nodes=args.slow_nodes,
         store_corruptions=args.store_corruptions,
-        kinds=(
-            tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            if getattr(args, "kinds", None) else None
-        ),
+        kinds=args.kinds,
         compile_cache=getattr(args, "compile_cache", "none"),
     )
 
@@ -620,36 +651,14 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_chaos(args: argparse.Namespace) -> int:
-    import dataclasses as _dc
-
-    from .cluster import run_cluster_campaign
+    from .cluster import run_cluster_suite
 
     seeds = tuple(args.seeds) if args.seeds else (args.seed,)
-    results = {}
-    for seed in seeds:
-        config = _cluster_chaos_config(args, args.policy, seed)
-        results[seed] = run_cluster_campaign(
-            config, check_determinism=not args.no_determinism_check
-        )
-    if args.format == "json":
-        print(json.dumps(
-            {str(seed): r.summary() for seed, r in results.items()},
-            indent=2,
-        ))
-    else:
-        for i, (seed, result) in enumerate(results.items()):
-            if i:
-                print()
-            print(result.render())
-    if all(r.ok for r in results.values()):
-        return 0
-    failing = [str(s) for s, r in results.items() if not r.ok]
-    print(
-        f"cluster-chaos: invariant violation or nondeterminism on "
-        f"seed(s) {', '.join(failing)}",
-        file=sys.stderr,
+    results = run_cluster_suite(
+        seeds, _cluster_chaos_config(args, args.policy, args.seed),
+        check_determinism=not args.no_determinism_check,
     )
-    return 4
+    return _print_chaos_suite("cluster-chaos", results, args.format)
 
 
 def _bucket_fit_lengths(args: argparse.Namespace):
@@ -1016,23 +1025,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--platform", default="Server",
                        choices=sorted(PLATFORMS))
-    serve.add_argument("--requests", type=int, default=200,
+    serve.add_argument("--requests", type=_COUNT, default=200,
                        help="number of requests in the stream")
-    serve.add_argument("--rate", type=float, default=0.02,
+    serve.add_argument("--rate", type=_POSITIVE, default=0.02,
                        help="Poisson arrival rate in requests/second")
-    serve.add_argument("--gpu-workers", type=int, default=4)
-    serve.add_argument("--msa-workers", type=int, default=4)
-    serve.add_argument("--max-batch", type=int, default=4,
+    serve.add_argument("--gpu-workers", type=_COUNT, default=4)
+    serve.add_argument("--msa-workers", type=_COUNT, default=4)
+    serve.add_argument("--max-batch", type=_COUNT, default=4,
                        help="dynamic batching: max same-bucket batch size")
-    serve.add_argument("--max-wait", type=float, default=120.0,
+    serve.add_argument("--max-wait", type=_SECONDS, default=120.0,
                        help="dynamic batching: max coalescing wait (s)")
-    serve.add_argument("--queue-limit", type=int, default=512,
+    serve.add_argument("--queue-limit", type=_COUNT, default=512,
                        help="admission control: shed past this queue depth")
-    serve.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=_POSITIVE, default=None,
                        help="per-attempt queue timeout (s); off by default")
-    serve.add_argument("--retries", type=int, default=2,
+    serve.add_argument("--retries", type=_TALLY, default=2,
                        help="max retries after a timeout")
-    serve.add_argument("--backoff", type=float, default=30.0,
+    serve.add_argument("--backoff", type=_SECONDS, default=30.0,
                        help="base retry backoff (s), doubled per attempt")
     serve.add_argument("--no-baseline", action="store_true",
                        help="skip the sequential warm-server comparison")
@@ -1041,11 +1050,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="default",
                        help="request mix: builtin samples, or the seeded "
                             "all-vs-all PPI screening workload")
-    serve.add_argument("--chains", type=int, default=100,
+    serve.add_argument("--chains", type=_CHAINS, default=100,
                        help="ppi-screen: size of the chain library")
     serve.add_argument("--store-dir", default=None,
                        help="enable the disk feature store at this path")
-    serve.add_argument("--store-budget-mb", type=float, default=64.0,
+    serve.add_argument("--store-budget-mb", type=_POSITIVE, default=64.0,
                        help="feature-store LRU byte budget in MiB")
     serve.add_argument("--precompute", action="store_true",
                        help="bulk-fill the store from the stream's chains "
@@ -1069,13 +1078,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     precompute.add_argument("--store-dir", required=True,
                             help="feature-store directory to fill")
-    precompute.add_argument("--store-budget-mb", type=float, default=64.0)
+    precompute.add_argument("--store-budget-mb", type=_POSITIVE, default=64.0)
     precompute.add_argument("--scenario",
                             choices=["default", "ppi-screen"],
                             default="ppi-screen")
-    precompute.add_argument("--chains", type=int, default=100,
+    precompute.add_argument("--chains", type=_CHAINS, default=100,
                             help="ppi-screen: size of the chain library")
-    precompute.add_argument("--workers", type=int, default=1,
+    precompute.add_argument("--workers", type=_COUNT, default=1,
                             help="key-range shards computed in parallel")
     precompute.add_argument("--backend", default="auto",
                             choices=["auto", "serial", "thread", "process"])
@@ -1090,37 +1099,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--platform", default="Server",
                        choices=sorted(PLATFORMS))
-    chaos.add_argument("--requests", type=int, default=None,
+    chaos.add_argument("--requests", type=_COUNT, default=None,
                        help="requests per campaign (default 120, or 40 "
                             "with REPRO_BENCH_QUICK=1)")
-    chaos.add_argument("--rate", type=float, default=0.02,
+    chaos.add_argument("--rate", type=_POSITIVE, default=0.02,
                        help="Poisson arrival rate in requests/second")
-    chaos.add_argument("--gpu-workers", type=int, default=3)
-    chaos.add_argument("--msa-workers", type=int, default=3)
-    chaos.add_argument("--timeout", type=float, default=14400.0,
+    chaos.add_argument("--gpu-workers", type=_COUNT, default=3)
+    chaos.add_argument("--msa-workers", type=_COUNT, default=3)
+    chaos.add_argument("--timeout", type=_POSITIVE, default=14400.0,
                        help="per-attempt queue timeout (s)")
-    chaos.add_argument("--retries", type=int, default=2)
-    chaos.add_argument("--crashes", type=int, default=3,
+    chaos.add_argument("--retries", type=_TALLY, default=2)
+    chaos.add_argument("--crashes", type=_TALLY, default=3,
                        help="worker crashes to schedule")
-    chaos.add_argument("--preemptions", type=int, default=2)
-    chaos.add_argument("--oom-spikes", type=int, default=2)
-    chaos.add_argument("--db-stalls", type=int, default=3)
-    chaos.add_argument("--db-corruptions", type=int, default=2)
-    chaos.add_argument("--slow-nodes", type=int, default=2)
-    chaos.add_argument("--preemption-notices", type=int, default=0,
+    chaos.add_argument("--preemptions", type=_TALLY, default=2)
+    chaos.add_argument("--oom-spikes", type=_TALLY, default=2)
+    chaos.add_argument("--db-stalls", type=_TALLY, default=3)
+    chaos.add_argument("--db-corruptions", type=_TALLY, default=2)
+    chaos.add_argument("--slow-nodes", type=_TALLY, default=2)
+    chaos.add_argument("--preemption-notices", type=_TALLY, default=0,
                        help="spot reclaim warnings (notice lead, then "
                             "outage) to schedule")
-    chaos.add_argument("--kinds", default=None,
+    chaos.add_argument("--kinds", type=_fault_kinds, default=None,
                        help="comma-separated fault kinds to keep "
                             "(e.g. worker_crash,db_read_stall); the "
                             "seeded plan is generated in full and then "
                             "filtered, isolating one kind for debugging")
-    chaos.add_argument("--restart", type=float, default=300.0,
+    chaos.add_argument("--restart", type=_POSITIVE, default=300.0,
                        help="crashed-worker restart delay (s)")
-    chaos.add_argument("--breaker-threshold", type=int, default=2,
+    chaos.add_argument("--breaker-threshold", type=_TALLY, default=2,
                        help="consecutive failures that eject a worker "
                             "(0 disables the circuit breaker)")
-    chaos.add_argument("--breaker-cooldown", type=float, default=1800.0)
+    chaos.add_argument("--breaker-cooldown", type=_SECONDS, default=1800.0)
     chaos.add_argument("--no-degraded-fallback", action="store_true",
                        help="time out exhausted requests instead of "
                             "serving reduced-depth results")
@@ -1240,27 +1249,27 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_diff.set_defaults(func=cmd_campaign_differential)
 
     cluster_common = argparse.ArgumentParser(add_help=False)
-    cluster_common.add_argument("--jobs", type=int, default=60,
+    cluster_common.add_argument("--jobs", type=_COUNT, default=60,
                                 help="jobs in the seeded PPI stream")
-    cluster_common.add_argument("--chains", type=int, default=24,
+    cluster_common.add_argument("--chains", type=_CHAINS, default=24,
                                 help="size of the shared chain library")
-    cluster_common.add_argument("--rate", type=float, default=120.0,
+    cluster_common.add_argument("--rate", type=_POSITIVE, default=120.0,
                                 help="Poisson arrival rate in jobs/hour")
-    cluster_common.add_argument("--max-attempts", type=int, default=6,
+    cluster_common.add_argument("--max-attempts", type=_COUNT, default=6,
                                 help="node assignments before a job fails")
     cluster_common.add_argument("--no-migration", action="store_true",
                                 help="disable drain-time checkpoint/"
                                      "publish (lose work like a crash); "
                                      "use to measure what migration saves")
-    cluster_common.add_argument("--preemption-notices", type=int,
+    cluster_common.add_argument("--preemption-notices", type=_TALLY,
                                 default=10,
                                 help="spot reclaim warnings to schedule")
-    cluster_common.add_argument("--crashes", type=int, default=3,
+    cluster_common.add_argument("--crashes", type=_TALLY, default=3,
                                 help="hard node crashes to schedule")
-    cluster_common.add_argument("--preemptions", type=int, default=2,
+    cluster_common.add_argument("--preemptions", type=_TALLY, default=2,
                                 help="zero-warning spot reclaims")
-    cluster_common.add_argument("--slow-nodes", type=int, default=2)
-    cluster_common.add_argument("--store-corruptions", type=int,
+    cluster_common.add_argument("--slow-nodes", type=_TALLY, default=2)
+    cluster_common.add_argument("--store-corruptions", type=_TALLY,
                                 default=3,
                                 help="feature-store entries to rot")
     cluster_common.add_argument("--format", choices=["text", "json"],
@@ -1294,7 +1303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_chaos.add_argument("--policy", default="queue-depth",
                                help="autoscaling policy under test")
-    cluster_chaos.add_argument("--kinds", default=None,
+    cluster_chaos.add_argument("--kinds", type=_fault_kinds, default=None,
                                help="comma-separated fault kinds to keep "
                                     "(plan generated in full, then "
                                     "filtered)")

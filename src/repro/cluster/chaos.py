@@ -21,27 +21,37 @@ the invariants a fault-tolerant scheduler must keep:
   ``double_billed_shards == 0``); store corruption is the audited
   exception — a rotten entry *must* be recomputed, and the ledger
   strikes it from the trusted set before the recompute happens;
-* **determinism** — the same seed yields a byte-identical report.
+* **determinism** — the same seed yields a byte-identical report
+  (the shared harness in :mod:`repro.faults.audit` reruns the seed).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import shutil
 import tempfile
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..faults.plan import FaultKind, FaultPlan, restrict_kinds
+from ..faults.audit import (
+    ChaosResult,
+    audit_campaign,
+    audit_suite,
+    check_all,
+    monotone_time,
+    seeded_plan,
+    validate_fault_mix,
+)
 from ..store.feature_store import FeatureStore
 from .jobs import build_job_stream
 from .nodes import NodeState
 from .scheduler import ClusterConfig, ClusterScheduler
 
 __all__ = [
+    "CLUSTER_INVARIANTS",
     "ClusterChaosConfig",
     "ClusterChaosResult",
+    "build_campaign",
     "check_cluster_invariants",
     "run_cluster_campaign",
     "run_cluster_suite",
@@ -53,9 +63,8 @@ __all__ = [
 #: and keeps one plan meaningful across autoscale policies.
 _PLAN_WORKER_SPACE = 64
 
-
-class ClusterInvariantViolation(AssertionError):
-    """A cluster chaos campaign broke a scheduling invariant."""
+#: One campaign's audit result (the shared harness's result type).
+ClusterChaosResult = ChaosResult
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,66 +98,26 @@ class ClusterChaosConfig:
     def __post_init__(self) -> None:
         if self.num_jobs < 1:
             raise ValueError("num_jobs must be >= 1")
-        if not 0 < self.horizon_scale <= 1:
-            raise ValueError("horizon_scale must be in (0, 1]")
-        if self.kinds is not None:
-            valid = {kind.value for kind in FaultKind}
-            unknown = [k for k in self.kinds if k not in valid]
-            if unknown:
-                raise ValueError(
-                    f"unknown fault kinds {unknown}; "
-                    f"valid: {sorted(valid)}"
-                )
+        validate_fault_mix(self.horizon_scale, self.kinds)
 
-
-@dataclasses.dataclass
-class ClusterChaosResult:
-    """What one campaign produced: the plan, the report, the audit."""
-
-    config: ClusterChaosConfig
-    plan: FaultPlan
-    report: object                  # ClusterReport
-    violations: List[str]
-    deterministic: Optional[bool]   # None when the rerun was skipped
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.deterministic is not False
-
-    def summary(self) -> "OrderedDict[str, object]":
+    def fault_counts(self) -> "OrderedDict[str, int]":
+        """The per-kind event counts the plan generator is fed."""
         return OrderedDict(
-            seed=self.config.seed,
-            jobs=self.config.num_jobs,
-            policy=self.config.policy,
-            migration=self.config.migration,
-            fault_events=len(self.plan),
-            fault_kinds=self.plan.kind_counts(),
-            invariants_ok=self.ok,
-            deterministic=self.deterministic,
-            violations=list(self.violations),
-            report=self.report.summary(),
+            crashes=self.crashes,
+            preemptions=self.preemptions,
+            slow_nodes=self.slow_nodes,
+            store_corruptions=self.store_corruptions,
+            preemption_notices=self.preemption_notices,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
-
-    def render(self) -> str:
-        lines = [self.report.render()]
-        verdict = "PASS" if self.ok else "FAIL"
-        determinism = {
-            True: "byte-identical rerun",
-            False: "RERUN DIVERGED",
-            None: "rerun skipped",
-        }[self.deterministic]
-        lines.append(
-            f"  chaos      : seed {self.config.seed}, "
-            f"{len(self.plan)} fault events over "
-            f"{len(self.plan.active_kinds)} kinds -> "
-            f"invariants {verdict} ({determinism})"
+    def summary_head(self) -> "OrderedDict[str, object]":
+        """The leading fields of this campaign's chaos summary."""
+        return OrderedDict(
+            seed=self.seed,
+            jobs=self.num_jobs,
+            policy=self.policy,
+            migration=self.migration,
         )
-        for violation in self.violations:
-            lines.append(f"    VIOLATION: {violation}")
-        return "\n".join(lines)
 
 
 def build_campaign(config: ClusterChaosConfig):
@@ -159,22 +128,10 @@ def build_campaign(config: ClusterChaosConfig):
         seed=config.seed,
         arrival_rate_per_hour=config.arrival_rate_per_hour,
     )
-    horizon = jobs[-1].arrival_seconds * config.horizon_scale
-    plan = FaultPlan.generate(
-        seed=config.seed,
-        horizon_seconds=max(horizon, 1.0),
-        num_gpu_workers=_PLAN_WORKER_SPACE,
-        num_msa_workers=_PLAN_WORKER_SPACE,
-        crashes=config.crashes,
-        preemptions=config.preemptions,
-        slow_nodes=config.slow_nodes,
-        store_corruptions=config.store_corruptions,
-        preemption_notices=config.preemption_notices,
+    plan = seeded_plan(
+        config, jobs[-1].arrival_seconds,
+        _PLAN_WORKER_SPACE, _PLAN_WORKER_SPACE,
     )
-    if config.kinds is not None:
-        plan = restrict_kinds(
-            plan, (FaultKind(value) for value in config.kinds)
-        )
     cluster_config = ClusterConfig(
         policy=config.policy,
         migration=config.migration,
@@ -199,123 +156,109 @@ def _run_once(config: ClusterChaosConfig, probe=None):
     return scheduler, report, plan
 
 
-def check_cluster_invariants(scheduler, report) -> List[str]:
-    """Audit one finished scheduler run; returns violation strings."""
-    violations: List[str] = []
-
-    # -- no job lost ----------------------------------------------------
+def jobs_accounted(scheduler, report) -> Iterator[str]:
+    """No job lost: completed + failed == submitted, nothing left
+    queued, every failure has a reason and every completion a time no
+    earlier than its arrival."""
     if report.completed + report.failed != report.submitted:
-        violations.append(
+        yield (
             f"job conservation: {report.submitted} submitted but "
             f"{report.completed} completed + {report.failed} failed"
         )
     if len(scheduler.queue):
-        violations.append(
-            f"{len(scheduler.queue)} jobs still queued at end"
-        )
+        yield f"{len(scheduler.queue)} jobs still queued at end"
     for job in scheduler.failed_jobs:
         if not job.failure_reason:
-            violations.append(
-                f"job {job.job_id} failed with no recorded reason"
-            )
+            yield f"job {job.job_id} failed with no recorded reason"
     for job in scheduler.completed_jobs:
         if job.completion_seconds is None:
-            violations.append(
+            yield (
                 f"job {job.job_id} counted complete without a "
                 f"completion time"
             )
         elif job.completion_seconds < job.arrival_seconds:
-            violations.append(
-                f"job {job.job_id} completed before it arrived"
-            )
+            yield f"job {job.job_id} completed before it arrived"
 
-    # -- monotonic simulated time ---------------------------------------
-    if scheduler.monotonic_violations:
-        violations.append(
-            f"event loop moved time backwards "
-            f"{scheduler.monotonic_violations} times"
-        )
 
-    # -- balanced node accounting ---------------------------------------
+def nodes_balanced(scheduler, report) -> Iterator[str]:
+    """Per node: idle at the end, dispatches == completions + aborts,
+    crashes == restarts, and preempted nodes terminated, not draining."""
     for node in scheduler.nodes:
         health = node.health
         if health.busy or node.job is not None:
-            violations.append(
-                f"node {node.node_id} still busy at end"
-            )
+            yield f"node {node.node_id} still busy at end"
         if health.dispatches != health.completions + health.aborts:
-            violations.append(
+            yield (
                 f"node {node.node_id} accounting is unbalanced: "
                 f"{health.dispatches} dispatched vs "
                 f"{health.completions} completed + "
                 f"{health.aborts} aborted"
             )
         if health.crashes != health.restarts:
-            violations.append(
+            yield (
                 f"node {node.node_id} crashed {health.crashes} times "
                 f"but restarted {health.restarts}"
             )
         if health.preemptions and node.state is not NodeState.TERMINATED:
-            violations.append(
+            yield (
                 f"node {node.node_id} was preempted but is "
                 f"{node.state.value}, not terminated"
             )
         if node.state is NodeState.DRAINING:
-            violations.append(
-                f"node {node.node_id} still draining at end"
-            )
+            yield f"node {node.node_id} still draining at end"
 
-    # -- no double execution --------------------------------------------
+
+def no_double_execution(scheduler, report) -> Iterator[str]:
+    """A drain's completed scans and checkpointed shards never run or
+    bill twice."""
     if report.migrated_recomputed_chains:
-        violations.append(
+        yield (
             f"{report.migrated_recomputed_chains} chain scans re-run "
             f"after a drain had already completed them"
         )
     if report.double_billed_shards:
-        violations.append(
+        yield (
             f"{report.double_billed_shards} checkpointed shards were "
             f"billed twice on resume"
         )
 
-    # -- work conservation ----------------------------------------------
+
+def work_conserved(scheduler, report) -> Iterator[str]:
+    """No job completes with a chain it never scanned."""
     for job in scheduler.completed_jobs:
         undone = [
             w.key for w in job.chains if w.status == "pending"
         ]
         if undone:
-            violations.append(
+            yield (
                 f"job {job.job_id} completed with unscanned chains "
                 f"{undone}"
             )
-    return violations
+
+
+#: The fleet audit, in report order.
+CLUSTER_INVARIANTS = (
+    jobs_accounted,
+    monotone_time,
+    nodes_balanced,
+    no_double_execution,
+    work_conserved,
+)
+
+
+def check_cluster_invariants(scheduler, report) -> List[str]:
+    """Audit one finished scheduler run; returns violation strings."""
+    return check_all(CLUSTER_INVARIANTS, scheduler, report)
 
 
 def run_cluster_campaign(
     config: Optional[ClusterChaosConfig] = None,
     check_determinism: bool = True,
-) -> ClusterChaosResult:
+) -> ChaosResult:
     """Run one seeded cluster campaign and audit its invariants."""
-    config = config or ClusterChaosConfig()
-    scheduler, report, plan = _run_once(config)
-    violations = check_cluster_invariants(scheduler, report)
-    deterministic: Optional[bool] = None
-    if check_determinism:
-        _, report2, _ = _run_once(config)
-        deterministic = (
-            json.dumps(report.summary(), indent=2)
-            == json.dumps(report2.summary(), indent=2)
-        )
-        if not deterministic:
-            violations.append(
-                "seeded rerun produced a different report "
-                "(nondeterminism)"
-            )
-    return ClusterChaosResult(
-        config=config,
-        plan=plan,
-        report=report,
-        violations=violations,
-        deterministic=deterministic,
+    return audit_campaign(
+        config or ClusterChaosConfig(), _run_once, CLUSTER_INVARIANTS,
+        check_determinism,
     )
 
 
@@ -323,16 +266,9 @@ def run_cluster_suite(
     seeds: Tuple[int, ...] = (0, 1, 2),
     base: Optional[ClusterChaosConfig] = None,
     check_determinism: bool = True,
-) -> Dict[int, ClusterChaosResult]:
+) -> Dict[int, ChaosResult]:
     """One campaign per seed (the CI cluster job's entry point)."""
-    base = base or ClusterChaosConfig()
-    return OrderedDict(
-        (
-            seed,
-            run_cluster_campaign(
-                dataclasses.replace(base, seed=seed),
-                check_determinism=check_determinism,
-            ),
-        )
-        for seed in seeds
+    return audit_suite(
+        seeds, base or ClusterChaosConfig(), run_cluster_campaign,
+        check_determinism,
     )

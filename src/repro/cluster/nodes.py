@@ -137,9 +137,6 @@ class Node:
         end = self.terminated_at if self.terminated_at is not None else now
         return max(0.0, end - self.booted_at)
 
-    def billed_usd(self, now: float) -> float:
-        return self.billed_seconds(now) * self.pool.cost_per_hour / 3600.0
-
     # -- state predicates ------------------------------------------------
 
     @property

@@ -48,9 +48,6 @@ class PriorityJobQueue:
         self._members.discard(job.job_id)
         return job
 
-    def peek(self) -> Optional[ClusterJob]:
-        return self._heap[0][2] if self._heap else None
-
     def depths(self) -> Dict[int, int]:
         """Queued jobs per priority class (missing classes omitted)."""
         depths: Dict[int, int] = {}

@@ -8,7 +8,8 @@ the migration protocol, and the shared feature store amortising chain
 scans across the whole fleet.
 
 Determinism contract (the chaos harness pins it byte-for-byte): the
-event heap orders by ``(time, kind, seq)`` with a fixed kind
+event heap (:class:`~repro.events.EventQueue`, shared with the
+gateway) orders by ``(time, kind, seq)`` with a fixed kind
 precedence and a monotone sequence number, every random draw comes
 from seeded streams created at build time, and node/job selection
 rules are pure functions of scheduler state.
@@ -17,10 +18,10 @@ rules are pure functions of scheduler state.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..buckets.compile_cache import SharedCompileCache
+from ..events import EventQueue, fault_handler
 from ..faults.plan import FaultEvent, FaultKind, FaultPlan, GPU_DOMAIN
 from ..faults.recovery import CheckpointStore, FaultStats, MsaCheckpoint
 from ..msa.database import SCAN_SHARDS
@@ -127,22 +128,14 @@ class ClusterScheduler:
         self.probe = probe or NULL_CLUSTER_PROBE
         self.policy = policy or get_policy(self.config.policy)
 
-    # -- event plumbing --------------------------------------------------
-
-    def _push(self, kind: int, when: float, payload: object) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (when, kind, self._seq, payload))
-
     # -- the simulation --------------------------------------------------
 
     def run(self, jobs: Sequence[ClusterJob]):
         from .metrics import build_cluster_report
 
         cfg = self.config
-        self._events: List[Tuple] = []
-        self._seq = 0
+        events = self._events = EventQueue()
         self._now = 0.0
-        self.monotonic_violations = 0
 
         self.nodes: List[Node] = []
         #: Fleet-shared executable cache (the persistent artifact
@@ -160,9 +153,6 @@ class ClusterScheduler:
         self._pool_busy: Dict[str, float] = {
             p.name: 0.0 for p in cfg.pools
         }
-        self._pool_by_name: Dict[str, NodePoolSpec] = {
-            p.name: p for p in cfg.pools
-        }
         self.completed_jobs: List[ClusterJob] = []
         self.failed_jobs: List[ClusterJob] = []
         self._outstanding = len(jobs)
@@ -176,38 +166,22 @@ class ClusterScheduler:
             for _ in range(pool.initial_nodes):
                 self._boot_node(pool, at=0.0)
         for job in jobs:
-            self._push(_EV_ARRIVAL, job.arrival_seconds, job)
-        if self.fault_plan is not None:
-            for event in self.fault_plan:
-                self._push(_EV_FAULT, event.time, event)
-                self.fault_stats.events_injected += 1
-        self._push(
-            _EV_AUTOSCALE, cfg.autoscale_interval_seconds, None
-        )
-
-        last_time = 0.0
-        while self._events:
-            when, kind, _, payload = heapq.heappop(self._events)
-            if when < last_time - 1e-9:
-                self.monotonic_violations += 1
-            last_time = max(last_time, when)
-            self._now = when
-            if kind == _EV_CHAIN_DONE:
-                self._chain_done(*payload)
-            elif kind == _EV_INFER_DONE:
-                self._infer_done(*payload)
-            elif kind == _EV_NODE_READY:
-                self._node_ready(*payload)
-            elif kind == _EV_DRAIN_FINAL:
-                self._drain_final(payload)
-            elif kind == _EV_FAULT:
-                self._on_fault(payload)
-            elif kind == _EV_ARRIVAL:
-                self._arrival(payload)
-            elif kind == _EV_AUTOSCALE:
-                self._autoscale_tick()
-
-        self._now = last_time
+            events.push(_EV_ARRIVAL, job.arrival_seconds, job)
+        events.inject(self.fault_plan, _EV_FAULT, self.fault_stats)
+        events.push(_EV_AUTOSCALE, cfg.autoscale_interval_seconds, None)
+        handlers = {
+            _EV_CHAIN_DONE: lambda p: self._chain_done(*p),
+            _EV_INFER_DONE: lambda p: self._infer_done(*p),
+            _EV_NODE_READY: lambda p: self._node_ready(*p),
+            _EV_DRAIN_FINAL: self._drain_final,
+            _EV_FAULT: fault_handler(self._on_fault, self.fault_stats),
+            _EV_ARRIVAL: self._arrival,
+            _EV_AUTOSCALE: lambda _: self._autoscale_tick(),
+        }
+        for self._now, kind, payload in events:
+            handlers[kind](payload)
+        self.monotonic_violations = events.monotonic_violations
+        last_time = self._now = events.horizon
         return build_cluster_report(self, duration_seconds=last_time)
 
     # -- node lifecycle --------------------------------------------------
@@ -219,7 +193,7 @@ class ClusterScheduler:
         )
         self.nodes.append(node)
         self.probe.node_booted(node, at)
-        self._push(
+        self._events.push(
             _EV_NODE_READY, at + pool.provision_seconds,
             (node.node_id, "boot"),
         )
@@ -334,7 +308,7 @@ class ClusterScheduler:
         self.probe.chain_started(
             job, node, work.key, self._now, planned, resumed
         )
-        self._push(
+        self._events.push(
             _EV_CHAIN_DONE, self._now + planned,
             (node.node_id, work.key, node.health.job_token),
         )
@@ -381,7 +355,7 @@ class ClusterScheduler:
             job, node, self._now, seconds,
             cold=result.init_seconds + result.compile_seconds > 0,
         )
-        self._push(
+        self._events.push(
             _EV_INFER_DONE, self._now + seconds,
             (node.node_id, node.health.job_token),
         )
@@ -515,7 +489,7 @@ class ClusterScheduler:
         if node.engine.warm:
             node.engine.reset()   # warm-up + XLA compile owed again
         self.probe.node_crashed(node, self._now)
-        self._push(
+        self._events.push(
             _EV_NODE_READY, self._now + self.config.restart_seconds,
             (node.node_id, "restart"),
         )
@@ -524,31 +498,23 @@ class ClusterScheduler:
 
     # -- fault injection -------------------------------------------------
 
-    def _on_fault(self, event: FaultEvent) -> None:
+    def _on_fault(self, event: FaultEvent) -> bool:
         kind = event.kind
         if kind is FaultKind.PREEMPTION_NOTICE:
-            applied = self._handle_notice(event)
-        elif kind is FaultKind.PREEMPTION:
-            applied = self._handle_no_notice_reclaim(event)
-        elif kind is FaultKind.WORKER_CRASH:
+            return self._handle_notice(event)
+        if kind is FaultKind.PREEMPTION:
+            return self._handle_no_notice_reclaim(event)
+        if kind is FaultKind.WORKER_CRASH:
             target = select_crash_target(self.nodes, event)
-            applied = (
-                self._crash_node(target, event)
-                if target is not None else False
-            )
-        elif kind is FaultKind.STORE_CORRUPTION:
-            applied = self._store_corruption(event)
-        elif kind is FaultKind.SLOW_NODE:
-            applied = self._slow_node(event)
-        else:
-            # GPU OOM spikes and DB stalls/corruption are worker-level
-            # faults the single-pool gateway models; at cluster
-            # granularity they fold into slow-node behaviour.
-            applied = False
-        if applied:
-            self.fault_stats.events_applied += 1
-        else:
-            self.fault_stats.events_noop += 1
+            return target is not None and self._crash_node(target, event)
+        if kind is FaultKind.STORE_CORRUPTION:
+            return self._store_corruption(event)
+        if kind is FaultKind.SLOW_NODE:
+            return self._slow_node(event)
+        # GPU OOM spikes and DB stalls/corruption are worker-level
+        # faults the single-pool gateway models; at cluster
+        # granularity they fold into slow-node behaviour.
+        return False
 
     def _handle_notice(self, event: FaultEvent) -> bool:
         node = select_spot_target(self.nodes, event)
@@ -559,7 +525,7 @@ class ClusterScheduler:
         node.state = NodeState.DRAINING
         node.drain_deadline = self._now + lead
         self.probe.node_draining(node, self._now, node.drain_deadline)
-        self._push(
+        self._events.push(
             _EV_DRAIN_FINAL, node.drain_deadline, node.node_id
         )
         return True
@@ -674,7 +640,7 @@ class ClusterScheduler:
                     self.scale_in_terminations += 1
                 self.probe.autoscale(self._now, spec.name, delta)
         if self._outstanding > 0:
-            self._push(
+            self._events.push(
                 _EV_AUTOSCALE,
                 self._now + self.config.autoscale_interval_seconds,
                 None,

@@ -2,14 +2,15 @@
 
 ``plan`` defines seeded fault schedules (:class:`FaultPlan`), ``recovery``
 the machinery that survives them (worker health, circuit breakers, MSA
-scan checkpoints), and ``chaos`` the campaign harness that runs seeded
-fault schedules against the gateway and checks its invariants.
-
-``chaos`` imports the serving package, which itself imports ``plan`` and
-``recovery`` — so it is loaded lazily here to keep the import graph
-acyclic.
+scan checkpoints), ``audit`` the seeded chaos audit harness the serving
+and cluster campaigns share, and ``chaos`` the serving campaign that
+runs seeded fault schedules against the gateway and checks its
+invariants (it imports the serving package only when a campaign runs,
+so the import graph stays acyclic).
 """
 
+from .audit import ChaosResult
+from .chaos import ChaosConfig, run_campaign, run_suite
 from .kill import KillSwitch, SimulatedKill
 from .plan import (
     FaultEvent,
@@ -40,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "GPU_DOMAIN",
-    "InvariantViolation",
     "KillSwitch",
     "MSA_DOMAIN",
     "MsaCheckpoint",
@@ -52,15 +52,3 @@ __all__ = [
     "run_suite",
 ]
 
-_CHAOS_EXPORTS = {
-    "ChaosConfig", "ChaosResult", "InvariantViolation",
-    "run_campaign", "run_suite",
-}
-
-
-def __getattr__(name):
-    if name in _CHAOS_EXPORTS:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,21 +18,25 @@ system must keep under failure:
   faults and all.
 
 Campaigns are exactly as reproducible as fault-free runs: the golden
-chaos test pins one seeded campaign's entire summary.
+chaos test pins one seeded campaign's entire summary.  The harness
+itself is shared with the fleet audit (:mod:`repro.faults.audit`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .plan import FaultKind, FaultPlan, restrict_kinds
-
-
-class InvariantViolation(AssertionError):
-    """A chaos campaign broke a serving invariant."""
+from .audit import (
+    ChaosResult,
+    audit_campaign,
+    audit_suite,
+    check_all,
+    monotone_time,
+    seeded_plan,
+    validate_fault_mix,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,16 +81,7 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        if not 0 < self.horizon_scale <= 1:
-            raise ValueError("horizon_scale must be in (0, 1]")
-        if self.kinds is not None:
-            valid = {kind.value for kind in FaultKind}
-            unknown = [k for k in self.kinds if k not in valid]
-            if unknown:
-                raise ValueError(
-                    f"unknown fault kinds {unknown}; "
-                    f"valid: {sorted(valid)}"
-                )
+        validate_fault_mix(self.horizon_scale, self.kinds)
 
     def fault_counts(self) -> "OrderedDict[str, int]":
         """The per-kind event counts the plan generator is fed."""
@@ -101,69 +96,23 @@ class ChaosConfig:
             preemption_notices=self.preemption_notices,
         )
 
-
-@dataclasses.dataclass
-class ChaosResult:
-    """What one campaign produced: the plan, the report, the audit."""
-
-    config: ChaosConfig
-    plan: FaultPlan
-    report: object                  # ServingReport
-    violations: List[str]
-    deterministic: Optional[bool]   # None when the rerun was skipped
-
-    @property
-    def ok(self) -> bool:
-        """Invariants held and the rerun (if run) was byte-identical."""
-        return not self.violations and self.deterministic is not False
-
-    def summary(self) -> "OrderedDict[str, object]":
-        """Rounded, ordered, JSON-stable campaign summary."""
+    def summary_head(self) -> "OrderedDict[str, object]":
+        """The leading fields of this campaign's chaos summary."""
         return OrderedDict(
-            seed=self.config.seed,
-            platform=self.config.platform,
-            requests=self.config.num_requests,
-            fault_events=len(self.plan),
-            fault_kinds=self.plan.kind_counts(),
-            invariants_ok=self.ok,
-            deterministic=self.deterministic,
-            violations=list(self.violations),
-            report=self.report.summary(),
+            seed=self.seed,
+            platform=self.platform,
+            requests=self.num_requests,
         )
 
-    def to_json(self) -> str:
-        """The summary as indented JSON (the golden chaos form)."""
-        return json.dumps(self.summary(), indent=2)
 
-    def render(self) -> str:
-        """The report's ASCII rendering plus a chaos verdict line."""
-        lines = [self.report.render()]
-        verdict = "PASS" if self.ok else "FAIL"
-        determinism = {
-            True: "byte-identical rerun",
-            False: "RERUN DIVERGED",
-            None: "rerun skipped",
-        }[self.deterministic]
-        lines.append(
-            f"  chaos      : seed {self.config.seed}, "
-            f"{len(self.plan)} fault events over "
-            f"{sum(1 for _ in self.plan.active_kinds)} kinds -> "
-            f"invariants {verdict} ({determinism})"
-        )
-        for violation in self.violations:
-            lines.append(f"    VIOLATION: {violation}")
-        return "\n".join(lines)
-
-
-def _build(config: ChaosConfig, probe=None, store=None):
+def _build(config: ChaosConfig, probe=None):
     """The (gateway, stream, plan) triple a campaign config describes.
 
     ``probe`` is an optional :class:`~repro.observability.GatewayProbe`
     forwarded to the gateway, so chaos runs can record span timelines
-    without changing what the campaign simulates.  ``store`` is an
-    optional :class:`~repro.store.FeatureStore` — required for
-    ``store_corruptions`` events to have anything to tamper (without
-    one they count as noops, which is itself an audited behaviour).
+    without changing what the campaign simulates.  The gateway runs
+    without a feature store, so ``store_corruptions`` events are
+    audited noops.
     """
     from ..hardware.platform import get_platform
     from ..sequences.builtin import builtin_samples
@@ -181,18 +130,10 @@ def _build(config: ChaosConfig, probe=None, store=None):
         arrivals=PoissonArrivals(config.arrival_rps, seed=config.seed),
         seed=config.seed,
     )
-    horizon = stream[-1].arrival_seconds * config.horizon_scale
-    plan = FaultPlan.generate(
-        seed=config.seed,
-        horizon_seconds=max(horizon, 1.0),
-        num_gpu_workers=config.num_gpu_workers,
-        num_msa_workers=config.num_msa_workers,
-        **config.fault_counts(),
+    plan = seeded_plan(
+        config, stream[-1].arrival_seconds,
+        config.num_gpu_workers, config.num_msa_workers,
     )
-    if config.kinds is not None:
-        plan = restrict_kinds(
-            plan, (FaultKind(value) for value in config.kinds)
-        )
     gateway_config = GatewayConfig(
         num_gpu_workers=config.num_gpu_workers,
         num_msa_workers=config.num_msa_workers,
@@ -209,22 +150,20 @@ def _build(config: ChaosConfig, probe=None, store=None):
         degraded_msa_depth=config.degraded_msa_depth,
     )
     gateway = ServingGateway(
-        platform, gateway_config, fault_plan=plan, probe=probe,
-        store=store,
+        platform, gateway_config, fault_plan=plan, probe=probe
     )
     return gateway, stream, plan
 
 
-def check_invariants(gateway, report) -> List[str]:
-    """Audit one finished gateway run; returns violation descriptions."""
+def requests_accounted(gateway, report) -> Iterator[str]:
+    """No request lost: every request ends terminal, every
+    non-completion and every degraded answer carries a reason, and the
+    terminal counts add up to the submitted count."""
     from ..serving.queueing import RequestState
 
-    violations: List[str] = []
-
-    # -- no request lost ------------------------------------------------
     for request in report.requests:
         if not request.state.terminal:
-            violations.append(
+            yield (
                 f"request {request.request_id} ended non-terminal "
                 f"in state {request.state.value}"
             )
@@ -232,12 +171,12 @@ def check_invariants(gateway, report) -> List[str]:
             request.state is not RequestState.DONE
             and not request.failure_reason
         ):
-            violations.append(
+            yield (
                 f"request {request.request_id} ended {request.state.value} "
                 f"with no recorded reason"
             )
         elif request.degraded and not request.failure_reason:
-            violations.append(
+            yield (
                 f"request {request.request_id} is degraded with no "
                 f"recorded reason (silent quality loss)"
             )
@@ -246,42 +185,38 @@ def check_invariants(gateway, report) -> List[str]:
         + report.timed_out + report.failed_oom
     )
     if accounted != report.submitted:
-        violations.append(
+        yield (
             f"request conservation: {report.submitted} submitted but "
             f"{accounted} accounted for"
         )
 
-    # -- monotonic simulated time ---------------------------------------
-    if gateway.monotonic_violations:
-        violations.append(
-            f"event loop moved time backwards "
-            f"{gateway.monotonic_violations} times"
-        )
+
+def completions_in_window(gateway, report) -> Iterator[str]:
+    """No request completes before it arrives or after the run ends."""
     for request in report.requests:
         done = request.completion_seconds
         if done is None:
             continue
         if done < request.arrival_seconds:
-            violations.append(
-                f"request {request.request_id} completed before it arrived"
-            )
+            yield f"request {request.request_id} completed before it arrived"
         if done > report.duration_seconds + 1e-9:
-            violations.append(
+            yield (
                 f"request {request.request_id} completed after the "
                 f"simulation ended"
             )
 
-    # -- balanced worker accounting -------------------------------------
+
+def workers_balanced(gateway, report) -> Iterator[str]:
+    """Per worker: idle at the end, dispatches == completions + aborts
+    and crashes + preemptions == restarts."""
     for domain, pool in (
         ("gpu", gateway.gpu_health), ("msa", gateway.msa_health)
     ):
         for health in pool:
             if health.busy:
-                violations.append(
-                    f"{domain} worker {health.index} still busy at end"
-                )
+                yield f"{domain} worker {health.index} still busy at end"
             if not health.balanced:
-                violations.append(
+                yield (
                     f"{domain} worker {health.index} accounting is "
                     f"unbalanced: {health.dispatches} dispatched vs "
                     f"{health.completions} completed + "
@@ -290,19 +225,39 @@ def check_invariants(gateway, report) -> List[str]:
                     f"{health.restarts} restarts"
                 )
 
-    # -- degradation is explicit, never cached --------------------------
+
+def degradation_explicit(gateway, report) -> Iterator[str]:
+    """Every degraded answer is flagged and counted as served."""
     fault_summary = report.fault_summary or {}
     degraded_requests = sum(1 for r in report.requests if r.degraded)
     if degraded_requests != report.degraded:
-        violations.append(
+        yield (
             f"degraded accounting: {degraded_requests} flagged requests "
             f"vs {report.degraded} reported"
         )
     if fault_summary.get("degraded_served", 0) < report.degraded:
-        violations.append(
-            "degraded responses served without being counted as such"
-        )
-    return violations
+        yield "degraded responses served without being counted as such"
+
+
+#: The serving audit, in report order.
+SERVING_INVARIANTS = (
+    requests_accounted,
+    monotone_time,
+    completions_in_window,
+    workers_balanced,
+    degradation_explicit,
+)
+
+
+def check_invariants(gateway, report) -> List[str]:
+    """Audit one finished gateway run; returns violation descriptions."""
+    return check_all(SERVING_INVARIANTS, gateway, report)
+
+
+def _run_once(config: ChaosConfig):
+    """One campaign run: ``(gateway, report, plan)``."""
+    gateway, stream, plan = _build(config)
+    return gateway, gateway.run(stream), plan
 
 
 def run_campaign(
@@ -315,25 +270,9 @@ def run_campaign(
     serialized summaries must match byte for byte — the same guarantee
     the fault-free golden tests pin, extended to fault runs.
     """
-    config = config or ChaosConfig()
-    gateway, stream, plan = _build(config)
-    report = gateway.run(stream)
-    violations = check_invariants(gateway, report)
-    deterministic: Optional[bool] = None
-    if check_determinism:
-        gateway2, stream2, _ = _build(config)
-        report2 = gateway2.run(stream2)
-        deterministic = report.to_json() == report2.to_json()
-        if not deterministic:
-            violations.append(
-                "seeded rerun produced a different report (nondeterminism)"
-            )
-    return ChaosResult(
-        config=config,
-        plan=plan,
-        report=report,
-        violations=violations,
-        deterministic=deterministic,
+    return audit_campaign(
+        config or ChaosConfig(), _run_once, SERVING_INVARIANTS,
+        check_determinism,
     )
 
 
@@ -343,14 +282,6 @@ def run_suite(
     check_determinism: bool = True,
 ) -> Dict[int, ChaosResult]:
     """One campaign per seed (the CI chaos job's entry point)."""
-    base = base or ChaosConfig()
-    return OrderedDict(
-        (
-            seed,
-            run_campaign(
-                dataclasses.replace(base, seed=seed),
-                check_determinism=check_determinism,
-            ),
-        )
-        for seed in seeds
+    return audit_suite(
+        seeds, base or ChaosConfig(), run_campaign, check_determinism
     )

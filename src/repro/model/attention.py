@@ -1,47 +1,53 @@
 """Attention primitives used across Pairformer and Diffusion modules.
 
-The attention core (logits -> softmax -> context) optionally executes
-in chunks along the leading axis of the head-split ``(..., H, L, D)``
-tensors — batch rows for triangle attention, heads for single
-attention — under an :class:`~repro.parallel.plan.ExecutionPlan`.
-Chunking only ever splits *batched* numpy operations along a leading
+The attention core (logits -> softmax -> context) runs in blocks along
+the leading axis of the head-split ``(..., H, L, D)`` tensors — batch
+rows for triangle attention, heads for single attention.  One blocked
+core serves every :class:`~repro.parallel.plan.ExecutionPlan`; the
+modes differ only in the ``(bounds, workers, workspace_rows)`` that
+:meth:`~repro.parallel.plan.ExecutionPlan.block_schedule` returns:
+
+* resident/serial (no plan, or ``workers == 1``): one block covering
+  the whole axis, returned without a copy;
+* chunked (``plan.workers > 1`` or a ``chunk``): the axis split evenly
+  across a thread pool — a *throughput* knob; every chunk's logits are
+  live at once, so peak workspace is unchanged;
+* tiled (``plan.attention == "tiled"``): *fixed-size* tiles streamed
+  one after another into a preallocated output — a *memory* knob
+  (flash-style scheduling): peak attention workspace drops from
+  O(L²·heads) resident to O(L·block), because only one tile's
+  (block, H, L, L) logits are ever live.
+
+Blocking only ever splits *batched* numpy operations along a leading
 batch axis, which is bit-exact: batched matmul, broadcast add, and
 last-axis softmax all compute each batch element independently, so the
-concatenated chunks equal the unchunked result to the last bit (the
-differential tests pin this).  The 2-D q/k/v/gate/out projections are
-never chunked — BLAS gemm kernels are *not* bit-stable across M-dim
-splits — which is exactly the design rule docs/parallelism.md audits.
-
-Two scheduling modes share that blocked core:
-
-* ``plan.workers > 1`` (the PR 4 path) splits the leading axis evenly
-  across a thread pool — a *throughput* knob; every chunk's logits are
-  live at once, so peak workspace is unchanged.
-* ``plan.attention == "tiled"`` streams *fixed-size* tiles sequentially
-  through one bounded workspace and writes each tile into a
-  preallocated output — a *memory* knob (flash-style scheduling): peak
-  attention workspace drops from O(L²·heads) resident to O(L·block),
-  because only one tile's (block, H, L, L) logits are ever live.
+assembled blocks equal the one-block result to the last bit (the
+differential tests pin this with ``==``).  The 2-D q/k/v/gate/out
+projections are never blocked — BLAS gemm kernels are *not* bit-stable
+across M-dim splits — which is exactly the design rule
+docs/parallelism.md audits.
 
 Why tiling the leading batch axis, and not streaming the softmax along
 the key axis: a true running-max/rescale streaming softmax changes the
 order in which ``np.sum``'s pairwise reduction combines terms, so it
 cannot reproduce the resident reduction bit for bit.  Leading-axis
 tiles compute each batch element's full softmax row exactly as the
-resident path does, which is what lets the differential suite compare
-with ``==`` rather than ``allclose``.  The workspace bound is the same
-O(L·block) either way.
+resident path does.  The workspace bound is the same O(L·block)
+either way.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..parallel.plan import ExecutionPlan
-from .ops import OpCounter, init_linear, linear, matmul, sigmoid, softmax
+from .ops import OpCounter, init_linear, linear, sigmoid, softmax
+
+#: The schedule used when no plan is given: one resident block.
+RESIDENT = ExecutionPlan()
 
 
 def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -59,6 +65,34 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     x = np.moveaxis(x, -3, -2)
     *batch, length, num_heads, head_dim = x.shape
     return x.reshape(*batch, length, num_heads * head_dim)
+
+
+def run_blocks(
+    one_block: Callable[[Tuple[int, int]], np.ndarray],
+    bounds: List[Tuple[int, int]],
+    workers: int,
+) -> np.ndarray:
+    """``one_block((lo, hi))`` over leading-axis ``bounds``, assembled
+    along axis 0.
+
+    A single block is returned as is, without a copy.  With
+    ``workers > 1`` the blocks run on a thread pool; otherwise they
+    run one after another and each lands in a preallocated output as
+    soon as it is computed, so one block's workspace is live at a time.
+    """
+    if len(bounds) == 1:
+        return one_block(bounds[0])
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(one_block, bounds))
+    else:
+        blocks = map(one_block, bounds)
+    out = None
+    for (lo, hi), block in zip(bounds, blocks):
+        if out is None:
+            out = np.empty((bounds[-1][1],) + block.shape[1:], block.dtype)
+        out[lo:hi] = block
+    return out
 
 
 class MultiHeadAttention:
@@ -102,25 +136,19 @@ class MultiHeadAttention:
 
         ``x_q``: (..., Lq, C); ``x_kv``: (..., Lk, C) (defaults to
         ``x_q``); ``bias``: broadcastable to (..., H, Lq, Lk).
-        ``plan`` opts the attention core into chunked (and optionally
-        threaded) execution; outputs are bit-equal for every plan.
+        ``plan`` picks the attention core's block schedule (resident,
+        chunked or tiled); outputs are bit-equal for every plan.
         """
         x_kv = x_q if x_kv is None else x_kv
         q = split_heads(linear(x_q, self.params["q"], counter), self.num_heads)
         k = split_heads(linear(x_kv, self.params["k"], counter), self.num_heads)
         v = split_heads(linear(x_kv, self.params["v"], counter), self.num_heads)
-        if plan is not None and plan.is_tiled and q.ndim >= 3:
-            context = self._tiled_core(q, k, v, bias, counter, plan)
-        elif plan is not None and not plan.is_serial and q.ndim >= 3:
-            context = self._chunked_core(q, k, v, bias, counter, plan)
-        else:
-            logits = matmul(q, np.swapaxes(k, -1, -2), counter) / np.sqrt(
-                self.head_dim
-            )
-            if bias is not None:
-                logits = logits + bias
-            weights = softmax(logits, axis=-1, counter=counter)
-            context = matmul(weights, v, counter)
+        bounds, workers, workspace_rows = (
+            (plan or RESIDENT).block_schedule(q.shape[0])
+        )
+        context = run_blocks(self._block_fn(q, k, v, bias), bounds, workers)
+        if counter is not None:
+            self._record_core(counter, q, k, v, context, workspace_rows)
         merged = merge_heads(context)
         gate = sigmoid(linear(x_q, self.params["gate"], counter), counter)
         return linear(merged * gate, self.params["out"], counter)
@@ -208,65 +236,3 @@ class MultiHeadAttention:
             bytes_written=float(context.nbytes),
             activations_bytes=float(context.nbytes),
         )
-
-    def _chunked_core(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        bias: Optional[np.ndarray],
-        counter: Optional[OpCounter],
-        plan: ExecutionPlan,
-    ) -> np.ndarray:
-        """Worker chunking (PR 4): the leading axis split evenly across
-        a thread pool.  A throughput knob — all chunks are live at
-        once, so peak workspace matches the resident path."""
-        one_chunk = self._block_fn(q, k, v, bias)
-        bounds = plan.chunk_bounds(q.shape[0])
-        if plan.workers > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                chunks: List[np.ndarray] = list(pool.map(one_chunk, bounds))
-        else:
-            chunks = [one_chunk(b) for b in bounds]
-        context = np.concatenate(chunks, axis=0)
-        if counter is not None:
-            self._record_core(counter, q, k, v, context, q.shape[0])
-        return context
-
-    def _tiled_core(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        bias: Optional[np.ndarray],
-        counter: Optional[OpCounter],
-        plan: ExecutionPlan,
-    ) -> np.ndarray:
-        """Tiled streaming (flash-style scheduling): fixed-size tiles
-        of the leading axis run *sequentially* through one bounded
-        workspace and land in a preallocated output.
-
-        Peak live workspace is one tile's (block, H, Lq, Lk) logits
-        instead of the resident (rows, H, Lq, Lk) tensor.  Tiles are
-        never run on a pool — parallel tiles would multiply the
-        workspace by the worker count, which is exactly what the
-        memory planner is bounding.  Each tile equals the matching
-        slice of the resident result bit for bit (leading-batch-axis
-        slicing of batched matmul / broadcast add / last-axis softmax),
-        so the assembled output is ``==`` the resident path.
-        """
-        one_tile = self._block_fn(q, k, v, bias)
-        out: Optional[np.ndarray] = None
-        for lo, hi in plan.tile_bounds(q.shape[0]):
-            tile = one_tile((lo, hi))
-            if out is None:
-                out = np.empty(
-                    q.shape[:-1] + (tile.shape[-1],), dtype=tile.dtype
-                )
-            out[lo:hi] = tile
-        assert out is not None  # q.shape[0] >= 1 for any real input
-        if counter is not None:
-            self._record_core(
-                counter, q, k, v, out, plan.tile_rows(q.shape[0])
-            )
-        return out

@@ -17,21 +17,13 @@ Two families operate on the pair representation ``z`` of shape
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..parallel.plan import ExecutionPlan
-from .attention import MultiHeadAttention
-from .ops import (
-    OpCounter,
-    init_linear,
-    layer_norm,
-    linear,
-    matmul,
-    sigmoid,
-)
+from .attention import RESIDENT, MultiHeadAttention, run_blocks
+from .ops import OpCounter, init_linear, layer_norm, linear, sigmoid
 
 
 def _ln_params(rng: np.random.Generator, dim: int) -> Dict[str, np.ndarray]:
@@ -71,13 +63,13 @@ class TriangleMultiplication:
     ) -> np.ndarray:
         """Update ``z`` (N, N, c_pair); returns the residual delta.
 
-        Under a non-serial ``plan`` the N x N x N contraction runs in
-        output-row chunks (optionally on a thread pool); each output
-        row block is an independent einsum over the full ``k`` axis, so
-        the chunked result is bit-equal to the one-shot contraction.
-        A tiled plan (``plan.attention == "tiled"``) instead streams
-        fixed-size output-row tiles sequentially — same bit-exact
-        decomposition, but the einsum scratch is bounded by one tile.
+        The N x N x N contraction runs in output-row blocks of the
+        plan's :meth:`~repro.parallel.plan.ExecutionPlan.block_schedule`:
+        one block when resident, even chunks on a thread pool when
+        chunked, fixed-size tiles in sequence when tiled (the einsum
+        scratch is then bounded by one tile).  Each output row block is
+        an independent einsum over the full ``k`` axis, so every
+        schedule is bit-equal to the one-shot contraction.
 
         When the plan lists ``"triangle_mult"`` in
         ``recompute_scopes``, the normalised input ``zn`` — an
@@ -103,20 +95,7 @@ class TriangleMultiplication:
             zn = None  # planner chose flops-for-bytes: drop the
             #            retained (N, N, c_pair) activation here and
             #            recompute it for the gate after the peak
-        # Outgoing: out[i,j] = sum_k a[i,k,:] * b[j,k,:]
-        # Incoming: out[i,j] = sum_k a[k,i,:] * b[k,j,:]
-        if plan is not None and plan.is_tiled:
-            contracted = self._blocked_contract(
-                a, b, plan.tile_bounds(a.shape[0]), workers=1
-            )
-        elif plan is not None and not plan.is_serial:
-            contracted = self._blocked_contract(
-                a, b, plan.chunk_bounds(a.shape[0]), workers=plan.workers
-            )
-        elif self.outgoing:
-            contracted = np.einsum("ikc,jkc->ijc", a, b)
-        else:
-            contracted = np.einsum("kic,kjc->ijc", a, b)
+        contracted = self._blocked_contract(a, b, plan or RESIDENT)
         n = z.shape[0]
         if counter is not None:
             counter.record(
@@ -136,37 +115,22 @@ class TriangleMultiplication:
         return linear(normed, self.proj_out, counter) * gate
 
     def _blocked_contract(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        bounds,
-        workers: int,
+        self, a: np.ndarray, b: np.ndarray, plan: ExecutionPlan
     ) -> np.ndarray:
-        """The triangle contraction in output-row blocks.
+        """The triangle contraction in the plan's output-row blocks.
 
-        Blocks write disjoint row ranges of a preallocated output, so
-        the thread pool needs no synchronisation.  Worker chunking
-        passes even ``chunk_bounds`` and a pool; the tiled path passes
-        fixed-size ``tile_bounds`` and ``workers=1`` so only one
-        tile's einsum scratch is live at a time.
+        Outgoing: ``out[i, j] = sum_k a[i, k, :] * b[j, k, :]``;
+        incoming: ``out[i, j] = sum_k a[k, i, :] * b[k, j, :]``.
         """
-        n = a.shape[0]
-        out = np.empty((n, n, self.c_hidden), dtype=a.dtype)
+        bounds, workers, _ = plan.block_schedule(a.shape[0])
 
         def one_block(lo_hi):
             lo, hi = lo_hi
             if self.outgoing:
-                out[lo:hi] = np.einsum("ikc,jkc->ijc", a[lo:hi], b)
-            else:
-                out[lo:hi] = np.einsum("kic,kjc->ijc", a[:, lo:hi], b)
+                return np.einsum("ikc,jkc->ijc", a[lo:hi], b)
+            return np.einsum("kic,kjc->ijc", a[:, lo:hi], b)
 
-        if workers > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(one_block, bounds))
-        else:
-            for b_ in bounds:
-                one_block(b_)
-        return out
+        return run_blocks(one_block, bounds, workers)
 
 
 class TriangleAttention:

@@ -127,8 +127,6 @@ class ExecutionPlan:
 
     def chunk_bounds(self, n: int) -> List[Tuple[int, int]]:
         """Contiguous ``[start, end)`` chunks covering ``range(n)``."""
-        if n <= 0:
-            return []
         size = self.chunk_size(n)
         return [(start, min(start + size, n)) for start in range(0, n, size)]
 
@@ -153,7 +151,23 @@ class ExecutionPlan:
         memory-planner knob: the tile size caps the live workspace and
         is independent of the worker count.
         """
-        if n <= 0:
-            return []
         size = self.tile_rows(n)
         return [(start, min(start + size, n)) for start in range(0, n, size)]
+
+    def block_schedule(
+        self, n: int
+    ) -> Tuple[List[Tuple[int, int]], int, int]:
+        """How the attention and triangle cores run a length-``n``
+        leading axis: ``(bounds, workers, workspace_rows)``.
+
+        * resident/serial: one block ``[(0, n)]`` on one thread;
+        * chunked: even :meth:`chunk_bounds` on ``workers`` threads,
+          every chunk live at once, so the workspace is all ``n`` rows;
+        * tiled: fixed :meth:`tile_bounds` run one after another, so
+          only :meth:`tile_rows` rows of workspace are ever live.
+        """
+        if self.is_tiled:
+            return self.tile_bounds(n), 1, self.tile_rows(n)
+        if self.is_serial:
+            return [(0, n)], 1, n
+        return self.chunk_bounds(n), self.workers, n

@@ -70,13 +70,6 @@ class DynamicBatcher:
             + sum(len(m) for _, m in self._forced)
         )
 
-    def head_wait(self, bucket: int, now: float) -> float:
-        """Seconds the bucket's oldest member has waited (0 if empty)."""
-        entries = self._pending.get(bucket)
-        if not entries:
-            return 0.0
-        return now - entries[0][0]
-
     def _dispatchable(self, bucket: int, now: float) -> bool:
         """Full batch, or the head has exhausted its max wait."""
         entries = self._pending[bucket]

@@ -46,14 +46,14 @@ same narration into exportable per-request span timelines.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..buckets.compile_cache import SharedCompileCache
 from ..buckets.optimizer import waste_report
 from ..core.server import DEFAULT_BUCKETS, InferenceServer
-from ..faults.plan import FaultEvent, FaultKind, FaultPlan, GPU_DOMAIN, MSA_DOMAIN
+from ..events import EventQueue, fault_handler
+from ..faults.plan import FaultEvent, FaultKind, FaultPlan, GPU_DOMAIN
 from ..faults.recovery import (
     CheckpointStore,
     CircuitBreaker,
@@ -288,7 +288,6 @@ class ServingGateway:
         self.msa_cost_model = msa_cost_model or AnalyticMsaCostModel(
             platform, threads=self.config.msa_threads_per_worker
         )
-        self._model_config = model_config
         self.fault_plan = fault_plan
         #: One fleet-shared executable cache across every GPU worker
         #: when enabled (the --jax_compilation_cache_dir model); it
@@ -332,8 +331,7 @@ class ServingGateway:
         seeded stream are byte-identical.
         """
         cfg = self.config
-        self._events: List[Tuple[float, int, int, int, object]] = []
-        self._seq = 0
+        events = self._events = EventQueue()
         self._now = 0.0
         self._cache = MsaResultCache(cfg.msa_cache_entries)
         self._batcher = DynamicBatcher(cfg.max_batch, cfg.max_wait_seconds)
@@ -368,38 +366,25 @@ class ServingGateway:
         #: executing batches).
         self.gpu_pool = WorkerPool(cfg.num_gpu_workers, self._make_breaker)
         self.msa_pool = WorkerPool(cfg.num_msa_workers, self._make_breaker)
-        self.monotonic_violations = 0
         self.probe.attach(cfg.num_gpu_workers, cfg.num_msa_workers)
 
         for request in requests:
-            self._push(_EV_ARRIVAL, request.arrival_seconds, request)
-        if self.fault_plan is not None:
-            for event in self.fault_plan:
-                self._push(_EV_FAULT, event.time, event)
-                self.fault_stats.events_injected += 1
-
-        last_time = 0.0
-        while self._events:
-            when, _, kind, _, payload = heapq.heappop(self._events)
-            if when < self._now:
-                self.monotonic_violations += 1
-            self._now = when
-            last_time = max(last_time, when)
-            if kind == _EV_ARRIVAL or kind == _EV_RETRY:
-                self._admit(payload)
-            elif kind == _EV_MSA_DONE:
-                self._msa_done(*payload)
-            elif kind == _EV_GPU_DONE:
-                self._gpu_done(*payload)
-            elif kind == _EV_TIMEOUT:
-                self._timeout(*payload)
-            elif kind == _EV_BATCH_DEADLINE:
-                if payload.state is RequestState.QUEUED_BATCH:
-                    self._dispatch_gpu()
-            elif kind == _EV_WORKER_UP:
-                self._worker_up(*payload)
-            elif kind == _EV_FAULT:
-                self._on_fault(payload)
+            events.push(_EV_ARRIVAL, request.arrival_seconds, request)
+        events.inject(self.fault_plan, _EV_FAULT, self.fault_stats)
+        handlers = {
+            _EV_GPU_DONE: lambda p: self._gpu_done(*p),
+            _EV_MSA_DONE: lambda p: self._msa_done(*p),
+            _EV_WORKER_UP: lambda p: self._worker_up(*p),
+            _EV_FAULT: fault_handler(self._on_fault, self.fault_stats),
+            _EV_ARRIVAL: self._admit,
+            _EV_RETRY: self._admit,
+            _EV_TIMEOUT: lambda p: self._timeout(*p),
+            _EV_BATCH_DEADLINE: self._batch_deadline,
+        }
+        for self._now, kind, payload in events:
+            handlers[kind](payload)
+        self.monotonic_violations = events.monotonic_violations
+        last_time = events.horizon
 
         self.probe.run_finished(last_time)
         if self.store is not None:
@@ -511,11 +496,11 @@ class ServingGateway:
             return None
         return self.compile_cache.summary()
 
-    def _push(self, kind: int, when: float, payload: object) -> None:
-        """Schedule an event; (time, kind, seq) ordering keeps the
-        heap deterministic under simultaneous events."""
-        self._seq += 1
-        heapq.heappush(self._events, (when, kind, kind, self._seq, payload))
+    def _batch_deadline(self, request: ServingRequest) -> None:
+        """A batch's coalescing wait expired: dispatch if the request
+        is still waiting in the batcher."""
+        if request.state is RequestState.QUEUED_BATCH:
+            self._dispatch_gpu()
 
     def _queued_depth(self) -> int:
         """Total backlog admission control sheds against: MSA queue +
@@ -546,7 +531,7 @@ class ServingGateway:
         request.admitted_at = now
         request.stage_entered_at = now
         if cfg.timeout_seconds is not None:
-            self._push(
+            self._events.push(
                 _EV_TIMEOUT, now + cfg.timeout_seconds,
                 (request, request.attempts),
             )
@@ -667,7 +652,7 @@ class ServingGateway:
                 worker, [request, base_shards, planned, False],
                 self._now, planned,
             )
-            self._push(
+            self._events.push(
                 _EV_MSA_DONE, self._now + planned,
                 (worker, request, token),
             )
@@ -754,7 +739,7 @@ class ServingGateway:
         self.probe.batch_queued(request, self._now)
         self._batcher.add(bucket, request, self._now)
         if self.config.max_wait_seconds > 0:
-            self._push(
+            self._events.push(
                 _EV_BATCH_DEADLINE,
                 self._now + self.config.max_wait_seconds,
                 request,
@@ -801,7 +786,7 @@ class ServingGateway:
                     self.probe.breaker_opened(
                         GPU_DOMAIN, worker_idx, self._now
                     )
-                    self._push(
+                    self._events.push(
                         _EV_WORKER_UP,
                         self._now + health.breaker.cooldown_seconds,
                         (GPU_DOMAIN, worker_idx, "probe"),
@@ -827,7 +812,7 @@ class ServingGateway:
             token = self.gpu_pool.start_job(
                 worker_idx, list(batch), self._now, result.latency_seconds
             )
-            self._push(
+            self._events.push(
                 _EV_GPU_DONE,
                 self._now + result.latency_seconds,
                 (worker_idx, batch, token),
@@ -905,7 +890,7 @@ class ServingGateway:
         request.backoff_wait += backoff
         self._retries += 1
         self.probe.backoff_started(request, now, backoff)
-        self._push(_EV_RETRY, now + backoff, request)
+        self._events.push(_EV_RETRY, now + backoff, request)
 
     def _degrade(self, request: ServingRequest, why: str) -> None:
         """Serve a reduced-depth result instead of erroring.
@@ -961,34 +946,28 @@ class ServingGateway:
 
     # -- fault injection and recovery -----------------------------------
 
-    def _on_fault(self, event: FaultEvent) -> None:
-        """Dispatch one planned fault to its handler and count whether
-        it changed state (applied) or hit a dead/idle target (noop)."""
+    def _on_fault(self, event: FaultEvent) -> bool:
+        """Dispatch one planned fault to its handler; True when it
+        changed state (applied), False when it hit a dead or idle
+        target (noop)."""
         kind = event.kind
         if kind is FaultKind.WORKER_CRASH:
-            applied = self._take_down(event, restart_after=None)
-        elif kind is FaultKind.PREEMPTION:
-            applied = self._take_down(event, restart_after=event.seconds)
-        elif kind is FaultKind.GPU_OOM_SPIKE:
-            applied = self._oom_spike(event)
-        elif kind is FaultKind.DB_READ_STALL:
-            applied = self._db_stall(event)
-        elif kind is FaultKind.DB_CORRUPTION:
-            applied = self._db_corruption(event)
-        elif kind is FaultKind.SLOW_NODE:
-            applied = self._slow_node(event)
-        elif kind is FaultKind.STORE_CORRUPTION:
-            applied = self._store_corruption(event)
-        elif kind is FaultKind.PREEMPTION_NOTICE:
-            applied = self._preemption_notice(event)
-        else:   # pragma: no cover - exhaustive over FaultKind
-            applied = False
-        if event.event_id < 0:
-            return   # derived (notice-scheduled preemption): counted once
-        if applied:
-            self.fault_stats.events_applied += 1
-        else:
-            self.fault_stats.events_noop += 1
+            return self._take_down(event, restart_after=None)
+        if kind is FaultKind.PREEMPTION:
+            return self._take_down(event, restart_after=event.seconds)
+        if kind is FaultKind.GPU_OOM_SPIKE:
+            return self._oom_spike(event)
+        if kind is FaultKind.DB_READ_STALL:
+            return self._db_stall(event)
+        if kind is FaultKind.DB_CORRUPTION:
+            return self._db_corruption(event)
+        if kind is FaultKind.SLOW_NODE:
+            return self._slow_node(event)
+        if kind is FaultKind.STORE_CORRUPTION:
+            return self._store_corruption(event)
+        if kind is FaultKind.PREEMPTION_NOTICE:
+            return self._preemption_notice(event)
+        return False   # pragma: no cover - exhaustive over FaultKind
 
     def _preemption_notice(self, event: FaultEvent) -> bool:
         """A spot reclaim warning: the worker leaves after the notice
@@ -1005,7 +984,7 @@ class ServingGateway:
             event.domain, event.worker, "preemption_notice", self._now,
             seconds=round(event.seconds, 6), lead=round(lead, 6),
         )
-        self._push(_EV_FAULT, self._now + lead, dataclasses.replace(
+        self._events.push(_EV_FAULT, self._now + lead, dataclasses.replace(
             event,
             event_id=-event.event_id - 1,   # derived: never re-counted
             time=self._now + lead,
@@ -1063,7 +1042,7 @@ class ServingGateway:
                 self.probe.breaker_opened(
                     event.domain, event.worker, self._now
                 )
-                self._push(
+                self._events.push(
                     _EV_WORKER_UP,
                     self._now + health.breaker.cooldown_seconds,
                     (event.domain, event.worker, "probe"),
@@ -1073,7 +1052,7 @@ class ServingGateway:
         else:
             delay = event.seconds
             mode = "return"
-        self._push(
+        self._events.push(
             _EV_WORKER_UP, self._now + delay,
             (event.domain, event.worker, mode),
         )
@@ -1175,7 +1154,7 @@ class ServingGateway:
                 job[2] += stall
                 request.msa_seconds += stall
                 request.msa_stall_wait += stall
-                self._push(
+                self._events.push(
                     _EV_MSA_DONE, health.job_expected_end,
                     (event.worker, request, health.job_token),
                 )

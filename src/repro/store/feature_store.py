@@ -55,6 +55,16 @@ def payload_checksum(payload) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def atomic_write_text(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` through a sibling ``.tmp`` file and ``os.replace``
+    it into place, so a reader sees the old file or the new one, never
+    a half-written one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def _validate_key(key: str) -> None:
     if not (isinstance(key, str) and len(key) == 32 and set(key) <= _HEX):
         raise ValueError(
@@ -93,13 +103,6 @@ class FeatureStore:
     def _object_path(self, key: str) -> pathlib.Path:
         return self._objects / key[:2] / f"{key}.json"
 
-    @staticmethod
-    def _atomic_write(path: pathlib.Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-
     def _load(self) -> None:
         index_path = self.root / _INDEX_NAME
         entries = []
@@ -131,7 +134,7 @@ class FeatureStore:
             "byte_budget": self.byte_budget,
             "entries": [[k, s] for k, s in self._index.items()],
         }
-        self._atomic_write(self.root / _INDEX_NAME, json.dumps(doc))
+        atomic_write_text(self.root / _INDEX_NAME, json.dumps(doc))
 
     def sync(self) -> None:
         """Flush lazily-buffered recency updates to the on-disk index."""
@@ -171,7 +174,7 @@ class FeatureStore:
         previous = self._fetch(key) if key in self._index else None
         if previous is not None and previous != payload:
             self.invalidations += 1
-        self._atomic_write(self._object_path(key), text)
+        atomic_write_text(self._object_path(key), text)
         if key in self._index:
             self._total -= self._index[key]
         self._index[key] = size
@@ -249,7 +252,7 @@ class FeatureStore:
             text = path.read_text()
         except OSError:
             text = ""
-        self._atomic_write(path, text[:-1] if text else "x")
+        atomic_write_text(path, text[:-1] if text else "x")
         self._payloads.pop(key, None)
         return True
 

@@ -39,9 +39,12 @@ def tiled_plan(block=None, recompute=False):
     )
 
 
-#: Worker-chunked plans (the PR 4 throughput path) — also bit-equal,
-#: and the baseline the tiled path must additionally match.
-CHUNKED_PLANS = [
+#: Untiled plans — the explicit serial plan (one resident block) and
+#: worker-chunked plans (the throughput path).  All are bit-equal to
+#: the no-plan path and keep its activation peaks; the tiled path must
+#: additionally match them.
+UNTILED_PLANS = [
+    ExecutionPlan.serial(),
     ExecutionPlan(workers=2, backend="thread"),
     ExecutionPlan(workers=3, backend="thread"),
     ExecutionPlan(workers=2, chunk=3, backend="thread"),
@@ -55,10 +58,21 @@ def assert_identical(reference, candidate):
     assert (reference == candidate).all()
 
 
-def assert_same_totals(c_ref: OpCounter, c_new: OpCounter):
-    """Scheduling must not change what is computed, only how."""
+def assert_same_totals(
+    c_ref: OpCounter, c_new: OpCounter, same_peaks: bool = False
+):
+    """Scheduling must not change what is computed, only how.  With
+    ``same_peaks`` (untiled plans: every block is live at once, as in
+    the resident path) each scope's ``activations_bytes`` peak must
+    match too; a tiled plan lowers it on purpose."""
     assert c_ref.total_flops() == c_new.total_flops()
     assert c_ref.total_bytes() == c_new.total_bytes()
+    if same_peaks:
+        assert c_ref.costs.keys() == c_new.costs.keys()
+        for scope, cost in c_ref.costs.items():
+            assert c_new.costs[scope].activations_bytes == (
+                cost.activations_bytes
+            ), scope
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +140,11 @@ class TestAttentionBitIdentity:
         x, bias = random_inputs(5, 7, 8, 2, "batched", seed=4)
         c_ref = OpCounter()
         reference = attn(x, bias=bias, counter=c_ref)
-        for plan in CHUNKED_PLANS + [tiled_plan(2), tiled_plan(5)]:
+        for plan in UNTILED_PLANS + [tiled_plan(2), tiled_plan(5)]:
             c_new = OpCounter()
             out = attn(x, bias=bias, counter=c_new, plan=plan)
             assert_identical(reference, out)
-            assert_same_totals(c_ref, c_new)
+            assert_same_totals(c_ref, c_new, same_peaks=not plan.is_tiled)
 
     def test_cross_attention_tiled(self):
         # Lq != Lk exercises the (..., Lq, Lk) logits workspace shape.
@@ -257,9 +271,12 @@ class TestTriangleBitIdentity:
                 outgoing=outgoing,
             )
             z = random_pair(9, 8, 14)
-            reference = layer(z)
-            for plan in CHUNKED_PLANS:
-                assert_identical(reference, layer(z, plan=plan))
+            c_ref = OpCounter()
+            reference = layer(z, counter=c_ref)
+            for plan in UNTILED_PLANS:
+                c_new = OpCounter()
+                assert_identical(reference, layer(z, c_new, plan=plan))
+                assert_same_totals(c_ref, c_new, same_peaks=True)
 
     def test_recompute_without_tiling_also_bit_identical(self):
         layer = TriangleMultiplication(

@@ -1,6 +1,10 @@
 """CLI tests (fast paths; sweep covered by a tiny invocation)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -210,3 +214,27 @@ class TestBucketCommands:
         assert payload["bucket_waste"]["buckets"] == [
             512, 1024, 1536, 2048
         ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve-sim", "--max-batch", "0"],
+    ["serve-sim", "--rate", "0"],
+    ["serve-sim", "--timeout", "-5"],
+    ["chaos", "--crashes", "-1"],
+    ["chaos", "--kinds", "worker_crash,nope"],
+    ["cluster-sim", "--jobs", "0"],
+    ["cluster-chaos", "--rate", "nan"],
+    ["msa-precompute", "--store-dir", "unused", "--chains", "1"],
+])
+def test_bad_numeric_flag_exits_2_without_traceback(argv):
+    """Bad values stop at the argparse boundary: exit 2, one error
+    line naming the flag, never a Python traceback."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: argument {argv[-2]}:" in proc.stderr

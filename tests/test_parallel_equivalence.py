@@ -291,6 +291,7 @@ class TestEngineEquivalence:
 # ---------------------------------------------------------------------------
 
 MODEL_PLANS = [
+    ExecutionPlan.serial(),
     ExecutionPlan(workers=2, backend="thread"),
     ExecutionPlan(workers=4, chunk=5, backend="thread"),
     ExecutionPlan(workers=1, chunk=3),
