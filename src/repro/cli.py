@@ -458,14 +458,33 @@ def _campaign_run(args: argparse.Namespace, resume: bool) -> int:
     return 0
 
 
+def _campaign_errors(command):
+    """A directory that is not a campaign is an operator error: print
+    the one-line message and exit 2."""
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        from .campaign.state import CampaignStateError
+
+        try:
+            return command(args)
+        except CampaignStateError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+
+    return run
+
+
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     return _campaign_run(args, resume=False)
 
 
+@_campaign_errors
 def cmd_campaign_resume(args: argparse.Namespace) -> int:
     return _campaign_run(args, resume=True)
 
 
+@_campaign_errors
 def cmd_campaign_report(args: argparse.Namespace) -> int:
     from .campaign import (
         CampaignState,
@@ -496,14 +515,15 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_out(json.dumps(summary, indent=2) + "\n", args.out)
     elif args.format == "prometheus":
-        from .observability import campaign_prometheus_metrics
+        from .observability import CAMPAIGN_METRICS, prometheus_metrics
 
-        _write_out(campaign_prometheus_metrics(summary), args.out)
+        _write_out(prometheus_metrics(summary, CAMPAIGN_METRICS), args.out)
     else:
         _write_out(render_cohort_markdown(summary), args.out)
     return 0
 
 
+@_campaign_errors
 def cmd_campaign_status(args: argparse.Namespace) -> int:
     """Read-only progress scan — safe against a live campaign."""
     from .campaign import CampaignState
@@ -833,10 +853,11 @@ def cmd_observe_export_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_observe_export_metrics(args: argparse.Namespace) -> int:
-    from .observability import prometheus_metrics
+    from .observability import SERVING_METRICS, prometheus_metrics
 
     _probe, report = _observed_run(args)
-    _write_out(prometheus_metrics(report), args.out)
+    _write_out(prometheus_metrics(report.summary(), SERVING_METRICS),
+               args.out)
     return 0
 
 
@@ -1349,19 +1370,19 @@ def build_parser() -> argparse.ArgumentParser:
     observe_common = argparse.ArgumentParser(add_help=False)
     observe_common.add_argument("--platform", default="Server",
                                 choices=sorted(PLATFORMS))
-    observe_common.add_argument("--requests", type=int, default=40,
+    observe_common.add_argument("--requests", type=_COUNT, default=40,
                                 help="number of requests in the stream")
-    observe_common.add_argument("--rate", type=float, default=0.02,
+    observe_common.add_argument("--rate", type=_POSITIVE, default=0.02,
                                 help="Poisson arrival rate in req/s")
-    observe_common.add_argument("--gpu-workers", type=int, default=3)
-    observe_common.add_argument("--msa-workers", type=int, default=3)
-    observe_common.add_argument("--max-batch", type=int, default=4)
-    observe_common.add_argument("--max-wait", type=float, default=120.0)
-    observe_common.add_argument("--queue-limit", type=int, default=512)
-    observe_common.add_argument("--timeout", type=float, default=None,
+    observe_common.add_argument("--gpu-workers", type=_COUNT, default=3)
+    observe_common.add_argument("--msa-workers", type=_COUNT, default=3)
+    observe_common.add_argument("--max-batch", type=_COUNT, default=4)
+    observe_common.add_argument("--max-wait", type=_SECONDS, default=120.0)
+    observe_common.add_argument("--queue-limit", type=_COUNT, default=512)
+    observe_common.add_argument("--timeout", type=_POSITIVE, default=None,
                                 help="per-attempt queue timeout (s)")
-    observe_common.add_argument("--retries", type=int, default=2)
-    observe_common.add_argument("--backoff", type=float, default=30.0)
+    observe_common.add_argument("--retries", type=_TALLY, default=2)
+    observe_common.add_argument("--backoff", type=_SECONDS, default=30.0)
     observe_common.add_argument("--chaos", action="store_true",
                                 help="inject the default chaos fault mix "
                                      "into the observed run")

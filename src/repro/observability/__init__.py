@@ -16,7 +16,8 @@ The pieces, bottom-up:
   (no-op lifecycle hooks the gateway always calls) and
   :class:`SpanProbe` (the span-building implementation);
 * :mod:`~repro.observability.export` — Chrome/Perfetto trace-event
-  JSON (one track per worker) and Prometheus text exposition;
+  JSON (one track per worker) and one Prometheus text renderer driven
+  by a declaration per report (serving, cluster, campaign);
 * :mod:`~repro.observability.analysis` — span trees, critical paths,
   per-phase attribution reconciled against
   :func:`~repro.serving.gateway.serving_trace`, and the
@@ -57,9 +58,10 @@ from .analysis import (
     reconcile_with_trace,
 )
 from .export import (
-    campaign_prometheus_metrics,
+    CAMPAIGN_METRICS,
+    CLUSTER_METRICS,
+    SERVING_METRICS,
     chrome_trace_json,
-    cluster_prometheus_metrics,
     prometheus_metrics,
     to_chrome_trace,
 )
@@ -74,12 +76,15 @@ from .instrument import (
 from .spans import REQUEST_TRACK, Span, SpanRecorder
 
 __all__ = [
+    "CAMPAIGN_METRICS",
+    "CLUSTER_METRICS",
     "ClusterProbe",
     "ClusterSpanProbe",
     "GatewayProbe",
     "NULL_CLUSTER_PROBE",
     "NULL_PROBE",
     "REQUEST_TRACK",
+    "SERVING_METRICS",
     "STAGE_NAMES",
     "Span",
     "SpanProbe",
@@ -87,9 +92,7 @@ __all__ = [
     "SpanTree",
     "build_tree",
     "build_trees",
-    "campaign_prometheus_metrics",
     "chrome_trace_json",
-    "cluster_prometheus_metrics",
     "critical_path",
     "explain",
     "path_gap_seconds",

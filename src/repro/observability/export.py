@@ -12,17 +12,19 @@ operators already have open:
   keyed by its request id, so a p99 request can be followed end to
   end.  Simulated seconds map to trace microseconds.
 * :func:`prometheus_metrics` — a Prometheus text exposition of a
-  :class:`~repro.serving.metrics.ServingReport` summary, for piping
-  the existing golden counters into any metrics stack without a new
-  schema.
+  report summary, for piping the existing golden counters into any
+  metrics stack without a new schema.  Each report has one ordered
+  declaration of its metric families — :data:`SERVING_METRICS`,
+  :data:`CLUSTER_METRICS`, :data:`CAMPAIGN_METRICS` — and the one
+  renderer writes any of them.
 
 Both are pure functions of their inputs with fully ordered output:
 exporting the same seeded run twice yields byte-identical text (the
-golden trace test pins this).
+golden trace and exposition tests pin this).
 
-This module imports nothing from ``repro.serving`` — reports are read
-duck-typed via ``report.summary()`` — so ``repro.observability`` can
-be imported from inside the serving package without a cycle.
+This module imports nothing from ``repro.serving`` — summaries are
+plain mappings — so ``repro.observability`` can be imported from
+inside the serving package without a cycle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .spans import KIND_INSTANT, REQUEST_TRACK, Span, SpanRecorder
 
@@ -181,402 +183,331 @@ def chrome_trace_json(
 
 # -- Prometheus text exposition -----------------------------------------
 
-#: summary field -> (metric suffix, prometheus type, help text).
-_COUNTERS = [
-    ("submitted", "submitted_total", "Requests submitted to the gateway."),
-    ("completed", "completed_total", "Full-quality completions."),
-    ("degraded", "degraded_total",
-     "Completions served via the reduced-depth degraded fallback."),
-    ("shed", "shed_total", "Requests rejected by admission control."),
-    ("timed_out", "timed_out_total",
-     "Requests that exhausted their retries."),
-    ("failed_oom", "failed_oom_total",
-     "Requests that exceed device memory even alone."),
-    ("retries", "retries_total", "Timeout-triggered retry admissions."),
-    ("retries_exhausted", "retries_exhausted_total",
-     "Requests whose retry budget was exhausted."),
-    ("oom_events", "oom_events_total",
-     "Batch dispatches that hit device OOM."),
-    ("batches_dispatched", "batches_total", "GPU batches dispatched."),
-    ("cache_hits", "msa_cache_hits_total", "MSA result cache hits."),
-    ("cache_misses", "msa_cache_misses_total", "MSA result cache misses."),
-    ("coalesced_msa", "msa_coalesced_total",
-     "Requests coalesced onto an in-flight MSA computation."),
-]
-
-_GAUGES = [
-    ("duration_seconds", "duration_seconds",
-     "Simulated makespan, first arrival to last event."),
-    ("throughput_rps", "throughput_rps",
-     "Full-quality completions per simulated second."),
-    ("gpu_utilization", "gpu_utilization_ratio",
-     "GPU-pool busy fraction of capacity."),
-    ("msa_utilization", "msa_utilization_ratio",
-     "MSA-pool busy fraction of capacity."),
-    ("mean_batch_size", "batch_size_mean", "Mean dispatched batch size."),
-    ("batch_fill", "batch_fill_ratio",
-     "Mean batch size over the max batch size."),
-    ("cache_hit_rate", "msa_cache_hit_ratio", "MSA cache hit fraction."),
-]
-
-_LATENCY_SECTIONS = [
-    ("latency", "latency_seconds", "End-to-end latency, completed requests."),
-    ("msa_queue_wait", "msa_queue_wait_seconds",
-     "Wait for an MSA worker, completed requests."),
-    ("batch_queue_wait", "batch_queue_wait_seconds",
-     "Wait in the dynamic batcher, completed requests."),
-]
+#: The row shapes the renderer knows:
+SCALAR = "scalar"        # one field, one sample
+QUANTILES = "quantiles"  # LatencyStats: p50/p95/p99, _count, _mean, _max
+LABELLED = "labelled"    # a mapping: one sample per key, keyed by label
+OPEN = "open"            # a dict section: one family per key at run time
 
 _QUANTILES = [("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")]
 
 
-def prometheus_metrics(report, prefix: str = "afsys_serving") -> str:
-    """Prometheus text exposition of a serving report's summary.
+class MetricRow(NamedTuple):
+    """One declared metric family of a report."""
 
-    Metric names, ordering, and label sets are fixed, so scraping the
-    same seeded run twice produces identical text.  The source fields
-    are exactly the golden-summary fields documented in
-    ``docs/metrics_reference.md`` — this is a re-rendering, not a new
-    metrics surface.
-    """
-    summary = report.summary()
-    labels = f'{{platform="{summary["platform"]}"}}'
-    lines: List[str] = []
+    shape: str
+    #: Summary field; dotted for a field nested in a section.
+    field: str
+    #: Metric name after the report prefix (for OPEN, the name stem
+    #: every key is appended to).
+    suffix: str
+    mtype: str
+    help: str
+    #: LABELLED: the label each mapping key becomes, then labels read
+    #: from each entry (``("pool", "spot")``).
+    labels: Tuple[str, ...] = ()
+    #: LABELLED: the key of the sample value when entries are dicts.
+    item: str = ""
+    #: OPEN: keys typed ``gauge``; every other key has ``mtype``.
+    gauges: FrozenSet[str] = frozenset()
 
-    def emit(suffix, mtype, help_text, value, extra_labels=""):
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{extra_labels or labels} {value}")
 
-    emit("gpu_workers", "gauge", "GPU workers in the pool.",
-         summary["gpu_workers"])
-    emit("msa_workers", "gauge", "MSA workers in the pool.",
-         summary["msa_workers"])
-    for field, suffix, help_text in _COUNTERS:
-        emit(suffix, "counter", help_text, summary[field])
-    for field, suffix, help_text in _GAUGES:
-        emit(suffix, "gauge", help_text, summary[field])
-    for field, suffix, help_text in _LATENCY_SECTIONS:
-        stats = summary[field]
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} summary")
-        base = labels[:-1]  # reuse the platform label, add quantile
-        for key, quantile in _QUANTILES:
-            lines.append(
-                f'{name}{base},quantile="{quantile}"}} {stats[key]}'
-            )
-        lines.append(f"{name}_count{labels} {stats['count']}")
-        lines.append(f"{name}_mean{labels} {stats['mean']}")
-        lines.append(f"{name}_max{labels} {stats['max']}")
-    store = summary.get("store")
-    if store:
-        for key, value in store.items():
-            name = f"{prefix}_store_{key}"
-            lines.append(
-                f"# HELP {name} Feature-store counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("hit_rate", "entries", "total_bytes")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    faults = summary.get("faults")
-    if faults:
-        plan = faults.get("plan", {})
-        name = f"{prefix}_fault_planned_total"
-        lines.append(
-            f"# HELP {name} Fault events scheduled by the plan, by kind."
-        )
-        lines.append(f"# TYPE {name} counter")
-        for kind, count in plan.items():
-            lines.append(
-                f'{name}{labels[:-1]},kind="{kind}"}} {count}'
-            )
-        for key, value in faults.items():
-            if key == "plan":
-                continue
-            name = f"{prefix}_fault_{key}"
-            lines.append(
-                f"# HELP {name} Fault/recovery counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = "gauge" if key == "rewarm_seconds" or key == "stall_seconds" else "counter"
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    bucket_waste = summary.get("bucket_waste")
-    if bucket_waste:
+class MetricsDeclaration(NamedTuple):
+    """Everything one report exposes: prefix, run label, ordered rows."""
+
+    prefix: str
+    #: Summary field every sample is labelled with.
+    label: str
+    rows: Tuple[MetricRow, ...]
+
+
+def _rows(shape: str, mtype: str, fields) -> List[MetricRow]:
+    """Rows of one shape and type from ``(field, suffix, help)`` triples."""
+    return [MetricRow(shape, field, suffix, mtype, help_text)
+            for field, suffix, help_text in fields]
+
+
+#: Open-section key sets typed ``gauge`` (everything else counts).
+_STORE_GAUGES = frozenset({"hit_rate", "entries", "total_bytes"})
+_COMPILE_CACHE_GAUGES = frozenset(
+    {"entries", "hit_cost_seconds", "seconds_saved"}
+)
+_FAULT_GAUGES = frozenset({"rewarm_seconds", "stall_seconds"})
+
+_STORE_HELP = "Feature-store counter (see docs/metrics_reference.md)."
+_FAULT_HELP = "Fault/recovery counter (see docs/metrics_reference.md)."
+_BUCKET_HELP = (
+    "Padded-shape accounting of the configured bucket list "
+    "(see docs/metrics_reference.md)."
+)
+
+SERVING_METRICS = MetricsDeclaration("afsys_serving", "platform", tuple(
+    _rows(SCALAR, "gauge", [
+        ("gpu_workers", "gpu_workers", "GPU workers in the pool."),
+        ("msa_workers", "msa_workers", "MSA workers in the pool."),
+    ])
+    + _rows(SCALAR, "counter", [
+        ("submitted", "submitted_total", "Requests submitted to the gateway."),
+        ("completed", "completed_total", "Full-quality completions."),
+        ("degraded", "degraded_total",
+         "Completions served via the reduced-depth degraded fallback."),
+        ("shed", "shed_total", "Requests rejected by admission control."),
+        ("timed_out", "timed_out_total",
+         "Requests that exhausted their retries."),
+        ("failed_oom", "failed_oom_total",
+         "Requests that exceed device memory even alone."),
+        ("retries", "retries_total", "Timeout-triggered retry admissions."),
+        ("retries_exhausted", "retries_exhausted_total",
+         "Requests whose retry budget was exhausted."),
+        ("oom_events", "oom_events_total",
+         "Batch dispatches that hit device OOM."),
+        ("batches_dispatched", "batches_total", "GPU batches dispatched."),
+        ("cache_hits", "msa_cache_hits_total", "MSA result cache hits."),
+        ("cache_misses", "msa_cache_misses_total",
+         "MSA result cache misses."),
+        ("coalesced_msa", "msa_coalesced_total",
+         "Requests coalesced onto an in-flight MSA computation."),
+    ])
+    + _rows(SCALAR, "gauge", [
+        ("duration_seconds", "duration_seconds",
+         "Simulated makespan, first arrival to last event."),
+        ("throughput_rps", "throughput_rps",
+         "Full-quality completions per simulated second."),
+        ("gpu_utilization", "gpu_utilization_ratio",
+         "GPU-pool busy fraction of capacity."),
+        ("msa_utilization", "msa_utilization_ratio",
+         "MSA-pool busy fraction of capacity."),
+        ("mean_batch_size", "batch_size_mean", "Mean dispatched batch size."),
+        ("batch_fill", "batch_fill_ratio",
+         "Mean batch size over the max batch size."),
+        ("cache_hit_rate", "msa_cache_hit_ratio", "MSA cache hit fraction."),
+    ])
+    + _rows(QUANTILES, "summary", [
+        ("latency", "latency_seconds",
+         "End-to-end latency, completed requests."),
+        ("msa_queue_wait", "msa_queue_wait_seconds",
+         "Wait for an MSA worker, completed requests."),
+        ("batch_queue_wait", "batch_queue_wait_seconds",
+         "Wait in the dynamic batcher, completed requests."),
+    ])
+    + [
+        MetricRow(OPEN, "store", "store", "counter", _STORE_HELP,
+                  gauges=_STORE_GAUGES),
+        MetricRow(LABELLED, "faults.plan", "fault_planned_total", "counter",
+                  "Fault events scheduled by the plan, by kind.",
+                  labels=("kind",)),
+        MetricRow(OPEN, "faults", "fault", "counter", _FAULT_HELP,
+                  gauges=_FAULT_GAUGES),
+    ]
+    + _rows(SCALAR, "counter", [
+        (f"bucket_waste.{key}", f"bucket_waste_{key}_total", _BUCKET_HELP)
         for key in ("requests", "real_tokens", "padded_tokens",
-                    "waste_tokens"):
-            name = f"{prefix}_bucket_waste_{key}_total"
-            lines.append(
-                f"# HELP {name} Padded-shape accounting of the "
-                f"configured bucket list (see docs/metrics_reference.md)."
-            )
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{labels} {bucket_waste[key]}")
-        name = f"{prefix}_bucket_waste_ratio"
-        lines.append(
-            f"# HELP {name} Waste tokens over padded tokens, percent."
-        )
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name}{labels} {bucket_waste['waste_pct']}")
-        name = f"{prefix}_bucket_requests"
-        lines.append(
-            f"# HELP {name} Requests landing in each bucket edge."
-        )
-        lines.append(f"# TYPE {name} counter")
-        for edge, stats in bucket_waste.get("per_bucket", {}).items():
-            lines.append(
-                f'{name}{labels[:-1]},bucket="{edge}"}} '
-                f'{stats["requests"]}'
-            )
-    compile_cache = summary.get("compile_cache")
-    if compile_cache:
-        for key, value in compile_cache.items():
-            name = f"{prefix}_compile_cache_{key}"
-            lines.append(
-                f"# HELP {name} Shared XLA compile-cache counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("entries", "hit_cost_seconds", "seconds_saved")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    return "\n".join(lines) + "\n"
+                    "waste_tokens")
+    ])
+    + _rows(SCALAR, "gauge", [
+        ("bucket_waste.waste_pct", "bucket_waste_ratio",
+         "Waste tokens over padded tokens, percent."),
+    ])
+    + [
+        MetricRow(LABELLED, "bucket_waste.per_bucket", "bucket_requests",
+                  "counter", "Requests landing in each bucket edge.",
+                  labels=("bucket",), item="requests"),
+        MetricRow(OPEN, "compile_cache", "compile_cache", "counter",
+                  "Shared XLA compile-cache counter "
+                  "(see docs/metrics_reference.md).",
+                  gauges=_COMPILE_CACHE_GAUGES),
+    ]
+))
+
+CLUSTER_METRICS = MetricsDeclaration("afsys_cluster", "policy", tuple(
+    _rows(SCALAR, "counter", [
+        ("submitted", "jobs_submitted_total",
+         "Jobs submitted to the cluster."),
+        ("completed", "jobs_completed_total",
+         "Jobs that finished inference."),
+        ("failed", "jobs_failed_total",
+         "Jobs that exhausted their retry budget."),
+        ("attempts", "job_attempts_total",
+         "Node assignments (all attempts)."),
+        ("migrations", "migrations_total",
+         "Drain-requeues after a spot preemption notice."),
+        ("crash_requeues", "crash_requeues_total",
+         "Requeues after a crash or zero-warning reclaim."),
+        ("chains_scanned", "chains_scanned_total",
+         "Per-chain MSA scans run on cluster nodes."),
+        ("store_chain_hits", "store_chain_hits_total",
+         "Chain scans avoided via the shared feature store."),
+        ("chains_published", "chains_published_total",
+         "Chain features published to the shared store."),
+        ("resumed_shards", "resumed_shards_total",
+         "DB shards skipped by resuming drain checkpoints."),
+        ("drain_publishes", "drain_publishes_total",
+         "Chains published during preemption drains."),
+        ("drain_checkpoints", "drain_checkpoints_total",
+         "In-flight scans checkpointed during drains."),
+        ("corrupted_keys", "store_corrupted_keys_total",
+         "Trusted store keys struck by corruption."),
+        ("migrated_recomputed_chains", "migrated_recomputed_chains_total",
+         "Chain scans re-run despite a completed pre-drain scan "
+         "(the no-double-execution audit pins this at 0)."),
+        ("double_billed_shards", "double_billed_shards_total",
+         "Checkpointed shards billed twice on resume (audit pins 0)."),
+        ("scale_outs", "scale_out_nodes_total",
+         "Nodes booted by autoscaling."),
+        ("scale_ins", "scale_in_nodes_total",
+         "Idle nodes terminated by autoscaling."),
+        ("queue_pushes", "queue_pushes_total", "Job queue admissions."),
+        ("queue_requeues", "queue_requeues_total",
+         "Job queue re-admissions."),
+    ])
+    + _rows(SCALAR, "gauge", [
+        ("duration_seconds", "duration_seconds",
+         "Simulated makespan of the cluster run."),
+        ("scan_seconds_billed", "scan_seconds_billed",
+         "Node-seconds billed to MSA chain scans."),
+        ("gpu_seconds_billed", "gpu_seconds_billed",
+         "Node-seconds billed to GPU inference."),
+        ("cost_usd", "cost_usd", "Total fleet cost, boot to termination."),
+        ("cost_per_job_usd", "cost_per_job_usd",
+         "Fleet cost per completed job."),
+        ("throughput_jobs_per_hour", "throughput_jobs_per_hour",
+         "Completed jobs per simulated hour."),
+    ])
+    + _rows(QUANTILES, "summary", [
+        ("latency", "job_latency_seconds",
+         "Arrival-to-completion latency, completed jobs."),
+    ])
+    + [
+        MetricRow(LABELLED, "pools", suffix, "gauge", help_text,
+                  labels=("pool", "spot"), item=item)
+        for item, suffix, help_text in [
+            ("nodes_booted", "pool_nodes_booted",
+             "Nodes booted in the pool."),
+            ("nodes_terminated", "pool_nodes_terminated",
+             "Pool nodes preempted or scaled in."),
+            ("peak_nodes", "pool_peak_nodes",
+             "Max simultaneously-alive nodes in the pool."),
+            ("busy_seconds", "pool_busy_seconds",
+             "Node-seconds the pool spent on jobs."),
+            ("billed_seconds", "pool_billed_seconds",
+             "Node-seconds the pool was billed for."),
+            ("cost_usd", "pool_cost_usd", "Pool cost over the run."),
+            ("utilization", "pool_utilization_ratio",
+             "Busy fraction of billed pool time."),
+        ]
+    ]
+    + [
+        MetricRow(OPEN, "faults", "fault", "counter", _FAULT_HELP,
+                  gauges=_FAULT_GAUGES),
+        MetricRow(OPEN, "store", "store", "counter", _STORE_HELP,
+                  gauges=_STORE_GAUGES),
+        MetricRow(OPEN, "compile_cache", "compile_cache", "counter",
+                  "Fleet-shared XLA compile-cache counter "
+                  "(see docs/metrics_reference.md).",
+                  gauges=_COMPILE_CACHE_GAUGES),
+    ]
+))
+
+CAMPAIGN_METRICS = MetricsDeclaration("afsys_campaign", "platform", tuple(
+    _rows(SCALAR, "gauge", [
+        ("targets", "targets_total", "Targets in the cohort manifest."),
+        ("targets_completed", "targets_completed",
+         "Targets whose full stage chain finished ok."),
+        ("targets_failed", "targets_failed",
+         "Targets with at least one failed stage."),
+        ("tasks_done", "stage_outputs_done",
+         "Stage outputs persisted as ok checkpoints."),
+        ("tasks_failed", "stage_outputs_failed",
+         "Stage outputs persisted as failed."),
+        ("msa_seconds_total", "msa_seconds",
+         "Cohort simulated MSA seconds (paper Fig 7 numerator)."),
+        ("inference_seconds_total", "inference_seconds",
+         "Cohort simulated inference seconds."),
+        ("cohort_msa_fraction", "msa_fraction_ratio",
+         "MSA share of MSA+inference time across the cohort."),
+        ("serial_seconds", "serial_seconds",
+         "Sum of all simulated stage seconds (one-worker campaign)."),
+        ("pipeline_makespan_seconds", "pipeline_makespan_seconds",
+         "Modeled makespan under the configured stage pools."),
+        ("pipeline_speedup", "pipeline_speedup_ratio",
+         "Serial seconds over modeled makespan."),
+    ])
+    + [
+        MetricRow(LABELLED, "phase_seconds", "phase_seconds", "gauge",
+                  "Simulated seconds per campaign stage (Fig 3).",
+                  labels=("stage",)),
+        MetricRow(LABELLED, "figures.fig3_phase_share", "phase_share_ratio",
+                  "gauge", "Share of simulated time per stage (Fig 3).",
+                  labels=("stage",)),
+        MetricRow(LABELLED, "complexity_histogram", "targets_by_complexity",
+                  "gauge",
+                  "Completed targets per complexity class (Table II).",
+                  labels=("complexity",)),
+    ]
+))
 
 
-# -- cluster Prometheus exposition ---------------------------------------
-
-#: cluster summary field -> (metric suffix, type, help text).
-_CLUSTER_COUNTERS = [
-    ("submitted", "jobs_submitted_total", "Jobs submitted to the cluster."),
-    ("completed", "jobs_completed_total", "Jobs that finished inference."),
-    ("failed", "jobs_failed_total",
-     "Jobs that exhausted their retry budget."),
-    ("attempts", "job_attempts_total", "Node assignments (all attempts)."),
-    ("migrations", "migrations_total",
-     "Drain-requeues after a spot preemption notice."),
-    ("crash_requeues", "crash_requeues_total",
-     "Requeues after a crash or zero-warning reclaim."),
-    ("chains_scanned", "chains_scanned_total",
-     "Per-chain MSA scans run on cluster nodes."),
-    ("store_chain_hits", "store_chain_hits_total",
-     "Chain scans avoided via the shared feature store."),
-    ("chains_published", "chains_published_total",
-     "Chain features published to the shared store."),
-    ("resumed_shards", "resumed_shards_total",
-     "DB shards skipped by resuming drain checkpoints."),
-    ("drain_publishes", "drain_publishes_total",
-     "Chains published during preemption drains."),
-    ("drain_checkpoints", "drain_checkpoints_total",
-     "In-flight scans checkpointed during drains."),
-    ("corrupted_keys", "store_corrupted_keys_total",
-     "Trusted store keys struck by corruption."),
-    ("migrated_recomputed_chains", "migrated_recomputed_chains_total",
-     "Chain scans re-run despite a completed pre-drain scan "
-     "(the no-double-execution audit pins this at 0)."),
-    ("double_billed_shards", "double_billed_shards_total",
-     "Checkpointed shards billed twice on resume (audit pins 0)."),
-    ("scale_outs", "scale_out_nodes_total", "Nodes booted by autoscaling."),
-    ("scale_ins", "scale_in_nodes_total",
-     "Idle nodes terminated by autoscaling."),
-    ("queue_pushes", "queue_pushes_total", "Job queue admissions."),
-    ("queue_requeues", "queue_requeues_total", "Job queue re-admissions."),
-]
-
-_CLUSTER_GAUGES = [
-    ("duration_seconds", "duration_seconds",
-     "Simulated makespan of the cluster run."),
-    ("scan_seconds_billed", "scan_seconds_billed",
-     "Node-seconds billed to MSA chain scans."),
-    ("gpu_seconds_billed", "gpu_seconds_billed",
-     "Node-seconds billed to GPU inference."),
-    ("cost_usd", "cost_usd", "Total fleet cost, boot to termination."),
-    ("cost_per_job_usd", "cost_per_job_usd", "Fleet cost per completed job."),
-    ("throughput_jobs_per_hour", "throughput_jobs_per_hour",
-     "Completed jobs per simulated hour."),
-]
-
-_POOL_GAUGES = [
-    ("nodes_booted", "pool_nodes_booted", "Nodes booted in the pool."),
-    ("nodes_terminated", "pool_nodes_terminated",
-     "Pool nodes preempted or scaled in."),
-    ("peak_nodes", "pool_peak_nodes",
-     "Max simultaneously-alive nodes in the pool."),
-    ("busy_seconds", "pool_busy_seconds",
-     "Node-seconds the pool spent on jobs."),
-    ("billed_seconds", "pool_billed_seconds",
-     "Node-seconds the pool was billed for."),
-    ("cost_usd", "pool_cost_usd", "Pool cost over the run."),
-    ("utilization", "pool_utilization_ratio",
-     "Busy fraction of billed pool time."),
-]
+def _lookup(summary, field: str):
+    """The summary value at a dotted ``field``; None when any part of
+    the path is absent (a section the run did not emit)."""
+    value = summary
+    for key in field.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    return value
 
 
-def cluster_prometheus_metrics(report, prefix: str = "afsys_cluster") -> str:
-    """Prometheus text exposition of a cluster report's summary.
+def _label(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
-    Same contract as :func:`prometheus_metrics` one level up: fixed
-    names and ordering (byte-identical for a seeded run), fields
-    sourced from the golden cluster summary documented in
-    ``docs/metrics_reference.md``.  Pool-scoped metrics carry a
-    ``pool`` label; everything else is labelled by autoscale policy.
+
+def prometheus_metrics(summary, declaration: MetricsDeclaration) -> str:
+    """Prometheus text exposition of a report summary.
+
+    ``summary`` is ``ServingReport.summary()``,
+    ``ClusterReport.summary()`` or :func:`repro.campaign.cohort_summary`
+    output; ``declaration`` is the matching :data:`SERVING_METRICS`,
+    :data:`CLUSTER_METRICS` or :data:`CAMPAIGN_METRICS`.  Names, order
+    and label sets come from the declaration alone, so the same summary
+    always renders to the same bytes.  Sections the run did not emit
+    (store, faults, bucket waste, compile cache) render nothing.
     """
-    summary = report.summary()
-    labels = f'{{policy="{summary["policy"]}"}}'
+    run = f'{declaration.label}="{summary[declaration.label]}"'
     lines: List[str] = []
 
-    def emit(suffix, mtype, help_text, value, extra_labels=""):
-        name = f"{prefix}_{suffix}"
+    def family(name: str, mtype: str, help_text: str) -> None:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{extra_labels or labels} {value}")
 
-    for field, suffix, help_text in _CLUSTER_COUNTERS:
-        emit(suffix, "counter", help_text, summary[field])
-    for field, suffix, help_text in _CLUSTER_GAUGES:
-        emit(suffix, "gauge", help_text, summary[field])
-    stats = summary["latency"]
-    name = f"{prefix}_job_latency_seconds"
-    lines.append(
-        f"# HELP {name} Arrival-to-completion latency, completed jobs."
-    )
-    lines.append(f"# TYPE {name} summary")
-    base = labels[:-1]
-    for key, quantile in _QUANTILES:
-        lines.append(f'{name}{base},quantile="{quantile}"}} {stats[key]}')
-    lines.append(f"{name}_count{labels} {stats['count']}")
-    lines.append(f"{name}_mean{labels} {stats['mean']}")
-    lines.append(f"{name}_max{labels} {stats['max']}")
-    for field, suffix, help_text in _POOL_GAUGES:
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        for pool_name, pool in summary["pools"].items():
-            pool_labels = (
-                f'{base},pool="{pool_name}",'
-                f'spot="{str(pool["spot"]).lower()}"}}'
-            )
-            lines.append(f"{name}{pool_labels} {pool[field]}")
-    faults = summary.get("faults")
-    if faults:
-        for key, value in faults.items():
-            if not isinstance(value, (int, float)):
-                continue
-            name = f"{prefix}_fault_{key}"
-            lines.append(
-                f"# HELP {name} Fault/recovery counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = "gauge" if key.endswith("_seconds") else "counter"
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    store = summary.get("store")
-    if store:
-        for key, value in store.items():
-            name = f"{prefix}_store_{key}"
-            lines.append(
-                f"# HELP {name} Feature-store counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("hit_rate", "entries", "total_bytes")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    compile_cache = summary.get("compile_cache")
-    if compile_cache:
-        for key, value in compile_cache.items():
-            name = f"{prefix}_compile_cache_{key}"
-            lines.append(
-                f"# HELP {name} Fleet-shared XLA compile-cache counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("entries", "hit_cost_seconds", "seconds_saved")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    return "\n".join(lines) + "\n"
-
-
-# -- campaign Prometheus exposition ---------------------------------------
-
-#: cohort summary field -> (metric suffix, type, help text).
-_CAMPAIGN_FIELDS = [
-    ("targets", "targets_total", "gauge", "Targets in the cohort manifest."),
-    ("targets_completed", "targets_completed", "gauge",
-     "Targets whose full stage chain finished ok."),
-    ("targets_failed", "targets_failed", "gauge",
-     "Targets with at least one failed stage."),
-    ("tasks_done", "stage_outputs_done", "gauge",
-     "Stage outputs persisted as ok checkpoints."),
-    ("tasks_failed", "stage_outputs_failed", "gauge",
-     "Stage outputs persisted as failed."),
-    ("msa_seconds_total", "msa_seconds", "gauge",
-     "Cohort simulated MSA seconds (paper Fig 7 numerator)."),
-    ("inference_seconds_total", "inference_seconds", "gauge",
-     "Cohort simulated inference seconds."),
-    ("cohort_msa_fraction", "msa_fraction_ratio", "gauge",
-     "MSA share of MSA+inference time across the cohort."),
-    ("serial_seconds", "serial_seconds", "gauge",
-     "Sum of all simulated stage seconds (one-worker campaign)."),
-    ("pipeline_makespan_seconds", "pipeline_makespan_seconds", "gauge",
-     "Modeled makespan under the configured stage pools."),
-    ("pipeline_speedup", "pipeline_speedup_ratio", "gauge",
-     "Serial seconds over modeled makespan."),
-]
-
-
-def campaign_prometheus_metrics(summary, prefix: str = "afsys_campaign") -> str:
-    """Prometheus text exposition of a campaign cohort summary.
-
-    Takes the :func:`repro.campaign.cohort_summary` document (already a
-    plain mapping — campaigns have no live report object, the summary
-    *is* the durable surface).  Same contract as the serving and
-    cluster expositions: fixed names and ordering, platform label,
-    byte-identical for the same summary.
-    """
-    labels = f'{{platform="{summary["platform"]}"}}'
-    lines: List[str] = []
-    for field, suffix, mtype, help_text in _CAMPAIGN_FIELDS:
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{labels} {summary[field]}")
-    base = labels[:-1]
-    name = f"{prefix}_phase_seconds"
-    lines.append(
-        f"# HELP {name} Simulated seconds per campaign stage (Fig 3)."
-    )
-    lines.append(f"# TYPE {name} gauge")
-    for stage, seconds in summary["phase_seconds"].items():
-        lines.append(f'{name}{base},stage="{stage}"}} {seconds}')
-    name = f"{prefix}_phase_share_ratio"
-    lines.append(
-        f"# HELP {name} Share of simulated time per stage (Fig 3)."
-    )
-    lines.append(f"# TYPE {name} gauge")
-    for stage, share in summary["figures"]["fig3_phase_share"].items():
-        lines.append(f'{name}{base},stage="{stage}"}} {share}')
-    name = f"{prefix}_targets_by_complexity"
-    lines.append(
-        f"# HELP {name} Completed targets per complexity class "
-        f"(Table II)."
-    )
-    lines.append(f"# TYPE {name} gauge")
-    for cls, count in summary["complexity_histogram"].items():
-        lines.append(f'{name}{base},complexity="{cls}"}} {count}')
+    for row in declaration.rows:
+        value = _lookup(summary, row.field)
+        if value is None:
+            continue
+        name = f"{declaration.prefix}_{row.suffix}"
+        if row.shape == OPEN:
+            for key, item in value.items():
+                if isinstance(item, (int, float)):
+                    family(f"{name}_{key}",
+                           "gauge" if key in row.gauges else row.mtype,
+                           row.help)
+                    lines.append(f"{name}_{key}{{{run}}} {item}")
+            continue
+        family(name, row.mtype, row.help)
+        if row.shape == SCALAR:
+            lines.append(f"{name}{{{run}}} {value}")
+        elif row.shape == QUANTILES:
+            for key, quantile in _QUANTILES:
+                lines.append(
+                    f'{name}{{{run},quantile="{quantile}"}} {value[key]}'
+                )
+            for key in ("count", "mean", "max"):
+                lines.append(f"{name}_{key}{{{run}}} {value[key]}")
+        else:
+            key_label, *entry_labels = row.labels
+            for key, entry in value.items():
+                labels = [f'{key_label}="{_label(key)}"'] + [
+                    f'{label}="{_label(entry[label])}"'
+                    for label in entry_labels
+                ]
+                sample = entry[row.item] if row.item else entry
+                lines.append(f"{name}{{{run},{','.join(labels)}}} {sample}")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ def observe_cli() -> str:
 def serving_all_sections() -> str:
     from repro.faults import ChaosConfig
     from repro.faults.chaos import _build
-    from repro.observability import prometheus_metrics
+    from repro.observability import SERVING_METRICS, prometheus_metrics
     from repro.serving import ServingGateway
     from repro.store import FeatureStore
 
@@ -59,18 +59,18 @@ def serving_all_sections() -> str:
             gateway.platform, config, fault_plan=plan,
             store=FeatureStore(tmp),
         ).run(stream)
-    return prometheus_metrics(report)
+    return prometheus_metrics(report.summary(), SERVING_METRICS)
 
 
 def cluster() -> str:
     from repro.cluster import ClusterChaosConfig
     from repro.cluster.chaos import _run_once
-    from repro.observability import cluster_prometheus_metrics
+    from repro.observability import CLUSTER_METRICS, prometheus_metrics
 
     _scheduler, report, _plan = _run_once(
         ClusterChaosConfig(num_jobs=24, compile_cache="shared")
     )
-    return cluster_prometheus_metrics(report)
+    return prometheus_metrics(report.summary(), CLUSTER_METRICS)
 
 
 def campaign() -> str:
@@ -81,7 +81,7 @@ def campaign() -> str:
         run_campaign,
         seeded_manifest,
     )
-    from repro.observability import campaign_prometheus_metrics
+    from repro.observability import CAMPAIGN_METRICS, prometheus_metrics
 
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp) / "camp"
@@ -92,7 +92,7 @@ def campaign() -> str:
         state = CampaignState(root)
         targets, config_doc = state.load()
         summary = cohort_summary(state.load_outputs(), targets, config_doc)
-    return campaign_prometheus_metrics(summary)
+    return prometheus_metrics(summary, CAMPAIGN_METRICS)
 
 
 EXPOSITIONS = {

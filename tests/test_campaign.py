@@ -33,7 +33,7 @@ from repro.campaign import (
     simulated_schedule,
 )
 from repro.campaign.dag import STAGES, task_id
-from repro.observability import campaign_prometheus_metrics
+from repro.observability import CAMPAIGN_METRICS, prometheus_metrics
 from repro.parallel import ExecutionPlan
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "campaign_summary.json"
@@ -283,8 +283,8 @@ class TestCohortReport:
         summary = cohort_summary(
             state.load_outputs(), targets, config_doc
         )
-        text = campaign_prometheus_metrics(summary)
-        assert text == campaign_prometheus_metrics(summary)
+        text = prometheus_metrics(summary, CAMPAIGN_METRICS)
+        assert text == prometheus_metrics(summary, CAMPAIGN_METRICS)
         assert 'afsys_campaign_targets_total{platform="Server"} 3' in text
         assert 'stage="msa"' in text
         for line in text.splitlines():

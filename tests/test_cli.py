@@ -225,6 +225,9 @@ class TestBucketCommands:
     ["cluster-sim", "--jobs", "0"],
     ["cluster-chaos", "--rate", "nan"],
     ["msa-precompute", "--store-dir", "unused", "--chains", "1"],
+    ["observe", "export-metrics", "--gpu-workers", "0"],
+    ["observe", "export-trace", "--requests", "-3"],
+    ["observe", "explain", "0", "--rate", "0"],
 ])
 def test_bad_numeric_flag_exits_2_without_traceback(argv):
     """Bad values stop at the argparse boundary: exit 2, one error
@@ -238,3 +241,26 @@ def test_bad_numeric_flag_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"error: argument {argv[-2]}:" in proc.stderr
+
+
+@pytest.mark.parametrize("subcommand", ["status", "resume", "report"])
+def test_campaign_on_a_non_campaign_dir_exits_2_with_one_line(
+    subcommand, tmp_path
+):
+    """Pointing a campaign command at a directory that is not a
+    campaign is an operator error: the one-line message, exit 2."""
+    missing = tmp_path / "not-a-campaign"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", subcommand,
+         "--dir", str(missing)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"{missing} is not a campaign directory (no campaign.json) — "
+        f"start one with 'repro campaign run --dir {missing} ...'"
+    ]
+    assert not missing.exists()

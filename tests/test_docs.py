@@ -8,7 +8,10 @@ than no docs.  This module:
   blocks carry their own asserts, so a behaviour change that breaks an
   example fails here, not in a reader's terminal);
 * checks every intra-repo markdown link — relative links in any
-  tracked ``.md`` file must point at a file that exists.
+  tracked ``.md`` file must point at a file that exists;
+* checks the **Prometheus** columns of ``docs/metrics_reference.md``
+  against the metric families the renderer emits for the pinned
+  expositions, in both directions.
 
 CI runs this as its own ``docs`` job.
 """
@@ -17,6 +20,8 @@ import pathlib
 import re
 
 import pytest
+
+from .prometheus_runs import exposition
 
 REPO = pathlib.Path(__file__).parent.parent
 DOCS = REPO / "docs"
@@ -110,3 +115,71 @@ class TestIntraRepoLinks:
             assert f"({guide.name})" in index, (
                 f"docs/README.md does not index {guide.name}"
             )
+
+
+#: report -> (metric prefix, pinned expositions, doc section headings
+#: that open and close its part of metrics_reference.md).
+_REPORTS = {
+    "serving": ("afsys_serving",
+                ("observe_cli.prom", "serving_all_sections.prom"),
+                None, "## Cluster summary"),
+    "cluster": ("afsys_cluster", ("cluster.prom",),
+                "## Cluster summary", "## Campaign summary"),
+    "campaign": ("afsys_campaign", ("campaign.prom",),
+                 "## Campaign summary", "## Memory-plan summary"),
+}
+
+
+def documented_metrics(text):
+    """Metric names in the **Prometheus** column of every table in
+    ``text``, labels stripped; cells naming a label are skipped."""
+    names = set()
+    column = None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            column = None
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if column is None:
+            column = cells.index("Prometheus") if "Prometheus" in cells else -1
+        elif column >= 0 and not set(cells[column]) <= set("-"):
+            if not cells[column].startswith("label"):
+                names.update(
+                    name.split("{", 1)[0]
+                    for name in re.findall(r"`([^`]+)`", cells[column])
+                )
+    return names
+
+
+def emitted_metrics(prefix, pinned):
+    """Family names (prefix stripped) the renderer wrote for ``pinned``."""
+    return {
+        line.split()[2][len(prefix) + 1:]
+        for name in pinned
+        for line in exposition(name).splitlines()
+        if line.startswith("# TYPE ")
+    }
+
+
+def _section(text, start, end):
+    if start is not None:
+        text = text[text.index(start):]
+    return text[:text.index(end)]
+
+
+class TestMetricsReference:
+    @pytest.mark.parametrize("report", sorted(_REPORTS))
+    def test_documented_metrics_are_exactly_the_emitted_ones(self, report):
+        prefix, pinned, start, end = _REPORTS[report]
+        doc = _section((DOCS / "metrics_reference.md").read_text(),
+                       start, end)
+        documented = documented_metrics(doc)
+        emitted = emitted_metrics(prefix, pinned)
+        assert not documented - emitted, (
+            f"documented {report} metrics the renderer does not emit: "
+            f"{sorted(documented - emitted)}"
+        )
+        assert not emitted - documented, (
+            f"emitted {report} metrics missing from the doc: "
+            f"{sorted(emitted - documented)}"
+        )

@@ -23,6 +23,7 @@ from repro.faults.chaos import ChaosConfig, _build
 from repro.hardware.platform import SERVER
 from repro.observability import (
     NULL_PROBE,
+    SERVING_METRICS,
     STAGE_NAMES,
     SpanProbe,
     SpanRecorder,
@@ -382,9 +383,9 @@ class TestExporters:
     def test_prometheus_exposition_shape(self):
         probe = SpanProbe()
         report, _ = smooth_run(probe=probe)
-        text = prometheus_metrics(report)
         summary = report.summary()
-        assert text == prometheus_metrics(report)   # deterministic
+        text = prometheus_metrics(summary, SERVING_METRICS)
+        assert text == prometheus_metrics(summary, SERVING_METRICS)
         assert (
             f'afsys_serving_submitted_total{{platform="Server"}} '
             f'{summary["submitted"]}' in text
@@ -396,7 +397,7 @@ class TestExporters:
     def test_prometheus_includes_fault_section_under_chaos(self):
         probe = SpanProbe()
         report, _ = chaos_run(probe=probe)
-        text = prometheus_metrics(report)
+        text = prometheus_metrics(report.summary(), SERVING_METRICS)
         assert 'afsys_serving_fault_planned_total' in text
         assert 'kind="worker_crash"' in text
         assert "afsys_serving_fault_restarts" in text
