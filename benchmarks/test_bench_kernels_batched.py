@@ -3,11 +3,17 @@
 Acceptance harness for the batched kernel cascade
 (:mod:`repro.msa.kernels`):
 
-* records the serial shard scan's median under both kernel modes plus
-  per-kernel batched microbenchmarks into
+* times one serial database scan — the same list of shard payloads —
+  through the scalar reference loop
+  (:func:`~repro.msa.jackhmmer.reference_scan_protein_shard`) and the
+  production batched cascade
+  (:func:`~repro.msa.jackhmmer.scan_protein_shard`), and records both
+  medians plus per-kernel batched microbenchmarks into
   ``benchmarks/out/BENCH_kernels_batched.json`` for the regression
-  gate;
-* re-asserts bit-identity between every timed configuration;
+  gate.  Only the shard scan is timed: the Gumbel calibration and the
+  trace emission a full search adds are outside both entries;
+* re-asserts ``==`` between the two scans' full ``ShardScanResult``
+  tuples;
 * requires the batched scan to beat the scalar scan by >= 3x median.
   Unlike the worker-scaling bar this holds on ANY host, 1-core CI
   included — the speedup is algorithmic (one interpreter sweep per
@@ -26,7 +32,10 @@ import os
 import pytest
 
 from repro.msa.database import PROTEIN_SEARCH_DBS, build_database
-from repro.msa.jackhmmer import JackhmmerSearch, SearchConfig
+from repro.msa.jackhmmer import (
+    reference_scan_protein_shard,
+    scan_protein_shard,
+)
 from repro.msa.kernels import (
     batch_targets,
     calc_band_9_batch,
@@ -35,7 +44,7 @@ from repro.msa.kernels import (
     msv_filter_batch,
 )
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
-from repro.parallel import KERNEL_MODES, ExecutionPlan
+from repro.parallel.measure import scan_payloads
 from repro.sequences.generator import mutate_sequence, random_sequence
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -59,33 +68,21 @@ def kernel_case():
     return query, database
 
 
-def _search(query, database, kernel):
-    return JackhmmerSearch(
-        database,
-        SearchConfig(iterations=1),
-        seed=1,
-        plan=ExecutionPlan(workers=1, backend="serial", kernel=kernel),
-        scan_shards=2,
-    ).search("bench_query", query)
-
-
 def test_record_kernel_scan_timings(bench_recorder, kernel_case):
     query, database = kernel_case
+    payloads = scan_payloads(database, query, seed=1, scan_shards=2)
     results = {}
-    for kernel in KERNEL_MODES:
-        box = {}
+    for name, scan in (("scalar", reference_scan_protein_shard),
+                       ("batched", scan_protein_shard)):
 
-        def run(kernel=kernel, box=box):
-            box["r"] = _search(query, database, kernel)
+        def run(name=name, scan=scan):
+            results[name] = [scan(payload) for payload in payloads]
 
         bench_recorder.record(
-            "kernels_batched", f"scan_{kernel}", run, repeats=REPEATS
+            "kernels_batched", f"scan_{name}", run, repeats=REPEATS
         )
-        results[kernel] = box["r"]
 
-    scalar, batched = results["scalar"], results["batched"]
-    assert batched.hits == scalar.hits
-    assert batched.stats == scalar.stats
+    assert results["batched"] == results["scalar"]
 
 
 def test_record_batched_kernel_micro(bench_recorder, kernel_case):

@@ -25,7 +25,7 @@ from .hardware.gpu import GpuOutOfMemoryError
 from .hardware.memory import OutOfMemoryError
 from .hardware.platform import PLATFORMS, get_platform
 from .msa.engine import MsaEngine, MsaEngineConfig
-from .parallel import ExecutionPlan, KERNEL_MODES
+from .parallel import ExecutionPlan
 from .sequences.builtin import builtin_samples
 from .sequences.input_json import load_json
 from .sequences.sample import InputSample, classify_complexity
@@ -107,10 +107,7 @@ def _resolve_sample(args: argparse.Namespace) -> InputSample:
 def cmd_run(args: argparse.Namespace) -> int:
     sample = _resolve_sample(args)
     platform = get_platform(args.platform)
-    plan = ExecutionPlan(
-        workers=getattr(args, "workers", 1),
-        kernel=getattr(args, "kernel", "batched"),
-    )
+    plan = ExecutionPlan(workers=getattr(args, "workers", 1))
     attention = getattr(args, "attention", "chunked")
     budget_mb = getattr(args, "memory_budget_mb", None)
     if budget_mb is not None and attention != "tiled":
@@ -554,7 +551,7 @@ def cmd_campaign_differential(args: argparse.Namespace) -> int:
         args.dir,
         _campaign_targets(args),
         config=_campaign_config(args),
-        kill_after=args.kill_after or 5,
+        kill_after=args.kill_after,
         plan=ExecutionPlan(workers=args.workers, backend=args.backend),
     )
     print(result.render())
@@ -924,8 +921,7 @@ def cmd_observe_export_scan_trace(args: argparse.Namespace) -> int:
             homologs_per_query=6,
             seed=args.seed,
         ),
-        plan=ExecutionPlan(workers=args.workers, backend=args.backend,
-                           kernel=args.kernel),
+        plan=ExecutionPlan(workers=args.workers, backend=args.backend),
     )
     result = engine.run(sample)
     outcomes, labels = [], []
@@ -980,17 +976,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", help="AF3 JSON input file instead of --sample")
     run.add_argument("--platform", default="Server",
                      choices=sorted(PLATFORMS), help="platform preset")
-    run.add_argument("--threads", type=int, default=8)
-    run.add_argument("--workers", type=int, default=1,
+    run.add_argument("--threads", type=_COUNT, default=8)
+    run.add_argument("--workers", type=_COUNT, default=1,
                      help="real worker processes for the functional "
                           "MSA database scans (results are "
                           "byte-identical for any count)")
-    run.add_argument("--kernel", default="batched",
-                     choices=list(KERNEL_MODES),
-                     help="MSA scan kernel implementation; 'batched' "
-                          "runs the length-bucketed tensor cascade, "
-                          "'scalar' the per-target loop (results are "
-                          "bit-identical either way)")
     run.add_argument("--attention",
                      choices=["chunked", "resident", "tiled"],
                      default="chunked",
@@ -1010,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", nargs="*", default=None)
     sweep.add_argument("--platforms", nargs="*",
                        default=["Server", "Desktop"])
-    sweep.add_argument("--threads", nargs="*", type=int,
+    sweep.add_argument("--threads", nargs="*", type=_COUNT,
                        default=[1, 2, 4, 6, 8])
     sweep.add_argument("--format", choices=["text", "json"], default="text")
     sweep.set_defaults(func=cmd_sweep)
@@ -1029,13 +1019,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument("--sample", default="6QNR")
     estimate.add_argument("--json", help="AF3 JSON input file")
-    estimate.add_argument("--threads", type=int, default=8)
+    estimate.add_argument("--threads", type=_COUNT, default=8)
     estimate.add_argument("--attention",
                           choices=["chunked", "resident", "tiled"],
                           default="chunked",
                           help="attention schedule the GPU demand is "
                                "computed for")
-    estimate.add_argument("--attention-block", type=int, default=None,
+    estimate.add_argument("--attention-block", type=_COUNT, default=None,
                           help="tile block for --attention tiled")
     estimate.set_defaults(func=cmd_estimate)
 
@@ -1177,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_exec = argparse.ArgumentParser(add_help=False)
     campaign_exec.add_argument("--dir", required=True,
                                help="campaign state directory")
-    campaign_exec.add_argument("--workers", type=int, default=1,
+    campaign_exec.add_argument("--workers", type=_COUNT, default=1,
                                help="real shard workers per stage wave "
                                     "(results are byte-identical for "
                                     "any count)")
@@ -1191,19 +1181,19 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_cohort.add_argument("--manifest", default=None,
                                  help="CSV/JSON target manifest "
                                       "(see docs/campaign.md)")
-    campaign_cohort.add_argument("--targets", type=int, default=12,
+    campaign_cohort.add_argument("--targets", type=_COUNT, default=12,
                                  help="seeded cohort size when no "
                                       "--manifest is given")
     campaign_cohort.add_argument("--platform", default="Server",
                                  choices=sorted(PLATFORMS))
-    campaign_cohort.add_argument("--threads", type=int, default=8)
-    campaign_cohort.add_argument("--max-tokens", type=int, default=0,
+    campaign_cohort.add_argument("--threads", type=_COUNT, default=8)
+    campaign_cohort.add_argument("--max-tokens", type=_TALLY, default=0,
                                  help="admission limit; targets over it "
                                       "fail preprocess (0 disables)")
     campaign_cohort.add_argument("--store-dir", default=None,
                                  help="shared feature store for MSA "
                                       "chain read-through")
-    campaign_cohort.add_argument("--store-budget-mb", type=float,
+    campaign_cohort.add_argument("--store-budget-mb", type=_POSITIVE,
                                  default=64.0)
     campaign_cohort.add_argument("--attention",
                                  choices=["chunked", "resident", "tiled"],
@@ -1223,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[campaign_exec, campaign_cohort],
         help="start (or idempotently continue) a campaign",
     )
-    campaign_run.add_argument("--kill-after", type=int, default=None,
+    campaign_run.add_argument("--kill-after", type=_COUNT, default=None,
                               help="fault injection: simulate a kill "
                                    "after N persisted stage outputs")
     campaign_run.set_defaults(func=cmd_campaign_run)
@@ -1266,7 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
              "recompute 0 stages and match the clean report byte for "
              "byte",
     )
-    campaign_diff.add_argument("--kill-after", type=int, default=5)
+    campaign_diff.add_argument("--kill-after", type=_COUNT, default=5)
     campaign_diff.set_defaults(func=cmd_campaign_differential)
 
     cluster_common = argparse.ArgumentParser(add_help=False)
@@ -1357,11 +1347,11 @@ def build_parser() -> argparse.ArgumentParser:
              "paper's targets), or a file: campaign manifest "
              "(CSV/JSON), JSON length array, or JSON trace rows",
     )
-    buckets_fit.add_argument("--requests", type=int, default=2000,
+    buckets_fit.add_argument("--requests", type=_COUNT, default=2000,
                              help="sample size for --source realistic")
-    buckets_fit.add_argument("--max-buckets", type=int, default=13,
+    buckets_fit.add_argument("--max-buckets", type=_COUNT, default=13,
                              help="edge budget (compiles scale with it)")
-    buckets_fit.add_argument("--min-width", type=int, default=1,
+    buckets_fit.add_argument("--min-width", type=_COUNT, default=1,
                              help="minimum spacing between edges")
     buckets_fit.add_argument("--format", choices=["text", "json"],
                              default="text")
@@ -1432,7 +1422,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the sharded scan and Pairformer block")
     scale.add_argument("--measured-only", action="store_true",
                        help="skip the simulated curves")
-    scale.add_argument("--workers", nargs="*", type=int,
+    scale.add_argument("--workers", nargs="*", type=_COUNT,
                        default=[1, 2, 4, 7],
                        help="worker counts for the measured curves")
     scale.add_argument("--out", default=None,
@@ -1447,16 +1437,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export_scan.add_argument("--sample", default="2PV7")
     export_scan.add_argument("--json", help="AF3 JSON input file")
-    export_scan.add_argument("--workers", type=int, default=4)
+    export_scan.add_argument("--workers", type=_COUNT, default=4)
     export_scan.add_argument("--backend", default="process",
                              choices=["process", "thread", "serial"])
-    export_scan.add_argument("--kernel", default="batched",
-                             choices=list(KERNEL_MODES))
-    export_scan.add_argument("--num-background", type=int, default=40,
+    export_scan.add_argument("--num-background", type=_TALLY, default=40,
                              help="synthetic database background size")
     export_scan.add_argument("--out", default="-",
                              help="output file ('-' for stdout)")
-    export_scan.add_argument("--indent", type=int, default=None)
+    export_scan.add_argument("--indent", type=_TALLY, default=None)
     export_scan.set_defaults(func=cmd_observe_export_scan_trace)
 
     samples = sub.add_parser("samples", help="list builtin inputs")

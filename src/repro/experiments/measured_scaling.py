@@ -30,7 +30,6 @@ from ..parallel.measure import (
 
 #: Series labels (also the keys artifact files are grepped for).
 SCAN_SERIES = "msa-scan/batched"
-SCAN_SCALAR_SERIES = "msa-scan/scalar"
 MODEL_SERIES = "pairformer/measured"
 
 
@@ -39,25 +38,15 @@ def collect(
     seed: int = 0,
     quick: Optional[bool] = None,
 ) -> Dict[str, Dict[int, float]]:
-    """Measured seconds per worker count for both hot paths.
-
-    The scan is measured twice — once per kernel mode — so the worker
-    curves show the batched-over-scalar gap at every worker count, not
-    just serially.
-    """
+    """Measured seconds per worker count for both hot paths."""
     if quick is None:
         quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
-    scan_kwargs = dict(
+    scan = measure_scan_scaling(
+        worker_counts,
         seed=seed,
         num_background=24 if quick else 96,
         homologs_per_query=4 if quick else 8,
         repeats=1 if quick else 2,
-    )
-    scan_batched = measure_scan_scaling(
-        worker_counts, kernel="batched", **scan_kwargs
-    )
-    scan_scalar = measure_scan_scaling(
-        worker_counts, kernel="scalar", **scan_kwargs
     )
     model = measure_model_scaling(
         worker_counts,
@@ -66,8 +55,7 @@ def collect(
         repeats=1 if quick else 2,
     )
     return {
-        SCAN_SERIES: dict(scan_batched),
-        SCAN_SCALAR_SERIES: dict(scan_scalar),
+        SCAN_SERIES: dict(scan),
         MODEL_SERIES: dict(model),
     }
 

@@ -124,6 +124,31 @@ class SearchStats:
     forward: StageStats = dataclasses.field(default_factory=StageStats)
     iterations: int = 0
 
+    def add_scan(
+        self, shard_results: List[ShardScanResult], hits: List[Hit]
+    ) -> Tuple[int, int, int, int]:
+        """Merge one database scan's shard counters into these stats.
+
+        ``hits`` are the scan's accepted hits.  Returns the scan's own
+        ``(msv_cells, vit_cells, fwd_cells, msv_pass)`` for its trace.
+        """
+        msv_cells = sum(r.msv_cells for r in shard_results)
+        vit_cells = sum(r.vit_cells for r in shard_results)
+        fwd_cells = sum(r.fwd_cells for r in shard_results)
+        msv_pass = sum(r.msv_pass for r in shard_results)
+        vit_pass = sum(r.vit_pass for r in shard_results)
+        self.msv.candidates += sum(r.candidates for r in shard_results)
+        self.msv.survivors += msv_pass
+        self.msv.cells += msv_cells
+        self.viterbi.candidates += msv_pass
+        self.viterbi.survivors += vit_pass
+        self.viterbi.cells += vit_cells
+        self.forward.candidates += vit_pass
+        self.forward.survivors += len(hits)
+        self.forward.cells += fwd_cells
+        self.iterations += 1
+        return msv_cells, vit_cells, fwd_cells, msv_pass
+
     @property
     def targets_scanned_paper_scale(self) -> float:
         return self.msv.candidates * self.scale_factor
@@ -172,9 +197,9 @@ class ShardScanResult:
     vit_cells: int
     fwd_cells: int
     #: Per-bucket ``(padded_len, targets, real_tokens)`` under the
-    #: batched kernels' power-of-two geometry.  Identical for both
-    #: kernel modes (a pure function of target lengths), so the
-    #: scalar/batched bit-identity contract covers it too.
+    #: batched kernels' power-of-two geometry.  A pure function of
+    #: target lengths, so the reference loop reports the same value
+    #: and the ``==`` oracle contract covers it too.
     pad_waste: Tuple[Tuple[int, int, int], ...] = ()
 
 
@@ -185,38 +210,47 @@ def scan_protein_shard(payload) -> ShardScanResult:
     pool can run it; each target's result depends only on (profile,
     gumbel, target), so shards are pure and order-independent.
     ``payload`` is ``(shard_index, profile, gumbel, targets, config,
-    db_paper_size, kernel)`` with ``targets`` a list of ``(name, seq,
-    encoded)`` triples and ``kernel`` a :data:`KERNEL_MODES` value
-    selecting the scalar per-target loop or the batched tensor cascade
-    (bit-identical results either way; see docs/kernels.md).
+    db_paper_size)`` with ``targets`` a list of ``(name, seq, encoded)``
+    triples.  The shard runs the batched tensor cascade
+    (:func:`repro.msa.kernels.run_cascade`); its result equals
+    :func:`reference_scan_protein_shard`'s under ``==`` (see
+    docs/kernels.md).
     """
-    (shard_index, profile, gumbel, targets, cfg, db_paper_size,
-     kernel) = payload
-    if kernel == "batched":
-        outcome = run_cascade(
-            profile, gumbel, [encoded for _, _, encoded in targets],
-            band=cfg.band,
-            msv_evalue=cfg.msv_evalue,
-            viterbi_evalue=cfg.viterbi_evalue,
-            final_evalue=cfg.final_evalue,
-            db_size=db_paper_size,
-        )
-        return ShardScanResult(
-            shard_index=shard_index,
-            hits=tuple(
-                Hit(targets[index][0], targets[index][1],
-                    vit_score, fwd_score, evalue)
-                for index, vit_score, fwd_score, evalue
-                in outcome.accepted
-            ),
-            candidates=outcome.candidates,
-            msv_pass=outcome.msv_pass,
-            vit_pass=outcome.vit_pass,
-            msv_cells=outcome.msv_cells,
-            vit_cells=outcome.vit_cells,
-            fwd_cells=outcome.fwd_cells,
-            pad_waste=outcome.pad_waste,
-        )
+    shard_index, profile, gumbel, targets, cfg, db_paper_size = payload
+    outcome = run_cascade(
+        profile, gumbel, [encoded for _, _, encoded in targets],
+        band=cfg.band,
+        msv_evalue=cfg.msv_evalue,
+        viterbi_evalue=cfg.viterbi_evalue,
+        final_evalue=cfg.final_evalue,
+        db_size=db_paper_size,
+    )
+    return ShardScanResult(
+        shard_index=shard_index,
+        hits=tuple(
+            Hit(targets[index][0], targets[index][1],
+                vit_score, fwd_score, evalue)
+            for index, vit_score, fwd_score, evalue
+            in outcome.accepted
+        ),
+        candidates=outcome.candidates,
+        msv_pass=outcome.msv_pass,
+        vit_pass=outcome.vit_pass,
+        msv_cells=outcome.msv_cells,
+        vit_cells=outcome.vit_cells,
+        fwd_cells=outcome.fwd_cells,
+        pad_waste=outcome.pad_waste,
+    )
+
+
+def reference_scan_protein_shard(payload) -> ShardScanResult:
+    """The scalar per-target loop over one shard: the ``==`` oracle
+    for :func:`scan_protein_shard` (same payload, same result).
+
+    Runs the :mod:`repro.msa.dp` kernels one target at a time; tests
+    and the batched-over-scalar speedup measurement call it directly.
+    """
+    shard_index, profile, gumbel, targets, cfg, db_paper_size = payload
     hits: List[Hit] = []
     msv_cells = vit_cells = fwd_cells = 0
     msv_pass = vit_pass = 0
@@ -313,17 +347,25 @@ class JackhmmerSearch:
             ]
         return self._encoded_targets
 
-    def _calibrate(self, profile: ProfileHMM, seed: int) -> GumbelParams:
-        """Gumbel calibration, batched when the plan's kernel is.
+    def shard_payloads(
+        self, profile: ProfileHMM, gumbel: GumbelParams
+    ) -> list:
+        """One database scan's picklable :func:`scan_protein_shard`
+        payloads.
 
-        The calibration panel is one full bucket for the batched
-        Viterbi kernel; its scores — and therefore the fitted
-        parameters — are bit-identical to the scalar path's.
+        Shard boundaries depend only on (record count, scan_shards) —
+        the same geometry the checkpoint/resume accounting uses —
+        never on the worker count, so every plan scans identical
+        shards and the merged result is byte-identical to serial.
         """
-        panel = (
-            viterbi_panel_scores if self.plan.kernel == "batched" else None
-        )
-        return calibrate(profile, seed=seed, panel_score_fn=panel)
+        targets = self.encoded_targets()
+        return [
+            (i, profile, gumbel, targets[lo:hi], self.config,
+             self.database.spec.num_sequences)
+            for i, (lo, hi) in enumerate(
+                shard_bounds(len(targets), self.scan_shards)
+            )
+        ]
 
     def search(self, query_name: str, query_sequence: str) -> SearchResult:
         """Run the full iterative search and return hits + trace."""
@@ -332,54 +374,34 @@ class JackhmmerSearch:
         complexity = profile_sequence(query_sequence)
         inflation = complexity.hit_inflation_factor
         scale = self.database.scale_factor
-        db_paper_size = self.database.spec.num_sequences
 
         stats = SearchStats(scale_factor=scale, inflation_factor=inflation)
         trace = WorkloadTrace()
         hits: List[Hit] = []
         profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
-        gumbel = self._calibrate(profile, self.seed)
-
-        encoded_targets = self.encoded_targets()
-        # Shard boundaries depend only on (record count, scan_shards) —
-        # the same geometry the checkpoint/resume accounting uses —
-        # never on the worker count, so every plan scans identical
-        # shards and the merged result is byte-identical to serial.
-        bounds = shard_bounds(len(encoded_targets), self.scan_shards)
+        # The calibration panel is one full bucket for the batched
+        # Viterbi kernel; its scores — and therefore the fitted
+        # parameters — equal the scalar default's bit for bit.
+        gumbel = calibrate(profile, seed=self.seed,
+                           panel_score_fn=viterbi_panel_scores)
         scan_outcomes: List[ExecutionOutcome] = []
         waste_triples: List[Tuple[int, int, int]] = []
 
         for iteration in range(cfg.iterations):
-            stats.iterations = iteration + 1
-
-            payloads = [
-                (i, profile, gumbel, encoded_targets[lo:hi], cfg,
-                 db_paper_size, self.plan.kernel)
-                for i, (lo, hi) in enumerate(bounds)
-            ]
-            outcome = run_sharded(scan_protein_shard, payloads, self.plan)
+            outcome = run_sharded(
+                scan_protein_shard, self.shard_payloads(profile, gumbel),
+                self.plan,
+            )
             scan_outcomes.append(outcome)
             shard_results: List[ShardScanResult] = outcome.results
             iter_hits: List[Hit] = merge_sharded(
                 (r.shard_index, r.hits) for r in shard_results
             )
-            msv_cells = sum(r.msv_cells for r in shard_results)
-            vit_cells = sum(r.vit_cells for r in shard_results)
-            fwd_cells = sum(r.fwd_cells for r in shard_results)
-            msv_pass = sum(r.msv_pass for r in shard_results)
-            vit_pass = sum(r.vit_pass for r in shard_results)
+            msv_cells, vit_cells, fwd_cells, msv_pass = stats.add_scan(
+                shard_results, iter_hits
+            )
             for r in shard_results:
                 waste_triples.extend(r.pad_waste)
-
-            stats.msv.candidates += sum(r.candidates for r in shard_results)
-            stats.viterbi.candidates += msv_pass
-            stats.forward.candidates += vit_pass
-            stats.forward.survivors += len(iter_hits)
-            stats.msv.survivors += msv_pass
-            stats.msv.cells += msv_cells
-            stats.viterbi.survivors += vit_pass
-            stats.viterbi.cells += vit_cells
-            stats.forward.cells += fwd_cells
 
             self._emit_iteration_trace(
                 trace, profile, msv_cells, vit_cells, fwd_cells,
@@ -399,9 +421,8 @@ class JackhmmerSearch:
                 profile = ProfileHMM.from_alignment(
                     rows, mtype, name=f"{query_name}_iter{iteration + 2}"
                 )
-                gumbel = self._calibrate(
-                    profile, self.seed + iteration + 1
-                )
+                gumbel = calibrate(profile, seed=self.seed + iteration + 1,
+                                   panel_score_fn=viterbi_panel_scores)
 
         return SearchResult(
             query_name=query_name,

@@ -7,8 +7,10 @@ by power-of-two padded length, :func:`emission_tensor` builds one
 (:func:`msv_filter_batch`, :func:`calc_band_9_batch`,
 :func:`calc_band_10_batch`) advance the whole bucket per profile row.
 :func:`run_cascade` chains them with survivor compaction between
-stages.  Everything is bit-identical to the scalar kernels — see
-docs/kernels.md for the design and the argument for exactness.
+stages; it is the only scan path a search runs.  Everything is
+bit-identical to the scalar kernels, which stay as the ``==`` oracle
+(``reference_scan_*_shard``) — see docs/kernels.md for the design and
+the argument for exactness.
 """
 
 from .batch import (

@@ -126,7 +126,7 @@ def pad_waste(lengths: Iterable[int]) -> Tuple[Tuple[int, int, int], ...]:
     """Per-bucket ``(padded_len, targets, real_tokens)`` accounting.
 
     A pure function of the target lengths under :func:`pad_length`
-    geometry, so the scalar shard loop (which never pads) can report
+    geometry, so the scalar reference loop (which never pads) can report
     the *same* numbers the batched cascade measures from its actual
     :class:`TargetBatch` shapes — waste is a property of the bucketing
     scheme, not of which kernel executed, and keeping both paths equal

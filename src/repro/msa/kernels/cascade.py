@@ -1,13 +1,12 @@
 """Batched acceleration cascade: MSV → Viterbi → Forward over a shard.
 
-Runs the same three-stage filter pipeline as the scalar loop in
-:func:`repro.msa.jackhmmer.scan_protein_shard`, but over length
-buckets: each bucket's emission tensor is computed **once** and shared
-by all three stages, and survivors of each E-value gate are compacted
-(rows of the batch *and* lanes of the emission tensor) before the next,
-more expensive kernel runs.  The scalar loop recomputed the emission
-matrix for every kernel call — up to three times per fully-surviving
-target.
+The scan path of :func:`repro.msa.jackhmmer.scan_protein_shard`: the
+same three-stage filter pipeline as the scalar reference loop
+(:func:`repro.msa.jackhmmer.reference_scan_protein_shard`), but over
+length buckets: each bucket's emission tensor is computed **once** and
+shared by all three stages, and survivors of each E-value gate are
+compacted (rows of the batch *and* lanes of the emission tensor)
+before the next, more expensive kernel runs.
 
 Gating decisions call :meth:`GumbelParams.evalue` per target with the
 same floats the scalar path sees, so the survivor sets — and therefore
@@ -34,7 +33,7 @@ class CascadeResult:
     """Shard-level outcome of the batched cascade.
 
     ``accepted`` holds ``(target_index, viterbi_score, forward_score,
-    evalue)`` tuples sorted by target index — the order the scalar loop
+    evalue)`` tuples sorted by target index — the order the reference loop
     appends hits in.  The counters mirror
     :class:`repro.msa.jackhmmer.ShardScanResult` field for field.
     """

@@ -47,6 +47,7 @@ from .jackhmmer import (
     Hit,
     MSV_INSTR_PER_CELL,
     SearchStats,
+    ShardScanResult,
     VITERBI_INSTR_PER_CELL,
 )
 from .profile_hmm import ProfileHMM, encode_sequence
@@ -139,9 +140,9 @@ class NhmmerResult:
 def _window_bounds(length: int) -> List[Tuple[int, int]]:
     """``[start, end)`` scan-window ranges over a length-``n`` target.
 
-    Shared by the scalar path (which slices the raw string) and the
-    batched path (which slices the encoded array — residue encoding is
-    per-character, so the two are interchangeable).
+    Shared by the production scan (which slices the encoded array) and
+    the reference loop (which slices the raw string — residue encoding
+    is per-character, so the two are interchangeable).
     """
     if length <= SCAN_WINDOW:
         return [(0, length)]
@@ -152,70 +153,23 @@ def _window_bounds(length: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _windows(sequence: str) -> List[str]:
-    """Split a target into overlapping scan windows (both handled as
-    forward strand; our synthetic RNA has no strand asymmetry)."""
-    return [sequence[lo:hi] for lo, hi in _window_bounds(len(sequence))]
-
-
-def scan_rna_shard(payload):
+def scan_rna_shard(payload) -> ShardScanResult:
     """Windowed MSV -> Viterbi -> Forward cascade over one RNA shard.
 
     Module-level and picklable (fork-pool entry point); ``payload`` is
     ``(shard_index, profile, gumbel, records, mtype, band, msv_evalue,
-    final_evalue, db_size, kernel)``.  Returns ``(shard_index, hits,
-    candidates, msv_pass, msv_cells, vit_cells, fwd_cells)``.
-    """
-    (shard_index, profile, gumbel, records, mtype, band,
-     msv_evalue, final_evalue, db_size, kernel) = payload
-    if kernel == "batched":
-        return _scan_rna_shard_batched(
-            shard_index, profile, gumbel, records, mtype, band,
-            msv_evalue, final_evalue, db_size,
-        )
-    hits: List[Hit] = []
-    msv_cells = vit_cells = fwd_cells = 0
-    msv_pass = 0
-    for name, seq in records:
-        best_window_score = None
-        best_window = None
-        for window in _windows(seq):
-            encoded = encode_sequence(window, mtype)
-            msv = msv_filter(profile, encoded)
-            msv_cells += msv.cells
-            if best_window_score is None or msv.score > best_window_score:
-                best_window_score, best_window = msv.score, window
-        if best_window is None:
-            continue
-        if gumbel.evalue(best_window_score, db_size) > msv_evalue:
-            continue
-        msv_pass += 1
-        encoded = encode_sequence(best_window, mtype)
-        emissions = profile.emission_row(encoded)
-        vit = calc_band_9(profile, encoded, band=band, emissions=emissions)
-        vit_cells += vit.cells
-        fwd = calc_band_10(profile, encoded, band=band, emissions=emissions)
-        fwd_cells += fwd.cells
-        evalue = gumbel.evalue(fwd.score, db_size)
-        if evalue > final_evalue:
-            continue
-        hits.append(Hit(name, seq, vit.score, fwd.score, evalue))
-    return (shard_index, tuple(hits), len(records), msv_pass,
-            msv_cells, vit_cells, fwd_cells)
-
-
-def _scan_rna_shard_batched(
-    shard_index, profile, gumbel, records, mtype, band,
-    msv_evalue, final_evalue, db_size,
-):
-    """Batched variant of :func:`scan_rna_shard`'s cascade.
+    final_evalue, db_size)``.  RNA has no Viterbi gate, so
+    ``vit_pass == msv_pass``.
 
     Each record is encoded **once** and its windows are slices of that
     encoding; every window of every record joins one length-bucketed
     MSV pass, then the per-record best windows (first-max, matching the
-    scalar loop's strict ``>``) share a single emission tensor across
-    the Viterbi and Forward kernels.  Bit-identical to the scalar path.
+    reference loop's strict ``>``) share a single emission tensor
+    across the Viterbi and Forward kernels.  The result equals
+    :func:`reference_scan_rna_shard`'s under ``==``.
     """
+    (shard_index, profile, gumbel, records, mtype, band,
+     msv_evalue, final_evalue, db_size) = payload
     window_encs: List[np.ndarray] = []
     owners: List[int] = []
     for rec_idx, (_, seq) in enumerate(records):
@@ -267,8 +221,66 @@ def _scan_rna_shard_batched(
         name, seq = records[rec_idx]
         hits.append(Hit(name, seq, vit_scores[pos], fwd_scores[pos],
                         evalue))
-    return (shard_index, tuple(hits), len(records), len(survivors),
-            msv_cells, vit_cells, fwd_cells)
+    return ShardScanResult(
+        shard_index=shard_index,
+        hits=tuple(hits),
+        candidates=len(records),
+        msv_pass=len(survivors),
+        vit_pass=len(survivors),
+        msv_cells=msv_cells,
+        vit_cells=vit_cells,
+        fwd_cells=fwd_cells,
+    )
+
+
+def _windows(sequence: str) -> List[str]:
+    """Split a target into overlapping scan windows (both handled as
+    forward strand; our synthetic RNA has no strand asymmetry)."""
+    return [sequence[lo:hi] for lo, hi in _window_bounds(len(sequence))]
+
+
+def reference_scan_rna_shard(payload) -> ShardScanResult:
+    """The scalar per-window loop over one RNA shard: the ``==``
+    oracle for :func:`scan_rna_shard` (same payload, same result)."""
+    (shard_index, profile, gumbel, records, mtype, band,
+     msv_evalue, final_evalue, db_size) = payload
+    hits: List[Hit] = []
+    msv_cells = vit_cells = fwd_cells = 0
+    msv_pass = 0
+    for name, seq in records:
+        best_window_score = None
+        best_window = None
+        for window in _windows(seq):
+            encoded = encode_sequence(window, mtype)
+            msv = msv_filter(profile, encoded)
+            msv_cells += msv.cells
+            if best_window_score is None or msv.score > best_window_score:
+                best_window_score, best_window = msv.score, window
+        if best_window is None:
+            continue
+        if gumbel.evalue(best_window_score, db_size) > msv_evalue:
+            continue
+        msv_pass += 1
+        encoded = encode_sequence(best_window, mtype)
+        emissions = profile.emission_row(encoded)
+        vit = calc_band_9(profile, encoded, band=band, emissions=emissions)
+        vit_cells += vit.cells
+        fwd = calc_band_10(profile, encoded, band=band, emissions=emissions)
+        fwd_cells += fwd.cells
+        evalue = gumbel.evalue(fwd.score, db_size)
+        if evalue > final_evalue:
+            continue
+        hits.append(Hit(name, seq, vit.score, fwd.score, evalue))
+    return ShardScanResult(
+        shard_index=shard_index,
+        hits=tuple(hits),
+        candidates=len(records),
+        msv_pass=msv_pass,
+        vit_pass=msv_pass,
+        msv_cells=msv_cells,
+        vit_cells=vit_cells,
+        fwd_cells=fwd_cells,
+    )
 
 
 class NhmmerSearch:
@@ -296,23 +308,12 @@ class NhmmerSearch:
         self.plan = plan or ExecutionPlan.serial()
         self.scan_shards = scan_shards
 
-    def _windows(self, sequence: str) -> List[str]:
-        return _windows(sequence)
-
     def search(self, query_name: str, query_sequence: str) -> NhmmerResult:
         """Run the windowed cascade for one RNA query."""
         mtype = self.database.spec.molecule_type
         profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
-        gumbel = calibrate(
-            profile,
-            seed=self.seed,
-            # Panel scores are bit-identical, so both kernel modes
-            # calibrate to the same parameters.
-            panel_score_fn=(
-                viterbi_panel_scores
-                if self.plan.kernel == "batched" else None
-            ),
-        )
+        gumbel = calibrate(profile, seed=self.seed,
+                           panel_score_fn=viterbi_panel_scores)
         db_size = self.database.spec.num_sequences
         scale = self.database.scale_factor
 
@@ -321,29 +322,16 @@ class NhmmerSearch:
         bounds = shard_bounds(len(records), self.scan_shards)
         payloads = [
             (i, profile, gumbel, records[lo:hi], mtype, self.band,
-             self.msv_evalue, self.final_evalue, db_size,
-             self.plan.kernel)
+             self.msv_evalue, self.final_evalue, db_size)
             for i, (lo, hi) in enumerate(bounds)
         ]
         outcome = run_sharded(scan_rna_shard, payloads, self.plan)
         hits: List[Hit] = merge_sharded(
-            (r[0], r[1]) for r in outcome.results
+            (r.shard_index, r.hits) for r in outcome.results
         )
-        msv_cells = sum(r[4] for r in outcome.results)
-        vit_cells = sum(r[5] for r in outcome.results)
-        fwd_cells = sum(r[6] for r in outcome.results)
-        msv_pass = sum(r[3] for r in outcome.results)
-        stats.msv.candidates = sum(r[2] for r in outcome.results)
-        stats.msv.survivors = msv_pass
-        stats.viterbi.candidates = msv_pass
-        stats.viterbi.survivors = msv_pass
-        stats.forward.candidates = msv_pass
-        stats.forward.survivors = len(hits)
-
-        stats.msv.cells = msv_cells
-        stats.viterbi.cells = vit_cells
-        stats.forward.cells = fwd_cells
-        stats.iterations = 1
+        msv_cells, vit_cells, fwd_cells, _ = stats.add_scan(
+            outcome.results, hits
+        )
 
         trace = self._emit_trace(msv_cells, vit_cells, fwd_cells, scale,
                                  len(query_sequence))

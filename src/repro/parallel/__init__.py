@@ -26,7 +26,6 @@ from .plan import (
     ATTENTION_MODES,
     BACKENDS,
     ExecutionPlan,
-    KERNEL_MODES,
     RECOMPUTE_SCOPES,
 )
 from .shard import merge_sharded, records_remaining, shard_bounds
@@ -37,7 +36,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionOutcome",
     "ExecutionPlan",
-    "KERNEL_MODES",
     "RECOMPUTE_SCOPES",
     "TaskTiming",
     "available_workers",

@@ -73,14 +73,12 @@ def measure_scan_scaling(
     query_length: int = 242,
     repeats: int = 1,
     backend: str = "process",
-    kernel: str = "batched",
 ) -> "OrderedDict[int, float]":
     """Wall seconds of the sharded jackhmmer scan per worker count.
 
     Builds one synthetic protein database, then runs the identical
-    search under plans with increasing workers and the given
-    ``kernel`` mode.  Raises if any parallel run's hits/stats deviate
-    from the 1-worker run.
+    search under plans with increasing workers.  Raises if any
+    parallel run's hits/stats deviate from the 1-worker run.
     """
     from ..msa.jackhmmer import JackhmmerSearch, SearchConfig
 
@@ -95,9 +93,7 @@ def measure_scan_scaling(
             database,
             config,
             seed=seed,
-            plan=ExecutionPlan(
-                workers=workers, backend=backend, kernel=kernel
-            ),
+            plan=ExecutionPlan(workers=workers, backend=backend),
         )
         result_box = {}
 
@@ -125,49 +121,66 @@ def measure_kernel_speedup(
     repeats: int = 3,
     scan_shards: int = 2,
 ) -> "OrderedDict[str, float]":
-    """Wall seconds of one serial shard scan per kernel mode.
+    """Wall seconds of one serial database scan, scalar vs batched.
 
-    Times the identical single-worker search with the scalar per-target
-    loop and with the batched tensor cascade.  Unlike the worker curves
-    this speedup is algorithmic, not core-bound, so it shows up even on
-    a 1-core host.  Raises if the two kernels' hits or stats differ —
-    the bit-identity contract checked at measurement time.
+    Times the identical list of shard payloads through the scalar
+    reference loop (``"scalar"``) and through the production batched
+    cascade (``"batched"``).  Unlike the worker curves this speedup is
+    algorithmic, not core-bound, so it shows up even on a 1-core host.
+    Raises unless the two produce equal :class:`ShardScanResult`
+    tuples — the ``==`` oracle contract checked at measurement time.
 
     The default fixture is homolog-rich so a large fraction of targets
     survives into the banded kernels — the cycle distribution the
     paper's Table IV reports (``calc_band_9``/``calc_band_10`` are the
     MSA hot spots), and the regime where batching pays off most.
     """
-    from ..msa.jackhmmer import JackhmmerSearch, SearchConfig
-    from .plan import KERNEL_MODES
+    from ..msa.jackhmmer import (
+        reference_scan_protein_shard,
+        scan_protein_shard,
+    )
 
     database, query = _scan_fixture(
         seed, num_background, homologs_per_query, query_length
     )
-    config = SearchConfig(iterations=1)
+    payloads = scan_payloads(
+        database, query, seed=seed, scan_shards=scan_shards
+    )
     results = {}
     series: "OrderedDict[str, float]" = OrderedDict()
-    for kernel in KERNEL_MODES:
-        search = JackhmmerSearch(
-            database,
-            config,
-            seed=seed,
-            plan=ExecutionPlan(workers=1, backend="serial", kernel=kernel),
-            scan_shards=scan_shards,
-        )
-        result_box = {}
+    for name, scan in (("scalar", reference_scan_protein_shard),
+                       ("batched", scan_protein_shard)):
 
-        def run():
-            result_box["r"] = search.search("kernel_query", query)
+        def run(scan=scan, name=name):
+            results[name] = [scan(payload) for payload in payloads]
 
-        series[kernel] = _best_of(repeats, run)
-        results[kernel] = result_box["r"]
-    scalar, batched = results["scalar"], results["batched"]
-    if scalar.hits != batched.hits or scalar.stats != batched.stats:
+        series[name] = _best_of(repeats, run)
+    if results["scalar"] != results["batched"]:
         raise AssertionError(
             "batched kernel results diverged from scalar"
         )
     return series
+
+
+def scan_payloads(database, query: str, *, seed: int,
+                  scan_shards: int) -> list:
+    """The shard payloads of the first scan of a jackhmmer search for
+    ``query`` over ``database``: the input both kernel timings share."""
+    from ..msa.evalue import calibrate
+    from ..msa.jackhmmer import JackhmmerSearch, SearchConfig
+    from ..msa.kernels import viterbi_panel_scores
+    from ..msa.profile_hmm import ProfileHMM
+
+    search = JackhmmerSearch(
+        database, SearchConfig(iterations=1), seed=seed,
+        scan_shards=scan_shards,
+    )
+    profile = ProfileHMM.from_query(
+        query, database.spec.molecule_type, name="kernel_query"
+    )
+    gumbel = calibrate(profile, seed=seed,
+                       panel_score_fn=viterbi_panel_scores)
+    return search.shard_payloads(profile, gumbel)
 
 
 def measure_model_scaling(

@@ -12,20 +12,17 @@ the Pairformer layers:
 * ``chunk`` — how many leading-axis rows/heads one model-op chunk
   covers (``None`` = split evenly across workers);
 * ``backend`` — ``"process"``/``"thread"``/``"serial"``, or ``"auto"``
-  to let each hot path pick its natural backend;
-* ``kernel`` — which implementation of the MSA acceleration cascade a
-  scan shard runs: ``"batched"`` (length-bucketed tensor kernels, the
-  default) or ``"scalar"`` (the original per-target loop).  See
-  :mod:`repro.msa.kernels` and docs/kernels.md.
+  to let each hot path pick its natural backend.
 
 Determinism contract: a plan never changes *what* is computed, only
 *how it is scheduled*.  The sharded MSA scan is byte-identical to the
 serial scan for any worker count (shard boundaries depend only on
 ``scan_shards``, never on ``workers``), the chunked model ops only
 split batched numpy operations along leading batch axes, which is
-bit-exact (see docs/parallelism.md for the audit), and the batched
-kernels reproduce the scalar kernels bit for bit (scores, cells, band
-widths, hit sets — see docs/kernels.md for why).
+bit-exact (see docs/parallelism.md for the audit).  The MSA scan
+always runs the batched kernels, which reproduce the scalar reference
+kernels bit for bit (scores, cells, band widths, hit sets — see
+docs/kernels.md for why).
 """
 
 from __future__ import annotations
@@ -35,9 +32,6 @@ from typing import List, Optional, Tuple
 
 #: Valid values of :attr:`ExecutionPlan.backend`.
 BACKENDS = ("auto", "serial", "thread", "process")
-
-#: Valid values of :attr:`ExecutionPlan.kernel` (the KernelMode knob).
-KERNEL_MODES = ("scalar", "batched")
 
 #: Valid values of :attr:`ExecutionPlan.attention`: ``"resident"``
 #: materialises the full (..., H, Lq, Lk) logits tensor; ``"tiled"``
@@ -63,7 +57,6 @@ class ExecutionPlan:
     workers: int = 1
     chunk: Optional[int] = None
     backend: str = "auto"
-    kernel: str = "batched"
     attention: str = "resident"
     attention_block: Optional[int] = None
     recompute_scopes: Tuple[str, ...] = ()
@@ -76,10 +69,6 @@ class ExecutionPlan:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.kernel not in KERNEL_MODES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}"
             )
         if self.attention not in ATTENTION_MODES:
             raise ValueError(

@@ -228,6 +228,19 @@ class TestBucketCommands:
     ["observe", "export-metrics", "--gpu-workers", "0"],
     ["observe", "export-trace", "--requests", "-3"],
     ["observe", "explain", "0", "--rate", "0"],
+    ["run", "--workers", "0"],
+    ["run", "--threads", "0"],
+    ["sweep", "--threads", "0"],
+    ["estimate", "--threads", "-1"],
+    ["estimate", "--attention", "tiled", "--attention-block", "0"],
+    ["estimate", "--attention", "tiled", "--attention-block", "-4"],
+    ["campaign", "run", "--dir", "unused", "--targets", "0"],
+    ["campaign", "run", "--dir", "unused", "--workers", "0"],
+    ["buckets", "fit", "--requests", "0"],
+    ["buckets", "fit", "--max-buckets", "0"],
+    ["scale", "--measured-only", "--workers", "0"],
+    ["observe", "export-scan-trace", "--workers", "0"],
+    ["observe", "export-scan-trace", "--num-background", "-1"],
 ])
 def test_bad_numeric_flag_exits_2_without_traceback(argv):
     """Bad values stop at the argparse boundary: exit 2, one error

@@ -5,8 +5,11 @@ kernels in :mod:`repro.msa.dp`: every score, DP cell count, band
 width, survivor set and hit list must be exactly equal — ``==`` on
 floats, never ``approx`` — for any mix of target lengths (empty and
 single-residue included), any band, any bucket boundary, and any
-:class:`ExecutionPlan` backend or worker count.  Hypothesis drives the
-length/band/profile space; fixed cases pin the geometry helpers.
+:class:`ExecutionPlan` backend or worker count.  The scalar side is
+the reference shard loops (``reference_scan_protein_shard``,
+``reference_scan_rna_shard``), which production never runs.
+Hypothesis drives the length/band/profile space; fixed cases pin the
+geometry helpers.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from hypothesis import strategies as st
 from repro.msa.database import NT_RNA, PROTEIN_SEARCH_DBS, build_database
 from repro.msa.dp import NEG_INF, calc_band_9, calc_band_10, msv_filter
 from repro.msa.evalue import calibrate
+from repro.msa import jackhmmer, nhmmer
 from repro.msa.jackhmmer import (
     JackhmmerSearch,
     SearchConfig,
+    reference_scan_protein_shard,
     scan_protein_shard,
 )
 from repro.msa.kernels import (
@@ -37,7 +42,11 @@ from repro.msa.kernels import (
     run_cascade,
     scan_waste_summary,
 )
-from repro.msa.nhmmer import NhmmerSearch
+from repro.msa.nhmmer import (
+    NhmmerSearch,
+    reference_scan_rna_shard,
+    scan_rna_shard,
+)
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
 from repro.parallel import ExecutionPlan
 from repro.sequences.alphabets import MoleculeType, alphabet_for
@@ -198,7 +207,7 @@ class TestKernelBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Cascade equivalence: batched shard scan == scalar shard scan
+# Cascade equivalence: shard scan == reference shard scan
 # ---------------------------------------------------------------------------
 
 
@@ -221,18 +230,73 @@ def _shard_case(seed=0, homologs=6, background=20):
     return query, db, profile, gumbel, targets
 
 
+def _rna_case(seed=6):
+    query = random_sequence(
+        320, seed=seed, molecule_type=NT_RNA.molecule_type
+    )
+    db = build_database(
+        NT_RNA, [query], num_background=14,
+        homologs_per_query=3, seed=seed,
+    )
+    return query, db
+
+
 class TestCascadeEquivalence:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_shard_scan_identical(self, seed):
         _, db, profile, gumbel, targets = _shard_case(seed=seed)
-        cfg = SearchConfig(iterations=1)
-        results = {}
-        for kernel in ("scalar", "batched"):
-            results[kernel] = scan_protein_shard(
-                (0, profile, gumbel, targets, cfg,
-                 db.spec.num_sequences, kernel)
-            )
-        assert results["scalar"] == results["batched"]
+        payload = (0, profile, gumbel, targets, SearchConfig(iterations=1),
+                   db.spec.num_sequences)
+        assert scan_protein_shard(payload) == reference_scan_protein_shard(
+            payload
+        )
+
+    @given(
+        lengths=st.lists(
+            st.integers(min_value=0, max_value=60), min_size=0, max_size=12
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+        # (msv, viterbi, final) E-value gates, from pass-all to ones
+        # that reject at every stage.
+        gates=st.sampled_from([
+            (1e9, 1e6, 1e3), (1e4, 1e3, 1e2), (3e3, 3e2, 30.0),
+        ]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_shard_scan_equals_reference_for_length_mixes(
+        self, lengths, seed, gates
+    ):
+        profile = make_profile(30, seed=seed)
+        targets = [
+            (f"t{i}", "", enc)
+            for i, enc in enumerate(encode_random(lengths, seed=seed + 1))
+        ]
+        gumbel = calibrate(profile, seed=seed)
+        msv_evalue, viterbi_evalue, final_evalue = gates
+        cfg = SearchConfig(msv_evalue=msv_evalue,
+                           viterbi_evalue=viterbi_evalue,
+                           final_evalue=final_evalue, band=16,
+                           iterations=1)
+        payload = (3, profile, gumbel, targets, cfg, 10_000)
+        assert scan_protein_shard(payload) == reference_scan_protein_shard(
+            payload
+        )
+
+    # nhmmer's default gates, then gates every record passes.
+    @pytest.mark.parametrize("msv_evalue,final_evalue",
+                             [(500.0, 1e-2), (1e300, 1e300)])
+    def test_rna_shard_scan_identical(self, msv_evalue, final_evalue):
+        query, db = _rna_case()
+        mtype = db.spec.molecule_type
+        profile = ProfileHMM.from_query(query, mtype, name="rna")
+        gumbel = calibrate(profile, seed=6)
+        # Records shorter and longer than one scan window, and empty.
+        records = list(db.records) + [("empty", ""), ("one", "A")]
+        payload = (1, profile, gumbel, records, mtype, 48, msv_evalue,
+                   final_evalue, db.spec.num_sequences)
+        batched = scan_rna_shard(payload)
+        assert batched == reference_scan_rna_shard(payload)
+        assert batched.hits and batched.msv_pass == batched.vit_pass
 
     def test_cascade_counters_match_scalar_loop(self):
         _, db, profile, gumbel, targets = _shard_case(seed=2)
@@ -244,9 +308,8 @@ class TestCascadeEquivalence:
             final_evalue=cfg.final_evalue,
             db_size=db.spec.num_sequences,
         )
-        scalar = scan_protein_shard(
-            (0, profile, gumbel, targets, cfg,
-             db.spec.num_sequences, "scalar")
+        scalar = reference_scan_protein_shard(
+            (0, profile, gumbel, targets, cfg, db.spec.num_sequences)
         )
         assert outcome.candidates == scalar.candidates
         assert outcome.msv_pass == scalar.msv_pass
@@ -265,61 +328,67 @@ class TestCascadeEquivalence:
     def test_empty_shard(self):
         _, db, profile, gumbel, _ = _shard_case(seed=3)
         cfg = SearchConfig(iterations=1)
-        for kernel in ("scalar", "batched"):
-            result = scan_protein_shard(
-                (0, profile, gumbel, [], cfg, db.spec.num_sequences,
-                 kernel)
+        for scan in (reference_scan_protein_shard, scan_protein_shard):
+            result = scan(
+                (0, profile, gumbel, [], cfg, db.spec.num_sequences)
             )
             assert result.hits == ()
             assert result.candidates == 0
 
 
 # ---------------------------------------------------------------------------
-# Full searches: every backend x worker count x kernel mode
+# Full searches: every backend x worker count against the scalar oracle
 # ---------------------------------------------------------------------------
 
 KERNEL_PLANS = [
-    ExecutionPlan(workers=1, backend="serial", kernel="batched"),
-    ExecutionPlan(workers=2, backend="thread", kernel="batched"),
-    ExecutionPlan(workers=4, backend="process", kernel="batched"),
-    ExecutionPlan(workers=7, backend="thread", kernel="batched"),
+    ExecutionPlan(workers=1, backend="serial"),
+    ExecutionPlan(workers=2, backend="thread"),
+    ExecutionPlan(workers=4, backend="process"),
+    ExecutionPlan(workers=7, backend="thread"),
 ]
 
 
+def scalar_oracle(monkeypatch, module, shard_fn, search):
+    """Run ``search()`` with ``module``'s shard scan swapped for its
+    reference loop and calibration on the scalar panel default, on a
+    serial plan: the search as the per-target loops compute it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(module, shard_fn,
+                      getattr(module, f"reference_{shard_fn}"))
+        patch.setattr(module, "viterbi_panel_scores", None)
+        return search()
+
+
 class TestSearchEquivalence:
-    def test_jackhmmer_batched_equals_scalar_for_every_plan(self):
+    def test_jackhmmer_batched_equals_scalar_for_every_plan(
+        self, monkeypatch
+    ):
         query, db, *_ = _shard_case(seed=1)
         config = SearchConfig(iterations=2)
-        scalar = JackhmmerSearch(
-            db, config, seed=1,
-            plan=ExecutionPlan(workers=1, backend="serial",
-                               kernel="scalar"),
-        ).search("q", query)
+
+        def search(plan=ExecutionPlan.serial()):
+            return JackhmmerSearch(db, config, seed=1, plan=plan).search(
+                "q", query
+            )
+
+        scalar = scalar_oracle(
+            monkeypatch, jackhmmer, "scan_protein_shard", search
+        )
         for plan in KERNEL_PLANS:
-            batched = JackhmmerSearch(
-                db, config, seed=1, plan=plan
-            ).search("q", query)
+            batched = search(plan)
             assert batched.hits == scalar.hits, plan
             assert batched.stats == scalar.stats, plan
             assert batched.gumbel == scalar.gumbel, plan
 
-    def test_nhmmer_batched_equals_scalar_for_every_plan(self):
-        query = random_sequence(
-            320, seed=6, molecule_type=NT_RNA.molecule_type
-        )
-        db = build_database(
-            NT_RNA, [query], num_background=14,
-            homologs_per_query=3, seed=6,
-        )
-        scalar = NhmmerSearch(
-            db, seed=6,
-            plan=ExecutionPlan(workers=1, backend="serial",
-                               kernel="scalar"),
-        ).search("rna", query)
+    def test_nhmmer_batched_equals_scalar_for_every_plan(self, monkeypatch):
+        query, db = _rna_case()
+
+        def search(plan=ExecutionPlan.serial()):
+            return NhmmerSearch(db, seed=6, plan=plan).search("rna", query)
+
+        scalar = scalar_oracle(monkeypatch, nhmmer, "scan_rna_shard", search)
         for plan in KERNEL_PLANS:
-            batched = NhmmerSearch(db, seed=6, plan=plan).search(
-                "rna", query
-            )
+            batched = search(plan)
             assert batched.hits == scalar.hits, plan
             assert batched.stats == scalar.stats, plan
 
@@ -344,16 +413,6 @@ class TestSearchEquivalence:
             JackhmmerSearch(db, encoded_targets=[])
 
 
-class TestKernelPlanField:
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan(kernel="simd")
-
-    def test_default_is_batched(self):
-        assert ExecutionPlan().kernel == "batched"
-        assert ExecutionPlan.serial().kernel == "batched"
-
-
 # ---------------------------------------------------------------------------
 # Per-bucket padded-token waste: measured, not assumed
 # ---------------------------------------------------------------------------
@@ -374,7 +433,7 @@ class TestScanWaste:
 
     def test_cascade_measures_what_pad_waste_predicts(self):
         """The batched cascade's measured accounting equals the pure
-        length-derived accounting the scalar path reports."""
+        length-derived accounting the reference loop reports."""
         _, db, profile, gumbel, targets = _shard_case(seed=2)
         cfg = SearchConfig(iterations=1)
         outcome = run_cascade(
@@ -397,18 +456,20 @@ class TestScanWaste:
         assert list(summary["per_bucket"]) == ["4", "8"]
         assert summary["per_bucket"]["8"]["targets"] == 3
 
-    def test_search_scan_waste_identical_across_kernels(self):
+    def test_search_scan_waste_identical_across_kernels(self, monkeypatch):
         query, db, *_ = _shard_case(seed=1)
-        config = SearchConfig(iterations=2)
-        results = {}
-        for kernel in ("scalar", "batched"):
-            results[kernel] = JackhmmerSearch(
-                db, config, seed=1,
-                plan=ExecutionPlan(workers=1, backend="serial",
-                                   kernel=kernel),
+
+        def search():
+            return JackhmmerSearch(
+                db, SearchConfig(iterations=2), seed=1
             ).search("q", query)
-        assert results["scalar"].scan_waste == results["batched"].scan_waste
-        summary = results["batched"].scan_waste
+
+        scalar = scalar_oracle(
+            monkeypatch, jackhmmer, "scan_protein_shard", search
+        )
+        batched = search()
+        assert scalar.scan_waste == batched.scan_waste
+        summary = batched.scan_waste
         # Two iterations scan the full database twice.
         assert summary["targets"] == 2 * len(db.records)
         # Power-of-two padding bounds per-target overhead under 2x.
