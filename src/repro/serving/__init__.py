@@ -33,7 +33,6 @@ from .cache import (
 )
 from .gateway import (
     AnalyticMsaCostModel,
-    FunctionalMsaCostModel,
     GatewayConfig,
     MsaCost,
     ServingGateway,
@@ -62,7 +61,6 @@ __all__ = [
     "BoundedFifo",
     "CachedMsa",
     "DynamicBatcher",
-    "FunctionalMsaCostModel",
     "GatewayConfig",
     "LatencyStats",
     "MsaCost",
