@@ -23,7 +23,9 @@ from typing import Dict, List, Tuple
 from ..hardware.gpu import GpuOutOfMemoryError, InferenceSimulator
 from ..hardware.memory import MemoryOutcome
 from ..hardware.platform import get_platform
-from ..serving.cache import chain_feature_key, chain_store_payload
+from ..serving.cache import (
+    chain_content_key, chain_feature_key, chain_store_payload,
+)
 from ..serving.gateway import AnalyticMsaCostModel
 from .dag import task_id
 from .manifest import ChainSpec, TargetSpec
@@ -114,7 +116,7 @@ def _msa(
     platform = get_platform(context["platform"])
     cost = AnalyticMsaCostModel(
         platform, threads=int(context["threads"])
-    ).cost(sample)
+    ).cost(sample, chain_content_key(sample.assembly))
     stored = set(context.get("stored_keys") or ())
     publish: List[Tuple[str, dict]] = []
     keys = []
