@@ -8,7 +8,7 @@ Usage (CI runs exactly this)::
                      benchmarks/test_bench_kernels_batched.py -q
     python benchmarks/check_regression.py
 
-Covered artifacts: ``BENCH_kernels`` (scalar DP + model layer
+Covered artifacts: ``BENCH_kernels`` (scalar DP kernels + pairwise aligner
 microbenchmarks), ``BENCH_scan`` (sharded scan vs workers), and
 ``BENCH_kernels_batched`` (batched-vs-scalar kernel cascade; its
 test file additionally asserts the >= 3x batched speedup outright).

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.msa.aligner import global_align
 from repro.msa.dp import calc_band_9, calc_band_10, msv_filter
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
 from repro.sequences.alphabets import MoleculeType
@@ -54,3 +55,14 @@ def test_record_calc_band_10(bench_recorder, dp_case):
         lambda: calc_band_10(profile, encoded, 64), repeats=REPEATS,
     )
     assert bench_recorder.groups["kernels"]["calc_band_10"].median_seconds > 0
+
+
+def test_record_global_align(bench_recorder):
+    # The pairwise case of test_bench_kernels.py::test_global_alignment.
+    query = random_sequence(242, seed=3)
+    target = mutate_sequence(query, MoleculeType.PROTEIN, 0.7, seed=4)
+    bench_recorder.record(
+        "kernels", "global_align",
+        lambda: global_align(query, target), repeats=REPEATS,
+    )
+    assert bench_recorder.groups["kernels"]["global_align"].median_seconds > 0

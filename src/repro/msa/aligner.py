@@ -1,10 +1,28 @@
 """Pairwise global alignment and MSA assembly.
 
 After the search cascade accepts hits, they are aligned to the query to
-form the MSA rows that feed AF3's feature pipeline.  We use a
-vectorised Needleman-Wunsch with affine-free linear gap costs: row
-recurrences are numpy operations, and an int8 pointer matrix supports
-exact traceback.
+form the MSA rows that feed AF3's feature pipeline.  The aligner is
+Needleman-Wunsch with linear gap costs, one numpy pass per query row
+and an int8 pointer matrix for exact traceback.
+
+Within query row ``i`` the left-gap recurrence
+``S[j] = max(S[j-1] + G, B[j])`` (``G`` the gap score, ``B[j]`` the
+better of the diagonal and up moves, ``B[0] = i*G`` the first column)
+is a prefix max: with ``D[j] = B[j] - j*G``,
+
+    S[j] - j*G = max(D[0], ..., D[j])   i.e.   S = maximum.accumulate(D) + j*G.
+
+:func:`global_align` carries every row in that shifted frame
+(``S[j] - j*G``), so the left move adds nothing, the diagonal move
+adds ``sub - G`` and the up move adds ``G``.  A cell takes the LEFT pointer
+only when the left move is strictly better (``S[j-1] + G > B[j]``),
+otherwise the diagonal/up pointer with diagonal winning ties, exactly
+as in the per-cell loop of :func:`reference_global_align`.  All scores
+are small integers held in float64 (exact far beyond any sequence
+length, up to 2**53), so every sum, shift and comparison is exact and
+both functions return equal alignments and scores.
+:func:`reference_global_align` keeps the per-cell loop as the oracle
+the tests compare against with ``==``; production never calls it.
 """
 
 from __future__ import annotations
@@ -61,7 +79,80 @@ class PairwiseAlignment:
 
 
 def global_align(query: str, target: str) -> PairwiseAlignment:
-    """Needleman-Wunsch with linear gaps; vectorised rows, exact traceback."""
+    """Needleman-Wunsch with linear gaps: one prefix max per query row.
+
+    Rows are held shifted by ``j*G`` (module docstring), which turns the
+    left-gap recurrence into ``numpy.maximum.accumulate``.  A cell
+    points LEFT only where the running max strictly beats its own
+    diagonal/up candidate; ties keep DIAG over UP.  Scores are small
+    integers in float64, so the result equals
+    :func:`reference_global_align` field for field.
+    """
+    if not query or not target:
+        raise ValueError("sequences must be non-empty")
+    n, m = len(query), len(target)
+    q = np.frombuffer(query.encode("ascii"), dtype=np.uint8)
+    t = np.frombuffer(target.encode("ascii"), dtype=np.uint8)
+    # Diagonal move in the shifted frame: sub + (j-1)*G - j*G.
+    diag_gain = np.where(
+        q[:, None] == t[None, :],
+        MATCH_SCORE - GAP_SCORE,
+        MISMATCH_SCORE - GAP_SCORE,
+    )
+
+    # Per-cell flags for rows/columns 1..n, 1..m of the pointer matrix.
+    is_up = np.empty((n, m), dtype=bool)
+    is_left = np.empty((n, m), dtype=bool)
+    prev = np.zeros(m + 1)  # row 0 is j*G, i.e. 0 once shifted
+    row = np.empty(m + 1)
+    cand = np.empty(m + 1)
+    diag = np.empty(m)
+    up = np.empty(m)
+    for i, gain, up_row, left_row in zip(
+        range(1, n + 1), diag_gain, is_up, is_left
+    ):
+        np.add(prev[:-1], gain, out=diag)
+        np.add(prev[1:], GAP_SCORE, out=up)
+        np.less(diag, up, out=up_row)
+        np.maximum(diag, up, out=cand[1:])
+        cand[0] = i * GAP_SCORE
+        np.maximum.accumulate(cand, out=row)
+        np.greater(row[:-1], cand[1:], out=left_row)
+        prev, row = row, prev
+
+    pointers = np.empty((n + 1, m + 1), dtype=np.int8)
+    pointers[0, 0] = _DIAG
+    pointers[0, 1:] = _LEFT
+    pointers[1:, 0] = _UP
+    pointers[1:, 1:] = np.where(is_left, _LEFT, is_up)
+
+    aligned_q: List[str] = []
+    aligned_t: List[str] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        move = pointers[i, j]
+        if i > 0 and j > 0 and move == _DIAG:
+            aligned_q.append(query[i - 1])
+            aligned_t.append(target[j - 1])
+            i -= 1
+            j -= 1
+        elif i > 0 and (move == _UP or j == 0):
+            aligned_q.append(query[i - 1])
+            aligned_t.append(GAP)
+            i -= 1
+        else:
+            aligned_q.append(GAP)
+            aligned_t.append(target[j - 1])
+            j -= 1
+    return PairwiseAlignment(
+        aligned_query="".join(reversed(aligned_q)),
+        aligned_target="".join(reversed(aligned_t)),
+        score=float(prev[m] + m * GAP_SCORE),
+    )
+
+
+def reference_global_align(query: str, target: str) -> PairwiseAlignment:
+    """Per-cell Needleman-Wunsch loop: the oracle for :func:`global_align`."""
     if not query or not target:
         raise ValueError("sequences must be non-empty")
     n, m = len(query), len(target)
@@ -171,7 +262,13 @@ def assemble_msa(
     hits: Sequence[Hit],
     max_rows: int = 512,
 ) -> Msa:
-    """Align accepted hits to the query and stack them into an MSA."""
+    """Align accepted hits to the query and stack them into an MSA.
+
+    ``max_rows`` counts the query row, so at most ``max_rows - 1`` hits
+    are aligned; it must be at least 1.
+    """
+    if max_rows < 1:
+        raise ValueError("max_rows must be >= 1 (the query row)")
     rows: List[str] = [query_sequence]
     names: List[str] = [query_name]
     for hit in list(hits)[: max_rows - 1]:

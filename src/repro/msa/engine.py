@@ -76,6 +76,10 @@ class MsaEngineConfig:
     #: :mod:`repro.faults`) instead of re-reading every database.
     scan_shards: int = SCAN_SHARDS
 
+    def __post_init__(self) -> None:
+        if self.max_msa_rows < 1:
+            raise ValueError("max_msa_rows must be >= 1 (the query row)")
+
 
 @dataclasses.dataclass
 class MsaPhaseResult:

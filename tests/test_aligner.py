@@ -1,15 +1,22 @@
 """Pairwise alignment and MSA assembly tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.msa.aligner import (
     Msa,
     PairwiseAlignment,
     assemble_msa,
     global_align,
+    reference_global_align,
 )
 from repro.msa.jackhmmer import Hit
-from repro.sequences.alphabets import MoleculeType
+from repro.sequences.alphabets import (
+    PROTEIN_ALPHABET,
+    RNA_ALPHABET,
+    MoleculeType,
+)
 from repro.sequences.generator import mutate_sequence, random_sequence
 
 
@@ -54,8 +61,10 @@ class TestGlobalAlign:
         assert close > far
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            global_align("", "MK")
+        for align in (global_align, reference_global_align):
+            for pair in (("", "MK"), ("MK", ""), ("", "")):
+                with pytest.raises(ValueError):
+                    align(*pair)
 
     def test_score_optimality_on_small_case(self):
         # Brute check: aligning "AC" to "AGC" should pay one gap, not
@@ -66,6 +75,70 @@ class TestGlobalAlign:
     def test_mismatched_aligned_lengths_rejected(self):
         with pytest.raises(ValueError):
             PairwiseAlignment("AB-", "AB", 0.0)
+
+
+def _words(alphabet, min_size, max_size):
+    return st.text(alphabet=alphabet, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def _pairs(draw):
+    """Query/target over one alphabet: 1-20 protein letters or RNA."""
+    alphabet = draw(st.one_of(
+        st.integers(min_value=1, max_value=20).map(
+            lambda k: "".join(PROTEIN_ALPHABET[:k])
+        ),
+        st.just("".join(RNA_ALPHABET)),
+    ))
+    return (draw(_words(alphabet, 1, 40)), draw(_words(alphabet, 1, 40)))
+
+
+@st.composite
+def _skewed_pairs(draw):
+    """Lengths differing up to 10x, so one side takes long gap runs."""
+    alphabet = draw(st.sampled_from(["A", "AC", "ACGU"]))
+    short = draw(_words(alphabet, 1, 8))
+    long = draw(_words(alphabet, len(short), 10 * len(short)))
+    return (short, long) if draw(st.booleans()) else (long, short)
+
+
+class TestPrefixMaxEqualsReference:
+    """``global_align`` equals the per-cell loop field for field (``==``)."""
+
+    @given(pair=_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs(self, pair):
+        assert global_align(*pair) == reference_global_align(*pair)
+
+    @given(pair=st.tuples(_words("AB", 1, 30), _words("AB", 1, 30)))
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_two_letter_pairs(self, pair):
+        assert global_align(*pair) == reference_global_align(*pair)
+
+    @given(pair=_skewed_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_lengths_differing_up_to_tenfold(self, pair):
+        assert global_align(*pair) == reference_global_align(*pair)
+
+    @given(
+        residue=st.sampled_from(PROTEIN_ALPHABET + RNA_ALPHABET),
+        other=_words("".join(PROTEIN_ALPHABET), 1, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_residue_sides(self, residue, other):
+        for pair in ((residue, other), (other, residue), (residue, residue)):
+            assert global_align(*pair) == reference_global_align(*pair)
+
+    def test_one_letter_alphabet_ties_everywhere(self):
+        for n in range(1, 8):
+            for m in range(1, 8):
+                pair = ("A" * n, "A" * m)
+                assert global_align(*pair) == reference_global_align(*pair)
+
+    def test_homolog_of_chain_length(self):
+        q = random_sequence(242, seed=3)
+        t = mutate_sequence(q, MoleculeType.PROTEIN, 0.7, seed=4)
+        assert global_align(q, t) == reference_global_align(q, t)
 
 
 class TestMsa:
@@ -125,6 +198,20 @@ class TestAssembleMsa:
         ]
         msa = assemble_msa("q", q, MoleculeType.PROTEIN, hits, max_rows=4)
         assert msa.depth == 4
+
+    @pytest.mark.parametrize("max_rows", [0, -1, -5])
+    def test_max_rows_below_one_rejected(self, max_rows):
+        q = random_sequence(20, seed=12)
+        hits = [Hit("h0", q, 50.0, 52.0, 1e-6)]
+        with pytest.raises(ValueError, match="max_rows"):
+            assemble_msa("q", q, MoleculeType.PROTEIN, hits,
+                         max_rows=max_rows)
+
+    def test_max_rows_one_keeps_only_the_query(self):
+        q = random_sequence(20, seed=13)
+        hits = [Hit("h0", q, 50.0, 52.0, 1e-6)]
+        msa = assemble_msa("q", q, MoleculeType.PROTEIN, hits, max_rows=1)
+        assert msa.rows == (q,)
 
     def test_no_hits_yields_query_only(self):
         q = random_sequence(30, seed=11)

@@ -72,6 +72,13 @@ class TestEngineWorkload:
         assert msa_2pv7.total_hits > 0
 
 
+class TestEngineConfig:
+    @pytest.mark.parametrize("max_rows", [0, -1])
+    def test_max_msa_rows_below_one_rejected(self, max_rows):
+        with pytest.raises(ValueError, match="max_msa_rows"):
+            MsaEngineConfig(max_msa_rows=max_rows)
+
+
 class TestEngineDeterminism:
     def test_two_engines_agree(self, samples):
         cfg = MsaEngineConfig(num_background=16, homologs_per_query=3, seed=5)
