@@ -63,7 +63,7 @@ def _fault_kinds(text: str):
 
     kinds = tuple(k.strip() for k in text.split(",") if k.strip())
     try:
-        validate_fault_mix(1.0, kinds)
+        validate_fault_mix(kinds)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return kinds or None

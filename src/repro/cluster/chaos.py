@@ -90,7 +90,6 @@ class ClusterChaosConfig:
     preemptions: int = 2          # reclaims with zero warning
     slow_nodes: int = 2
     store_corruptions: int = 3
-    horizon_scale: float = 0.9
     #: Optional fault-kind whitelist, as in
     #: :class:`~repro.faults.chaos.ChaosConfig`.
     kinds: Optional[Tuple[str, ...]] = None
@@ -98,7 +97,7 @@ class ClusterChaosConfig:
     def __post_init__(self) -> None:
         if self.num_jobs < 1:
             raise ValueError("num_jobs must be >= 1")
-        validate_fault_mix(self.horizon_scale, self.kinds)
+        validate_fault_mix(self.kinds)
 
     def fault_counts(self) -> "OrderedDict[str, int]":
         """The per-kind event counts the plan generator is fed."""

@@ -53,6 +53,9 @@ _EV_FAULT = 4
 _EV_ARRIVAL = 5
 _EV_AUTOSCALE = 6
 
+#: Simulated seconds between autoscaler evaluations.
+AUTOSCALE_INTERVAL_SECONDS = 300.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
@@ -60,9 +63,6 @@ class ClusterConfig:
 
     pools: Tuple[NodePoolSpec, ...] = DEFAULT_POOLS
     policy: str = "queue-depth"
-    msa_scan_shards: int = SCAN_SHARDS
-    msa_threads_per_node: int = 8
-    autoscale_interval_seconds: float = 300.0
     restart_seconds: float = 300.0
     max_attempts: int = 6
     #: The robustness core: drain-time chain publication + in-flight
@@ -80,10 +80,8 @@ class ClusterConfig:
             raise ValueError("need at least one node pool")
         if sum(p.initial_nodes for p in self.pools) < 1:
             raise ValueError("the initial fleet must have >= 1 node")
-        if self.msa_scan_shards < 1:
-            raise ValueError("msa_scan_shards must be >= 1")
-        if self.autoscale_interval_seconds <= 0:
-            raise ValueError("autoscale_interval_seconds must be > 0")
+        if self.restart_seconds <= 0:
+            raise ValueError("restart_seconds must be > 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         names = [p.name for p in self.pools]
@@ -168,7 +166,7 @@ class ClusterScheduler:
         for job in jobs:
             events.push(_EV_ARRIVAL, job.arrival_seconds, job)
         events.inject(self.fault_plan, _EV_FAULT, self.fault_stats)
-        events.push(_EV_AUTOSCALE, cfg.autoscale_interval_seconds, None)
+        events.push(_EV_AUTOSCALE, AUTOSCALE_INTERVAL_SECONDS, None)
         handlers = {
             _EV_CHAIN_DONE: lambda p: self._chain_done(*p),
             _EV_INFER_DONE: lambda p: self._infer_done(*p),
@@ -281,7 +279,6 @@ class ClusterScheduler:
         self._start_inference(node, job)
 
     def _start_chain_scan(self, node: Node, job: ClusterJob) -> None:
-        cfg = self.config
         work = job.next_pending_chain()
         resumed = 0
         checkpoint = self.checkpoints.take(
@@ -291,10 +288,8 @@ class ClusterScheduler:
             resumed = checkpoint.completed_shards
             job.resumed_shards += resumed
         self.ledger.record_scan_start(job, work.key, resumed)
-        full = chain_scan_seconds(
-            node.platform, work.chain, cfg.msa_threads_per_node
-        )
-        remaining = 1.0 - resumed / cfg.msa_scan_shards
+        full = chain_scan_seconds(node.platform, work.chain)
+        remaining = 1.0 - resumed / SCAN_SHARDS
         planned = (
             full * remaining
             * node.health.active_slowdown(self._now)
@@ -438,15 +433,15 @@ class ClusterScheduler:
                 if state is not None:
                     done = state.resumed + checkpointable_shards(
                         self._now - state.started, state.planned,
-                        cfg.msa_scan_shards - state.resumed,
+                        SCAN_SHARDS - state.resumed,
                     )
-                    done = min(done, cfg.msa_scan_shards - 1)
+                    done = min(done, SCAN_SHARDS - 1)
                     if done > 0:
                         self.checkpoints.save(
                             self._checkpoint_key(job, state.work),
                             MsaCheckpoint(
                                 completed_shards=done,
-                                total_shards=cfg.msa_scan_shards,
+                                total_shards=SCAN_SHARDS,
                                 full_seconds=state.full_seconds,
                                 depth=job.msa_depth,
                             ),
@@ -642,7 +637,7 @@ class ClusterScheduler:
         if self._outstanding > 0:
             self._events.push(
                 _EV_AUTOSCALE,
-                self._now + self.config.autoscale_interval_seconds,
+                self._now + AUTOSCALE_INTERVAL_SECONDS,
                 None,
             )
         self._dispatch()

@@ -24,6 +24,12 @@ GIB = 1024 ** 3
 #: The paper's thread-scaling sweep (Section III-D).
 DEFAULT_THREAD_SWEEP: Tuple[int, ...] = (1, 2, 4, 6, 8)
 
+#: Deterministic run-to-run measurement noise, as a fractional sigma.
+#: The paper averages 5 runs with CV <= 5% (MSA) / 1% (inference); the
+#: simulator is exact, so repeated-run studies inject this noise
+#: explicitly (see run_repeated).
+MEASUREMENT_NOISE = 0.02
+
 
 @dataclasses.dataclass(frozen=True)
 class SweepConfig:
@@ -31,14 +37,6 @@ class SweepConfig:
 
     thread_counts: Tuple[int, ...] = DEFAULT_THREAD_SWEEP
     allow_unified_memory: bool = True
-    #: Swap the Desktop for its 128 GiB upgrade when a sample's MSA
-    #: would OOM (exactly what the paper did for 6QNR).
-    auto_upgrade_desktop: bool = True
-    #: Deterministic run-to-run measurement noise, as a fractional
-    #: sigma.  The paper averages 5 runs with CV <= 5% (MSA) / 1%
-    #: (inference); the simulator is exact, so repeated-run studies
-    #: inject this noise explicitly (see run_repeated).
-    measurement_noise: float = 0.02
 
 
 class BenchmarkRunner:
@@ -86,10 +84,9 @@ class BenchmarkRunner:
                 allow_unified_memory=self.sweep.allow_unified_memory,
             )
         except OutOfMemoryError:
-            if (
-                self.sweep.auto_upgrade_desktop
-                and platform.name == DESKTOP.name
-            ):
+            # Swap the Desktop for its 128 GiB upgrade when a sample's
+            # MSA would OOM (exactly what the paper did for 6QNR).
+            if platform.name == DESKTOP.name:
                 result = self.pipeline_for(DESKTOP_128G).run(
                     sample,
                     threads=threads,
@@ -131,7 +128,7 @@ class BenchmarkRunner:
         rng = _np.random.default_rng(
             noise_seed + threads * 1009 + len(sample.name)
         )
-        sigma = self.sweep.measurement_noise
+        sigma = MEASUREMENT_NOISE
         records: List[RunRecord] = []
         for _ in range(repeats):
             msa_noise = float(rng.normal(1.0, sigma))

@@ -23,13 +23,12 @@ from .plan import FaultKind, FaultPlan, restrict_kinds
 #: A named invariant: ``check(simulator, report)`` yields violations.
 Invariant = Callable[[object, object], Iterable[str]]
 
+#: Faults land in this early fraction of the arrival window.
+HORIZON_SCALE = 0.9
 
-def validate_fault_mix(
-    horizon_scale: float, kinds: Optional[Tuple[str, ...]]
-) -> None:
-    """Reject a horizon outside (0, 1] or an unknown fault kind."""
-    if not 0 < horizon_scale <= 1:
-        raise ValueError("horizon_scale must be in (0, 1]")
+
+def validate_fault_mix(kinds: Optional[Tuple[str, ...]]) -> None:
+    """Reject an unknown fault kind."""
     if kinds is not None:
         valid = {kind.value for kind in FaultKind}
         unknown = [k for k in kinds if k not in valid]
@@ -46,12 +45,12 @@ def seeded_plan(
     num_msa_workers: int,
 ) -> FaultPlan:
     """The campaign's seeded fault plan over the first
-    ``horizon_scale`` of the arrival window.  A ``kinds`` whitelist
+    :data:`HORIZON_SCALE` of the arrival window.  A ``kinds`` whitelist
     filters the full plan, so every seeded draw is preserved and one
     kind can be replayed in isolation."""
     plan = FaultPlan.generate(
         seed=config.seed,
-        horizon_seconds=max(last_arrival * config.horizon_scale, 1.0),
+        horizon_seconds=max(last_arrival * HORIZON_SCALE, 1.0),
         num_gpu_workers=num_gpu_workers,
         num_msa_workers=num_msa_workers,
         **config.fault_counts(),

@@ -64,8 +64,6 @@ class ChaosConfig:
     slow_nodes: int = 2
     store_corruptions: int = 0   # needs a feature store to bite
     preemption_notices: int = 0  # spot reclaim warnings (lead + outage)
-    horizon_scale: float = 0.9   # faults land in this early fraction
-    #                            # of the arrival window
     #: Optional fault-kind whitelist (FaultKind values, e.g.
     #: ``("worker_crash",)``): the plan is generated with the full mix
     #: (preserving every seeded draw) and then filtered, so one kind
@@ -81,7 +79,7 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        validate_fault_mix(self.horizon_scale, self.kinds)
+        validate_fault_mix(self.kinds)
 
     def fault_counts(self) -> "OrderedDict[str, int]":
         """The per-kind event counts the plan generator is fed."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..sequences.alphabets import MoleculeType
 from ..sequences.generator import insert_poly_run, mutate_sequence, random_sequence
@@ -138,22 +138,6 @@ def build_database(
             records.append((f"{spec.name}_q{qidx}h{h:03d}", member))
     rng.shuffle(records)
     return SequenceDatabase(spec=spec, records=records)
-
-
-class DatabaseCorruptionError(RuntimeError):
-    """A database stream produced bytes that fail record validation.
-
-    Raised (or recorded) when fault injection corrupts an in-flight
-    scan: the partial MSA built from the stream is unusable, so any
-    cached result or scan checkpoint derived from it must be
-    invalidated and the search rerun from a clean stream.
-    """
-
-    def __init__(self, database: str, shard: Optional[int] = None) -> None:
-        at = f" in shard {shard}" if shard is not None else ""
-        super().__init__(f"corrupt record stream in {database}{at}")
-        self.database = database
-        self.shard = shard
 
 
 #: Reader buffer block size (matches a typical 256 KiB readahead unit).

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
 from ..sequences.alphabets import MoleculeType
 from ..sequences.generator import random_sequence
-from .dp import KernelResult, calc_band_9
+from .dp import calc_band_9
+from .kernels.batched import viterbi_panel_scores
 from .profile_hmm import ProfileHMM, encode_sequence
 
 #: Euler-Mascheroni constant, used in the method-of-moments Gumbel fit.
@@ -69,35 +70,15 @@ class GumbelParams:
         return self.mu + x / self.lam
 
 
-ScoreFn = Callable[[ProfileHMM, np.ndarray], KernelResult]
-
-#: Scores a whole calibration panel at once; must return the same
-#: scores ``score_fn`` would, bit for bit (the batched kernels do).
-PanelScoreFn = Callable[[ProfileHMM, List[np.ndarray]], np.ndarray]
-
-
-def calibrate(
-    profile: ProfileHMM,
-    target_length: Optional[int] = None,
-    samples: int = DEFAULT_CALIBRATION_SAMPLES,
-    seed: int = 0,
-    score_fn: ScoreFn = calc_band_9,
-    panel_score_fn: Optional[PanelScoreFn] = None,
-) -> GumbelParams:
-    """Fit Gumbel parameters by scoring random background sequences.
-
-    Method of moments: ``lambda = pi / (std * sqrt(6))`` and
-    ``mu = mean - gamma / lambda``.
-
-    ``panel_score_fn`` scores the whole panel in one call (the batched
-    Viterbi kernel: every panel sequence has the same length, so the
-    panel is a single full bucket).  Because the batched kernels are
-    bit-identical to the scalar ones, the fitted parameters are too.
-    """
+def _calibration_panel(
+    profile: ProfileHMM, samples: int, seed: int
+) -> List[np.ndarray]:
+    """The seeded background panel: ``samples`` random sequences of
+    one length, encoded for ``profile``."""
     if samples < 4:
         raise ValueError("need at least 4 calibration samples")
-    length = target_length or max(32, profile.length)
-    encoded = [
+    length = max(32, profile.length)
+    return [
         encode_sequence(
             random_sequence(
                 length, profile.molecule_type, seed=seed + 31 * (i + 1)
@@ -106,17 +87,43 @@ def calibrate(
         )
         for i in range(samples)
     ]
-    if panel_score_fn is not None:
-        scores = np.asarray(panel_score_fn(profile, encoded), dtype=float)
-        if scores.shape != (samples,):
-            raise ValueError("panel_score_fn must return one score per sample")
-    else:
-        scores = np.empty(samples)
-        for i, enc in enumerate(encoded):
-            scores[i] = score_fn(profile, enc).score
+
+
+def _fit_gumbel(scores: np.ndarray) -> GumbelParams:
+    """Method of moments: ``lambda = pi / (std * sqrt(6))`` and
+    ``mu = mean - gamma / lambda``."""
     std = float(scores.std(ddof=1))
     if std < 1e-9:
         std = 1e-9
     lam = math.pi / (std * math.sqrt(6.0))
     mu = float(scores.mean()) - EULER_GAMMA / lam
     return GumbelParams(mu=mu, lam=lam)
+
+
+def calibrate(
+    profile: ProfileHMM,
+    samples: int = DEFAULT_CALIBRATION_SAMPLES,
+    seed: int = 0,
+) -> GumbelParams:
+    """Fit Gumbel parameters by scoring random background sequences.
+
+    Every panel sequence has the same length, so the panel is a single
+    full bucket for the batched Viterbi kernel and is scored in one
+    call.  :func:`reference_calibrate` is its per-sequence oracle.
+    """
+    panel = _calibration_panel(profile, samples, seed)
+    return _fit_gumbel(viterbi_panel_scores(profile, panel))
+
+
+def reference_calibrate(
+    profile: ProfileHMM,
+    samples: int = DEFAULT_CALIBRATION_SAMPLES,
+    seed: int = 0,
+) -> GumbelParams:
+    """:func:`calibrate` with the panel scored one sequence at a time
+    by the scalar :func:`~repro.msa.dp.calc_band_9` (the test oracle;
+    the batched scores are bit-identical, so the fit is too)."""
+    panel = _calibration_panel(profile, samples, seed)
+    return _fit_gumbel(
+        np.array([calc_band_9(profile, enc).score for enc in panel])
+    )

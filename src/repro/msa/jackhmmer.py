@@ -36,12 +36,7 @@ from ..trace import AccessPattern, OpRecord, WorkloadTrace
 from .database import BufferedDatabaseReader, SCAN_SHARDS, SequenceDatabase
 from .dp import calc_band_9, calc_band_10, msv_filter
 from .evalue import GumbelParams, calibrate
-from .kernels import (
-    pad_waste,
-    run_cascade,
-    scan_waste_summary,
-    viterbi_panel_scores,
-)
+from .kernels import pad_waste, run_cascade, scan_waste_summary
 from .profile_hmm import ProfileHMM, encode_sequence
 
 # Instruction costs per DP cell.  MSV is a 16-lane striped SIMD scan
@@ -70,6 +65,9 @@ ALIGN_WORKING_SET_PER_INFLATION = 19 * 1024 * 1024
 #: stack must shuttle alongside the primary DB scan.
 IO_PASS_PER_INFLATION = 0.5
 
+#: Hits kept per iteration, best E-value first.
+MAX_HITS = 10_000
+
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
@@ -80,7 +78,6 @@ class SearchConfig:
     viterbi_evalue: float = 1.0
     final_evalue: float = 1e-3
     iterations: int = 2
-    max_hits: int = 10_000
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -379,11 +376,7 @@ class JackhmmerSearch:
         trace = WorkloadTrace()
         hits: List[Hit] = []
         profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
-        # The calibration panel is one full bucket for the batched
-        # Viterbi kernel; its scores — and therefore the fitted
-        # parameters — equal the scalar default's bit for bit.
-        gumbel = calibrate(profile, seed=self.seed,
-                           panel_score_fn=viterbi_panel_scores)
+        gumbel = calibrate(profile, seed=self.seed)
         scan_outcomes: List[ExecutionOutcome] = []
         waste_triples: List[Tuple[int, int, int]] = []
 
@@ -409,7 +402,7 @@ class JackhmmerSearch:
             )
 
             iter_hits.sort(key=lambda h: h.evalue)
-            hits = iter_hits[: cfg.max_hits]
+            hits = iter_hits[:MAX_HITS]
 
             # Re-estimate the profile from the alignment for the next
             # round (jackhmmer's defining behaviour).
@@ -421,8 +414,7 @@ class JackhmmerSearch:
                 profile = ProfileHMM.from_alignment(
                     rows, mtype, name=f"{query_name}_iter{iteration + 2}"
                 )
-                gumbel = calibrate(profile, seed=self.seed + iteration + 1,
-                                   panel_score_fn=viterbi_panel_scores)
+                gumbel = calibrate(profile, seed=self.seed + iteration + 1)
 
         return SearchResult(
             query_name=query_name,

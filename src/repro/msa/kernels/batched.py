@@ -121,7 +121,7 @@ def viterbi_panel_scores(
 ) -> np.ndarray:
     """Banded Viterbi scores for a list of encodings, batched.
 
-    Drop-in panel scorer for :func:`repro.msa.evalue.calibrate`: the
+    The panel scorer of :func:`repro.msa.evalue.calibrate`: the
     calibration panel's sequences all share one length, so the whole
     panel lands in a single bucket and is scored in one kernel sweep.
     Scores equal ``calc_band_9(profile, enc, band).score`` bit for bit.

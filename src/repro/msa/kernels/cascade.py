@@ -18,14 +18,16 @@ this package free of a cycle with :mod:`repro.msa.jackhmmer`).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from ..evalue import GumbelParams
 from ..profile_hmm import ProfileHMM
 from .batch import TargetBatch, batch_targets, emission_tensor
 from .batched import calc_band_9_batch, calc_band_10_batch, msv_filter_batch
+
+if TYPE_CHECKING:
+    from ..evalue import GumbelParams
 
 
 @dataclasses.dataclass(frozen=True)

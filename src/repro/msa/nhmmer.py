@@ -40,7 +40,6 @@ from .kernels import (
     calc_band_10_batch,
     emission_tensor,
     msv_filter_batch,
-    viterbi_panel_scores,
 )
 from .jackhmmer import (
     FORWARD_INSTR_PER_CELL,
@@ -312,8 +311,7 @@ class NhmmerSearch:
         """Run the windowed cascade for one RNA query."""
         mtype = self.database.spec.molecule_type
         profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
-        gumbel = calibrate(profile, seed=self.seed,
-                           panel_score_fn=viterbi_panel_scores)
+        gumbel = calibrate(profile, seed=self.seed)
         db_size = self.database.spec.num_sequences
         scale = self.database.scale_factor
 

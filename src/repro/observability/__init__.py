@@ -69,7 +69,6 @@ from .instrument import (
     NULL_CLUSTER_PROBE,
     NULL_PROBE,
     ClusterProbe,
-    ClusterSpanProbe,
     GatewayProbe,
     SpanProbe,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "CAMPAIGN_METRICS",
     "CLUSTER_METRICS",
     "ClusterProbe",
-    "ClusterSpanProbe",
     "GatewayProbe",
     "NULL_CLUSTER_PROBE",
     "NULL_PROBE",

@@ -558,186 +558,3 @@ class ClusterProbe:
 
 #: The shared disabled probe (the cluster scheduler's default).
 NULL_CLUSTER_PROBE = ClusterProbe()
-
-
-class ClusterSpanProbe(ClusterProbe):
-    """Deterministic span stream for one cluster scheduler run.
-
-    Per job: a root ``job`` span on the jobs track with queue-wait
-    children per attempt.  Per node: a lane (``node-3.h100-spot``)
-    carrying its scan/inference service windows, drain/down windows,
-    and fault instants — open the export in Perfetto and preemptions
-    read as gaps torn out of node lanes while the jobs lane shows the
-    same work resuming elsewhere.  Node lanes are declared as nodes
-    boot, so autoscaling is visible as lanes appearing over time.
-    """
-
-    JOBS_TRACK = "jobs"
-
-    def __init__(self, recorder: Optional[SpanRecorder] = None) -> None:
-        self.recorder = recorder or SpanRecorder()
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._root: Dict[int, Span] = {}
-        self._queue_open: Dict[int, Span] = {}
-        self._service_open: Dict[int, Span] = {}
-        self._down_open: Dict[int, Span] = {}
-        self._tracks: List[str] = [self.JOBS_TRACK]
-
-    @staticmethod
-    def _node_track(node) -> str:
-        return f"node-{node.node_id}.{node.pool.name}"
-
-    def attach(self, pool_names: List[str]) -> None:
-        self.recorder.reset()
-        self._reset_state()
-        self.recorder.declare_tracks(self._tracks)
-
-    # -- node lifecycle --------------------------------------------------
-
-    def node_booted(self, node, now: float) -> None:
-        track = self._node_track(node)
-        self._tracks.append(track)
-        self.recorder.declare_tracks(self._tracks)
-        span = self.recorder.begin(
-            "node.boot", now, track=track, pool=node.pool.name
-        )
-        self.recorder.finish(
-            span, now + node.pool.provision_seconds, "booted"
-        )
-
-    def node_ready(self, node, now: float, mode: str) -> None:
-        span = self._down_open.pop(node.node_id, None)
-        if span is not None:
-            self.recorder.finish(span, now, mode=mode)
-
-    def node_draining(self, node, now: float, deadline: float) -> None:
-        span = self.recorder.begin(
-            "node.draining", now, track=self._node_track(node)
-        )
-        self.recorder.finish(span, deadline, "drained")
-
-    def _abort_service(self, node, now: float) -> None:
-        span = self._service_open.pop(node.node_id, None)
-        if span is not None:
-            self.recorder.finish(span, now, "aborted")
-
-    def node_crashed(self, node, now: float) -> None:
-        self._abort_service(node, now)
-        self._down_open[node.node_id] = self.recorder.begin(
-            "node.down", now, track=self._node_track(node)
-        )
-
-    def node_terminated(self, node, now: float, reason: str) -> None:
-        self._abort_service(node, now)
-        self.recorder.instant(
-            "node.terminated", now, track=self._node_track(node),
-            status=reason,
-        )
-
-    # -- job lifecycle ---------------------------------------------------
-
-    def job_queued(self, job, now: float) -> None:
-        if job.job_id not in self._root:
-            self._root[job.job_id] = self.recorder.begin(
-                "job", now, track=self.JOBS_TRACK,
-                request_id=job.job_id, priority=job.priority,
-                sample=job.sample.name, chains=len(job.chains),
-            )
-        self._queue_open[job.job_id] = self.recorder.begin(
-            "job.queued", now, track=self.JOBS_TRACK,
-            request_id=job.job_id,
-            parent_id=self._root[job.job_id].span_id,
-        )
-
-    def job_started(self, job, node, now: float) -> None:
-        span = self._queue_open.pop(job.job_id, None)
-        if span is not None:
-            self.recorder.finish(span, now, node=node.node_id)
-
-    def chain_started(
-        self, job, node, key: str, now: float,
-        planned: float, resumed: int,
-    ) -> None:
-        attrs = {
-            "key": key, "planned_seconds": round(planned, 6)
-        }
-        if resumed:
-            attrs["resumed_shards"] = resumed
-        self._service_open[node.node_id] = self.recorder.begin(
-            "msa.chain", now, track=self._node_track(node),
-            request_id=job.job_id,
-            parent_id=self._root[job.job_id].span_id, **attrs,
-        )
-
-    def chain_finished(self, job, node, key: str, now: float) -> None:
-        span = self._service_open.pop(node.node_id, None)
-        if span is not None:
-            self.recorder.finish(span, now)
-
-    def chains_published(
-        self, job, node, count: int, now: float
-    ) -> None:
-        self.recorder.instant(
-            "store.publish", now, track=self._node_track(node),
-            request_id=job.job_id, chains=count,
-        )
-
-    def infer_started(
-        self, job, node, now: float, seconds: float, cold: bool
-    ) -> None:
-        self._service_open[node.node_id] = self.recorder.begin(
-            "gpu.infer", now, track=self._node_track(node),
-            request_id=job.job_id,
-            parent_id=self._root[job.job_id].span_id,
-            cold=cold,
-        )
-
-    def job_completed(self, job, node, now: float) -> None:
-        span = self._service_open.pop(node.node_id, None)
-        if span is not None:
-            self.recorder.finish(span, now)
-        root = self._root.get(job.job_id)
-        if root is not None and root.open:
-            self.recorder.finish(
-                root, now, "ok",
-                attempts=job.attempts, migrations=job.migrations,
-            )
-
-    def job_requeued(self, job, now: float, migrated: bool) -> None:
-        self.recorder.instant(
-            "job.requeued" if migrated else "job.crash_requeued",
-            now, track=self.JOBS_TRACK, request_id=job.job_id,
-            parent_id=self._root[job.job_id].span_id,
-            status="migrated" if migrated else "crashed",
-        )
-        self.job_queued(job, now)
-
-    def job_failed(self, job, now: float, reason: str) -> None:
-        root = self._root.get(job.job_id)
-        if root is not None and root.open:
-            self.recorder.finish(root, now, "failed", reason=reason)
-
-    # -- control plane ---------------------------------------------------
-
-    def autoscale(self, now: float, pool: str, delta: int) -> None:
-        self.recorder.instant(
-            "autoscale", now, track=self.JOBS_TRACK,
-            pool=pool, delta=delta,
-        )
-
-    def fault_instant(
-        self, name: str, node_id: Optional[int], now: float, **attrs
-    ) -> None:
-        track = (
-            self.JOBS_TRACK if node_id is None
-            else next(
-                (t for t in self._tracks
-                 if t.startswith(f"node-{node_id}.")),
-                self.JOBS_TRACK,
-            )
-        )
-        self.recorder.instant(
-            f"fault.{name}", now, track=track, status="fault", **attrs
-        )

@@ -19,7 +19,6 @@ substrate reproduce the paper's scaling *behaviour* on real cores:
 from .executor import (
     ExecutionOutcome,
     TaskTiming,
-    available_workers,
     run_sharded,
 )
 from .plan import (
@@ -38,7 +37,6 @@ __all__ = [
     "ExecutionPlan",
     "RECOMPUTE_SCOPES",
     "TaskTiming",
-    "available_workers",
     "merge_sharded",
     "record_outcome",
     "records_remaining",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -131,8 +130,3 @@ def run_sharded(
         workers=workers,
         wall_seconds=wall,
     )
-
-
-def available_workers() -> int:
-    """Usable core count (for ``--workers 0``-style auto sizing)."""
-    return max(1, os.cpu_count() or 1)

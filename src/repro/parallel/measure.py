@@ -168,7 +168,6 @@ def scan_payloads(database, query: str, *, seed: int,
     ``query`` over ``database``: the input both kernel timings share."""
     from ..msa.evalue import calibrate
     from ..msa.jackhmmer import JackhmmerSearch, SearchConfig
-    from ..msa.kernels import viterbi_panel_scores
     from ..msa.profile_hmm import ProfileHMM
 
     search = JackhmmerSearch(
@@ -178,8 +177,7 @@ def scan_payloads(database, query: str, *, seed: int,
     profile = ProfileHMM.from_query(
         query, database.spec.molecule_type, name="kernel_query"
     )
-    gumbel = calibrate(profile, seed=seed,
-                       panel_score_fn=viterbi_panel_scores)
+    gumbel = calibrate(profile, seed=seed)
     return search.shard_payloads(profile, gumbel)
 
 

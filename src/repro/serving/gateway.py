@@ -147,7 +147,6 @@ class GatewayConfig:
 
     num_gpu_workers: int = 4
     num_msa_workers: int = 4
-    msa_threads_per_worker: int = 8
     max_batch: int = 4
     max_wait_seconds: float = 120.0   # batch-coalescing deadline
     queue_limit: int = 512            # admission bound (queued requests)
@@ -155,7 +154,6 @@ class GatewayConfig:
     max_retries: int = 2
     retry_backoff_seconds: float = 30.0       # doubles per attempt
     allow_unified_memory: bool = True
-    msa_cache_entries: int = 128
     buckets: Tuple[int, ...] = DEFAULT_BUCKETS
     # -- fault-recovery policy (only exercised under a FaultPlan,
     #    except degraded_fallback which also covers plain timeouts) ----
@@ -165,7 +163,6 @@ class GatewayConfig:
     breaker_cooldown_seconds: float = 1800.0
     degraded_fallback: bool = False   # serve reduced depth, don't error
     degraded_msa_depth: int = 16
-    msa_scan_shards: int = SCAN_SHARDS    # checkpoint granularity
     # -- attention schedule for every GPU worker ("chunked" default,
     #    "resident", or a memory-planner "tiled" block); changes the
     #    per-batch memory demand and therefore the OOM/split admission
@@ -195,8 +192,6 @@ class GatewayConfig:
             raise ValueError("breaker_cooldown_seconds must be >= 0")
         if self.degraded_msa_depth < 1:
             raise ValueError("degraded_msa_depth must be >= 1")
-        if self.msa_scan_shards < 1:
-            raise ValueError("msa_scan_shards must be >= 1")
         if self.attention not in ("chunked", "resident", "tiled"):
             raise ValueError(
                 "attention must be 'chunked', 'resident' or 'tiled', "
@@ -250,9 +245,7 @@ class ServingGateway:
         #: *after* the in-memory LRU misses.  A warm store turns the
         #: MSA phase into a metadata read; an empty one is transparent.
         self.store = store
-        self.msa_cost_model = msa_cost_model or AnalyticMsaCostModel(
-            platform, threads=self.config.msa_threads_per_worker
-        )
+        self.msa_cost_model = msa_cost_model or AnalyticMsaCostModel(platform)
         self.fault_plan = fault_plan
         #: One fleet-shared executable cache across every GPU worker
         #: when enabled (the --jax_compilation_cache_dir model); it
@@ -298,7 +291,7 @@ class ServingGateway:
         cfg = self.config
         events = self._events = EventQueue()
         self._now = 0.0
-        self._cache = MsaResultCache(cfg.msa_cache_entries)
+        self._cache = MsaResultCache()
         self._batcher = DynamicBatcher(cfg.max_batch, cfg.max_wait_seconds)
         self._msa_queue = BoundedFifo()
         self._inflight: Dict[str, ServingRequest] = {}   # key -> leader
@@ -599,7 +592,7 @@ class ServingGateway:
             if checkpoint is not None:
                 base_shards = checkpoint.completed_shards
                 request.resumed_shards += base_shards
-            remaining = 1.0 - base_shards / self.config.msa_scan_shards
+            remaining = 1.0 - base_shards / SCAN_SHARDS
             stall = health.take_stall()
             if stall > 0:
                 request.msa_stall_wait += stall
@@ -1058,12 +1051,11 @@ class ServingGateway:
             return
         request, base_shards, planned, corrupted = job
         elapsed = self._now - health.job_started
-        shards = self.config.msa_scan_shards
         if planned > 0 and not corrupted:
             progressed = int(
-                (shards - base_shards) * (elapsed / planned)
+                (SCAN_SHARDS - base_shards) * (elapsed / planned)
             )
-            completed = min(shards - 1, base_shards + progressed)
+            completed = min(SCAN_SHARDS - 1, base_shards + progressed)
         else:
             completed = 0
         self.probe.msa_aborted(request, worker, self._now, completed)
@@ -1072,7 +1064,7 @@ class ServingGateway:
         if completed > 0:
             self.checkpoints.save(key, MsaCheckpoint(
                 completed_shards=completed,
-                total_shards=shards,
+                total_shards=SCAN_SHARDS,
                 full_seconds=cost.seconds,
                 depth=cost.depth,
             ))

@@ -15,13 +15,12 @@ Modules:
   multi-worker fill campaigns;
 * :mod:`repro.store.coalesce` — chain-level in-flight leases (one
   worker computes, others subscribe);
-* :mod:`repro.store.precompute` — the offline ``msa-precompute`` job
-  (loaded lazily; it pulls in :mod:`repro.parallel` and the serving
-  payload helpers).
+* :mod:`repro.store.precompute` — the offline ``msa-precompute`` job.
 """
 
 from .coalesce import InflightLeases
 from .feature_store import DEFAULT_BYTE_BUDGET, FeatureStore, payload_checksum
+from .precompute import PrecomputeReport, collect_chains, precompute_msas
 from .sharding import (
     SHARD_SPACE,
     partition_keys,
@@ -29,12 +28,6 @@ from .sharding import (
     shard_for,
     shard_ranges,
 )
-
-_PRECOMPUTE_EXPORTS = {
-    "PrecomputeReport",
-    "collect_chains",
-    "precompute_msas",
-}
 
 __all__ = [
     "DEFAULT_BYTE_BUDGET",
@@ -50,14 +43,3 @@ __all__ = [
     "shard_for",
     "shard_ranges",
 ]
-
-
-def __getattr__(name):
-    # Lazy: precompute imports repro.parallel and (at call time) the
-    # serving payload helpers; keeping it out of package import keeps
-    # repro.serving <-> repro.store acyclic at import time.
-    if name in _PRECOMPUTE_EXPORTS:
-        from . import precompute
-
-        return getattr(precompute, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

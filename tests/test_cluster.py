@@ -87,6 +87,13 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match="max_attempts"):
             ClusterConfig(max_attempts=0)
 
+    @pytest.mark.parametrize("seconds", [0, -1])
+    def test_rejects_non_positive_restart_seconds(self, seconds):
+        # A negative restart would schedule the node's return before
+        # its crash and move the event loop's clock backwards.
+        with pytest.raises(ValueError, match="restart_seconds"):
+            ClusterConfig(restart_seconds=seconds)
+
     def test_unknown_policy_rejected_with_catalogue(self):
         with pytest.raises(ValueError, match="fixed"):
             get_policy("yolo")

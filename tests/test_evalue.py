@@ -3,8 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.msa.evalue import EULER_GAMMA, GumbelParams, calibrate
+from repro.msa.evalue import (
+    EULER_GAMMA,
+    GumbelParams,
+    calibrate,
+    reference_calibrate,
+)
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
 from repro.msa.dp import calc_band_9
 from repro.sequences.alphabets import MoleculeType
@@ -78,8 +85,10 @@ class TestCalibration:
 
     def test_too_few_samples_rejected(self):
         prof = ProfileHMM.from_query("MKT", MoleculeType.PROTEIN)
-        with pytest.raises(ValueError):
-            calibrate(prof, samples=2)
+        for fit in (calibrate, reference_calibrate):
+            for samples in (0, 2, 3):
+                with pytest.raises(ValueError):
+                    fit(prof, samples=samples)
 
     def test_method_of_moments_recovers_known_gumbel(self):
         # Sanity on the estimator itself: scores drawn from a Gumbel
@@ -94,3 +103,36 @@ class TestCalibration:
         mu_est = draws.mean() - EULER_GAMMA / lam_est
         assert lam_est == pytest.approx(lam, rel=0.1)
         assert mu_est == pytest.approx(mu, rel=0.05)
+
+
+def _profile(mtype: MoleculeType, length: int, seed: int) -> ProfileHMM:
+    return ProfileHMM.from_query(
+        random_sequence(length, mtype, seed=seed), mtype
+    )
+
+
+class TestCalibrationOracle:
+    """The batched panel fit equals the per-sequence scalar loop: ``==``
+    on the whole :class:`GumbelParams`, never ``approx``."""
+
+    @pytest.mark.parametrize("mtype", [MoleculeType.PROTEIN, MoleculeType.RNA])
+    @pytest.mark.parametrize("length,samples", [(3, 4), (3, 40), (300, 4),
+                                                (300, 40)])
+    def test_extremes(self, mtype, length, samples):
+        prof = _profile(mtype, length, seed=length + samples)
+        assert calibrate(prof, samples=samples, seed=11) == (
+            reference_calibrate(prof, samples=samples, seed=11)
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        mtype=st.sampled_from([MoleculeType.PROTEIN, MoleculeType.RNA]),
+        length=st.integers(3, 300),
+        samples=st.integers(4, 40),
+        seed=st.integers(0, 10_000),
+    )
+    def test_batched_equals_scalar(self, mtype, length, samples, seed):
+        prof = _profile(mtype, length, seed=seed)
+        assert calibrate(prof, samples=samples, seed=seed) == (
+            reference_calibrate(prof, samples=samples, seed=seed)
+        )

@@ -27,7 +27,6 @@ from repro.hardware.gpu import GpuOutOfMemoryError
 from repro.hardware.platform import DESKTOP, SERVER
 from repro.msa.database import (
     BufferedDatabaseReader,
-    DatabaseCorruptionError,
     PROTEIN_SEARCH_DBS,
     SCAN_SHARDS,
     build_database,
@@ -273,12 +272,6 @@ class TestDatabaseFaultHooks:
         (record,) = trace.records
         assert record.seconds == 42.0
         assert record.phase.endswith(".stall")
-
-    def test_corruption_error_carries_location(self):
-        err = DatabaseCorruptionError("uniref", shard=7)
-        assert err.database == "uniref"
-        assert err.shard == 7
-        assert "uniref" in str(err) and "shard 7" in str(err)
 
     def test_engine_resume_bytes_strictly_less_than_cold(self):
         engine = MsaEngine(MsaEngineConfig(

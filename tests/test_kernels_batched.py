@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.msa.database import NT_RNA, PROTEIN_SEARCH_DBS, build_database
 from repro.msa.dp import NEG_INF, calc_band_9, calc_band_10, msv_filter
-from repro.msa.evalue import calibrate
+from repro.msa.evalue import calibrate, reference_calibrate
 from repro.msa import jackhmmer, nhmmer
 from repro.msa.jackhmmer import (
     JackhmmerSearch,
@@ -349,13 +349,13 @@ KERNEL_PLANS = [
 
 
 def scalar_oracle(monkeypatch, module, shard_fn, search):
-    """Run ``search()`` with ``module``'s shard scan swapped for its
-    reference loop and calibration on the scalar panel default, on a
-    serial plan: the search as the per-target loops compute it."""
+    """Run ``search()`` with ``module``'s shard scan and calibration
+    swapped for their reference loops, on a serial plan: the search as
+    the per-target loops compute it."""
     with monkeypatch.context() as patch:
         patch.setattr(module, shard_fn,
                       getattr(module, f"reference_{shard_fn}"))
-        patch.setattr(module, "viterbi_panel_scores", None)
+        patch.setattr(module, "calibrate", reference_calibrate)
         return search()
 
 
