@@ -39,6 +39,7 @@ from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.kill import KillSwitch, SimulatedKill
+from ..model.memory_planner import AttentionSchedule
 from ..parallel import ExecutionPlan, run_sharded
 from .dag import STAGES, StageTask, build_graph
 from .manifest import TargetSpec
@@ -79,13 +80,10 @@ class CampaignConfig:
     max_tokens: int = 0          # 0 = no admission limit
     store_dir: Optional[str] = None
     store_budget_mb: float = 64.0
-    #: Inference attention schedule for every target in the cohort:
-    #: ``"chunked"`` (production default, legacy admission),
-    #: ``"resident"`` (full O(N³) logits — long targets fail
-    #: admission), or ``"tiled"`` (the memory planner picks a block
-    #: per target against the platform's device memory; see
-    #: docs/memory_planner.md).  Persisted because it changes which
-    #: targets are admitted, i.e. the cohort's *results*.
+    #: Inference attention schedule for every target (an
+    #: :data:`~repro.model.memory_planner.ATTENTION_SCHEDULES` name;
+    #: tiled plans a block per target).  Persisted because it changes
+    #: which targets are admitted, i.e. the cohort's *results*.
     attention: str = "chunked"
     #: Optional shape-bucket edges for the inference stage (``repro
     #: buckets fit`` output; docs/bucketing.md).  When set, every
@@ -109,11 +107,7 @@ class CampaignConfig:
                     f"buckets must be sorted and unique, got {edges}"
                 )
             object.__setattr__(self, "buckets", edges)
-        if self.attention not in ("chunked", "resident", "tiled"):
-            raise ValueError(
-                "attention must be 'chunked', 'resident' or 'tiled', "
-                f"got {self.attention!r}"
-            )
+        AttentionSchedule(self.attention)   # validates the name
         unknown = set(self.stage_workers) - set(STAGES)
         if unknown:
             raise ValueError(

@@ -20,9 +20,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from ..hardware.gpu import GpuOutOfMemoryError, InferenceSimulator
+from ..hardware.gpu import GpuOutOfMemoryError
 from ..hardware.memory import MemoryOutcome
 from ..hardware.platform import get_platform
+from ..model.memory_planner import (
+    AttentionSchedule, MemoryBudgetError, resolve_schedule,
+)
 from ..serving.cache import (
     chain_content_key, chain_feature_key, chain_store_payload,
 )
@@ -141,19 +144,12 @@ def _msa(
 def _inference(
     target: TargetSpec, context: Dict, upstream: Dict
 ) -> "OrderedDict":
-    """Inference under the campaign's attention schedule.
-
-    ``"chunked"`` keeps the legacy admission behaviour (unified-memory
-    spill allowed).  The explicit schedules run with strict admission:
-    ``"resident"`` fails targets whose full logits exceed the device,
-    and ``"tiled"`` asks the memory planner for a block that fits this
-    platform — an infeasible plan is an admission failure with the
-    planner's actionable message, never a silent fallback.
-    """
+    """Inference under the campaign's attention schedule: a resident
+    OOM or an infeasible tiled plan on this platform is an admission
+    failure with an actionable message, never a silent fallback."""
     preprocess = upstream[task_id(target.target_id, "preprocess")]
     msa = upstream[task_id(target.target_id, "msa")]
     platform = get_platform(context["platform"])
-    attention = str(context.get("attention") or "chunked")
     tokens = int(preprocess["tokens"])
     bucket = None
     if context.get("buckets"):
@@ -169,33 +165,22 @@ def _inference(
                 f"campaign's buckets: {exc}"
             ) from exc
         tokens = bucket
-    attention_block = None
-    if attention == "tiled":
-        from ..model.memory_planner import MemoryBudgetError, plan_for_device
-
-        try:
-            plan = plan_for_device(
-                tokens, platform.gpu.memory_bytes, allow_resident=False
-            )
-        except MemoryBudgetError as exc:
-            raise StageError(
-                f"target {target.target_id!r} fails memory-planner "
-                f"admission on {platform.name}: {exc}"
-            ) from exc
-        attention_block = plan.attention_block
-    simulator = InferenceSimulator(
-        platform.gpu,
-        platform.host_single_thread_ips,
-        host_thread_penalty=platform.inference_thread_penalty,
-        chunked_triangle=(attention != "resident"),
-        attention_block=attention_block,
-    )
     try:
-        breakdown = simulator.run(
+        schedule, _ = resolve_schedule(
+            AttentionSchedule(context["attention"]),
+            tokens, platform.gpu.memory_bytes,
+        )
+    except MemoryBudgetError as exc:
+        raise StageError(
+            f"target {target.target_id!r} fails memory-planner "
+            f"admission on {platform.name}: {exc}"
+        ) from exc
+    try:
+        breakdown = schedule.simulator(platform).run(
             tokens,
             threads=int(context["threads"]),
             msa_depth=int(msa["msa_depth"]),
-            allow_unified_memory=(attention == "chunked"),
+            allow_unified_memory=schedule.allow_unified_memory,
         )
     except GpuOutOfMemoryError as exc:
         raise StageError(
@@ -214,12 +199,12 @@ def _inference(
         ),
         simulated_seconds=_round(breakdown.total),
     )
-    if attention != "chunked":
+    if schedule != AttentionSchedule():
         # Only the explicit schedules record themselves, keeping
         # legacy campaign outputs byte-identical.
-        body["attention"] = attention
-        if attention_block is not None:
-            body["attention_block"] = attention_block
+        body["attention"] = schedule.name
+        if schedule.block is not None:
+            body["attention_block"] = schedule.block
     if bucket is not None:
         # Same schema discipline: only bucketed campaigns record the
         # padded shape they actually executed at.

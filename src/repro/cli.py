@@ -24,6 +24,10 @@ from .core.suite import AfSysBench
 from .hardware.gpu import GpuOutOfMemoryError
 from .hardware.memory import OutOfMemoryError
 from .hardware.platform import PLATFORMS, get_platform
+from .model.memory_planner import (
+    ATTENTION_SCHEDULES, AttentionSchedule, MemoryBudgetError,
+    resolve_schedule,
+)
 from .msa.engine import MsaEngine, MsaEngineConfig
 from .parallel import ExecutionPlan
 from .sequences.builtin import builtin_samples
@@ -108,53 +112,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     sample = _resolve_sample(args)
     platform = get_platform(args.platform)
     plan = ExecutionPlan(workers=getattr(args, "workers", 1))
-    attention = getattr(args, "attention", "chunked")
-    budget_mb = getattr(args, "memory_budget_mb", None)
-    if budget_mb is not None and attention != "tiled":
+    budget_mb = args.memory_budget_mb
+    if budget_mb is not None and args.attention != "tiled":
         print("--memory-budget-mb requires --attention tiled",
               file=sys.stderr)
         return 2
-    memory_plan = None
-    attention_block = None
-    if attention == "tiled":
-        from .model.memory_planner import (
-            MemoryBudgetError, plan_for_device, plan_memory,
+    try:
+        schedule, memory_plan = resolve_schedule(
+            AttentionSchedule(args.attention),
+            sample.assembly.num_tokens, platform.gpu.memory_bytes,
+            budget_bytes=(
+                None if budget_mb is None else budget_mb * 1024.0 * 1024.0
+            ),
         )
-
-        tokens = sample.assembly.num_tokens
-        try:
-            if budget_mb is not None:
-                memory_plan = plan_memory(
-                    tokens, budget_mb * 1024.0 * 1024.0,
-                    allow_resident=False,
-                )
-            else:
-                memory_plan = plan_for_device(
-                    tokens, platform.gpu.memory_bytes,
-                    allow_resident=False,
-                )
-        except MemoryBudgetError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        attention_block = memory_plan.attention_block
+    except MemoryBudgetError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if memory_plan is not None:
         # Realise the planned schedule on the functional substrate too,
         # so the numpy model runs the same tiles the plan promises.
         plan = memory_plan.execution_plan(plan)
     pipeline = Af3Pipeline(
         platform, msa_engine=_small_engine(args.seed, plan), plan=plan,
-        attention=attention, attention_block=attention_block,
+        schedule=schedule,
     )
     try:
-        result = pipeline.run(
-            sample, threads=args.threads,
-            allow_unified_memory=(attention == "chunked"),
-        )
+        result = pipeline.run(sample, threads=args.threads)
     except OutOfMemoryError as exc:
         print(f"OOM: {exc}", file=sys.stderr)
         return 2
     except GpuOutOfMemoryError as exc:
         print(
-            f"GPU OOM under --attention {attention}: {exc}\n"
+            f"GPU OOM under --attention {schedule.name}: {exc}\n"
             "Try --attention tiled (the memory planner picks a block "
             "that fits).", file=sys.stderr,
         )
@@ -164,7 +153,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "sample": result.sample_name,
             "platform": result.platform_name,
             "threads": result.threads,
-            "attention": attention,
+            "attention": schedule.name,
             "msa_seconds": result.msa_seconds,
             "inference_seconds": result.inference_seconds,
             "msa_fraction": result.msa_fraction,
@@ -247,12 +236,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     from .core.estimator import estimate
 
     sample = _resolve_sample(args)
-    attention = getattr(args, "attention", "chunked")
-    attention_block = getattr(args, "attention_block", None)
-    report = estimate(
-        sample.assembly, threads=args.threads,
-        attention=attention, attention_block=attention_block,
-    )
+    try:
+        report = estimate(
+            sample.assembly, threads=args.threads,
+            schedule=AttentionSchedule(args.attention, args.attention_block),
+        )
+    except ValueError as exc:   # a stray block, or a tiled one without
+        flag = "--attention-block" if args.attention_block else "--attention"
+        args.parser.error(f"argument {flag}: {exc}")
     print(report.render())
     return 0 if report.safe_somewhere else 3
 
@@ -424,7 +415,7 @@ def _campaign_config(args: argparse.Namespace):
         max_tokens=args.max_tokens,
         store_dir=args.store_dir,
         store_budget_mb=args.store_budget_mb,
-        attention=getattr(args, "attention", "chunked"),
+        attention=args.attention,
         buckets=buckets,
     )
 
@@ -981,8 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="real worker processes for the functional "
                           "MSA database scans (results are "
                           "byte-identical for any count)")
-    run.add_argument("--attention",
-                     choices=["chunked", "resident", "tiled"],
+    run.add_argument("--attention", choices=ATTENTION_SCHEDULES,
                      default="chunked",
                      help="inference attention schedule: chunked "
                           "(production default), resident (full O(N^3) "
@@ -1020,14 +1010,15 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--sample", default="6QNR")
     estimate.add_argument("--json", help="AF3 JSON input file")
     estimate.add_argument("--threads", type=_COUNT, default=8)
-    estimate.add_argument("--attention",
-                          choices=["chunked", "resident", "tiled"],
+    estimate.add_argument("--attention", choices=ATTENTION_SCHEDULES,
                           default="chunked",
                           help="attention schedule the GPU demand is "
-                               "computed for")
+                               "computed for (tiled needs "
+                               "--attention-block)")
     estimate.add_argument("--attention-block", type=_COUNT, default=None,
-                          help="tile block for --attention tiled")
-    estimate.set_defaults(func=cmd_estimate)
+                          help="tile block for --attention tiled (and "
+                               "only for it)")
+    estimate.set_defaults(func=cmd_estimate, parser=estimate)
 
     serve = sub.add_parser(
         "serve-sim",
@@ -1196,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_cohort.add_argument("--store-budget-mb", type=_POSITIVE,
                                  default=64.0)
     campaign_cohort.add_argument("--attention",
-                                 choices=["chunked", "resident", "tiled"],
+                                 choices=ATTENTION_SCHEDULES,
                                  default="chunked",
                                  help="inference attention schedule for "
                                       "the whole cohort (tiled = memory-"

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from ..hardware.gpu import WEIGHTS_BYTES, activation_memory_bytes
 from ..hardware.memory import MemoryOutcome
 from ..hardware.platform import DESKTOP, DESKTOP_128G, Platform, SERVER
+from ..model.memory_planner import AttentionSchedule
 from ..msa.nhmmer import protein_peak_memory_bytes, rna_peak_memory_bytes
 from ..sequences.alphabets import MoleculeType
 from ..sequences.chain import Assembly
@@ -55,11 +56,8 @@ class MemoryEstimate:
     dominant_chain: str
     gpu_demand_bytes: float
     verdicts: List[PlatformVerdict]
-    #: Attention schedule the GPU demand was computed for: ``"chunked"``
-    #: (production default), ``"resident"`` (full O(N³) logits), or
-    #: ``"tiled"`` (a planner block; see docs/memory_planner.md).
-    attention: str = "chunked"
-    attention_block: Optional[int] = None
+    #: Attention schedule the GPU demand was computed for.
+    schedule: AttentionSchedule = AttentionSchedule()
 
     @property
     def safe_somewhere(self) -> bool:
@@ -143,38 +141,32 @@ def estimate(
     assembly: Assembly,
     threads: int = 8,
     platforms: Optional[Sequence[Platform]] = None,
-    attention: str = "chunked",
-    attention_block: Optional[int] = None,
+    schedule: AttentionSchedule = AttentionSchedule(),
 ) -> MemoryEstimate:
     """Run the static pre-check for one assembly.
 
-    ``attention`` selects which attention schedule the GPU demand is
-    computed for.  The historical pre-check tracked the pair stack
-    only (the workspace term was a folded constant); making the
-    schedule explicit means the resident path's O(N³) attention
-    intermediates — the paper's Fig. 5 blow-up — are accounted for,
-    and a planner-chosen tile (``attention="tiled"`` with
-    ``attention_block``) shows exactly how much of that demand a
-    bounded workspace removes.  The default is the production chunked
-    schedule and is bit-identical to the historical estimate.
+    ``schedule`` sizes the GPU demand — the resident path's O(N³)
+    attention intermediates (the paper's Fig. 5 blow-up), or what a
+    tiled block leaves of them — and admits exactly as ``repro run``
+    does: only the default chunked schedule, bit-identical to the
+    historical estimate, may be rescued by unified memory.  A tiled
+    schedule must bring its block, since an estimate spans devices.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if attention not in ("chunked", "resident", "tiled"):
-        raise ValueError(
-            "attention must be 'chunked', 'resident' or 'tiled', "
-            f"got {attention!r}"
-        )
     msa_peak = estimate_msa_peak_bytes(assembly, threads)
     gpu_demand = WEIGHTS_BYTES + activation_memory_bytes(
         assembly.num_tokens,
-        chunked_triangle=(attention != "resident"),
-        attention_block=attention_block if attention == "tiled" else None,
+        chunked_triangle=schedule.chunked_triangle,
+        attention_block=schedule.live_block,
     )
     verdicts = []
     for platform in platforms or DEFAULT_PLATFORMS:
         gpu_spills = gpu_demand > platform.gpu.memory_bytes
-        gpu_fits = (not gpu_spills) or platform.gpu.supports_unified_memory
+        gpu_fits = (not gpu_spills) or (
+            schedule.allow_unified_memory
+            and platform.gpu.supports_unified_memory
+        )
         verdicts.append(PlatformVerdict(
             platform_name=platform.name,
             msa_outcome=platform.memory.check(msa_peak),
@@ -188,6 +180,5 @@ def estimate(
         dominant_chain=dominant_msa_chain(assembly, threads),
         gpu_demand_bytes=gpu_demand,
         verdicts=verdicts,
-        attention=attention,
-        attention_block=attention_block if attention == "tiled" else None,
+        schedule=schedule,
     )

@@ -20,11 +20,12 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..hardware.cpu import CpuPhaseReport, CpuSimulator
-from ..hardware.gpu import InferenceBreakdown, InferenceSimulator
+from ..hardware.gpu import InferenceBreakdown
 from ..hardware.memory import MemoryOutcome, OutOfMemoryError
 from ..hardware.platform import Platform
 from ..hardware.storage import IostatReport, PageCacheModel, simulate_iostat
 from ..model.config import ModelConfig
+from ..model.memory_planner import AttentionSchedule
 from ..msa.engine import MsaEngine, MsaEngineConfig, MsaPhaseResult
 from ..parallel.plan import ExecutionPlan
 from ..sequences.sample import InputSample
@@ -82,39 +83,20 @@ class Af3Pipeline:
         msa_engine: Optional[MsaEngine] = None,
         model_config: Optional[ModelConfig] = None,
         plan: Optional[ExecutionPlan] = None,
-        attention: str = "chunked",
-        attention_block: Optional[int] = None,
+        schedule: AttentionSchedule = AttentionSchedule(),
     ) -> None:
-        """``attention`` selects the inference attention schedule:
-        ``"chunked"`` (production default), ``"resident"`` (full
-        O(N³) logits — long targets fail admission, reproducing the
-        paper's Fig. 5 blow-up), or ``"tiled"`` (a memory-planner
-        block; pass the planner's ``attention_block``).  See
-        docs/memory_planner.md."""
-        if attention not in ("chunked", "resident", "tiled"):
-            raise ValueError(
-                "attention must be 'chunked', 'resident' or 'tiled', "
-                f"got {attention!r}"
-            )
+        """``schedule`` is the inference attention schedule (resident
+        reproduces the paper's Fig. 5 blow-up; a tiled one must be
+        planned first — docs/memory_planner.md)."""
         self.platform = platform
         # The plan controls how the *functional* MSA scans execute
         # (real workers); it never changes simulated results.
         self.plan = plan or ExecutionPlan.serial()
         self.msa_engine = msa_engine or MsaEngine(plan=self.plan)
         self.model_config = model_config or ModelConfig.af3()
-        self.attention = attention
-        self.attention_block = (
-            attention_block if attention == "tiled" else None
-        )
+        self.schedule = schedule
         self._cpu_sim = CpuSimulator(platform.cpu)
-        self._inference_sim = InferenceSimulator(
-            platform.gpu,
-            platform.host_single_thread_ips,
-            config=self.model_config,
-            host_thread_penalty=platform.inference_thread_penalty,
-            chunked_triangle=(attention != "resident"),
-            attention_block=self.attention_block,
-        )
+        self._inference_sim = schedule.simulator(platform, self.model_config)
 
     def run(
         self,
@@ -129,7 +111,9 @@ class Af3Pipeline:
         Raises :class:`OutOfMemoryError` when the MSA phase exceeds the
         platform's memory and ``check_memory`` is enabled — mirroring
         AF3's lack of static memory validation (the run dies mid-phase
-        rather than refusing to start).
+        rather than refusing to start).  Inference may spill into
+        unified memory only when ``allow_unified_memory`` is set and
+        the schedule allows it (chunked alone does).
         """
         if check_memory:
             # Peak MSA memory is a pure function of chain lengths and
@@ -164,7 +148,9 @@ class Af3Pipeline:
             sample.assembly.num_tokens,
             threads=threads,
             msa_depth=msa_result.features.max_msa_depth,
-            allow_unified_memory=allow_unified_memory,
+            allow_unified_memory=(
+                allow_unified_memory and self.schedule.allow_unified_memory
+            ),
             persistent_model_state=persistent_model_state,
         )
         return PipelineResult(

@@ -16,9 +16,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..hardware.gpu import InferenceSimulator
 from ..hardware.platform import Platform
 from ..model.config import ModelConfig
+from ..model.memory_planner import AttentionSchedule
 from ..sequences.sample import InputSample
 
 #: Token-count bucket boundaries used for shape padding.  The full AF3
@@ -102,15 +102,9 @@ class InferenceServer:
         platform: Platform,
         model_config: Optional[ModelConfig] = None,
         buckets=DEFAULT_BUCKETS,
-        attention: str = "chunked",
-        attention_block: Optional[int] = None,
         compile_cache=None,
     ) -> None:
-        """``attention``/``attention_block`` pick the worker's
-        attention schedule (``"chunked"`` default, ``"resident"``, or
-        a memory-planner ``"tiled"`` block — see
-        docs/memory_planner.md); they change admission (memory demand
-        per batch) exactly as on :class:`Af3Pipeline`.
+        """The worker runs the production chunked attention schedule.
 
         ``compile_cache`` optionally points at a
         :class:`repro.buckets.SharedCompileCache` shared with other
@@ -120,25 +114,9 @@ class InferenceServer:
         publishes.  The cache survives :meth:`reset` (it lives outside
         the process), which is exactly why re-warm after a crash gets
         cheaper with it."""
-        if attention not in ("chunked", "resident", "tiled"):
-            raise ValueError(
-                "attention must be 'chunked', 'resident' or 'tiled', "
-                f"got {attention!r}"
-            )
         self.platform = platform
         self.buckets = tuple(sorted(buckets))
-        self.attention = attention
-        self.attention_block = (
-            attention_block if attention == "tiled" else None
-        )
-        self._sim = InferenceSimulator(
-            platform.gpu,
-            platform.host_single_thread_ips,
-            config=model_config or ModelConfig.af3(),
-            host_thread_penalty=platform.inference_thread_penalty,
-            chunked_triangle=(attention != "resident"),
-            attention_block=self.attention_block,
-        )
+        self._sim = AttentionSchedule().simulator(platform, model_config)
         self.compile_cache = compile_cache
         self._initialized = False
         self._compiled_buckets: Dict[int, float] = {}

@@ -21,6 +21,9 @@ sum.  The chosen schedule maps 1:1 onto the functional substrate via
 attention_block=..., recompute_scopes=...)``) and onto the analytic
 device model via ``InferenceSimulator(attention_block=...)``.
 
+It also owns the inference attention schedule every layer applies:
+:class:`AttentionSchedule` and :func:`resolve_schedule`.
+
 Budget semantics: the budget bounds the *schedulable* workspace only.
 Weights and the irreducible pair stack (pair representation, recycling
 residuals) cannot be scheduled away and are reported alongside; :func:`plan_for_device` subtracts them from a
@@ -41,9 +44,12 @@ from ..hardware.gpu import (
     ATTENTION_WORKSPACE_BYTES_PER_PAIR_ROW,
     PAIR_STACK_BYTES_PER_PAIR,
     WEIGHTS_BYTES,
+    InferenceSimulator,
     attention_workspace_bytes,
 )
+from ..hardware.platform import Platform
 from ..parallel.plan import ExecutionPlan
+from .config import ModelConfig
 
 GIB = 1024 ** 3
 MIB = 1024 ** 2
@@ -67,6 +73,68 @@ FUNCTIONAL_LOGITS_ITEMSIZE = 8.0
 #: largest feasible block (fewest tiles — friendliest to runtime) and
 #: prefers retain over recompute at any block (no extra FLOPs).
 _BLOCK_CANDIDATES = tuple(2 ** k for k in range(20, -1, -1))
+
+#: The inference attention schedules: ``chunked`` (production default),
+#: ``resident`` (full O(N³) logits) and ``tiled`` (a planner block).
+ATTENTION_SCHEDULES = ("chunked", "resident", "tiled")
+
+
+@dataclasses.dataclass(frozen=True)
+class AttentionSchedule:
+    """One inference attention schedule.  ``block`` (live pair rows)
+    is valid only for ``tiled``; ``None`` there means not planned yet."""
+
+    name: str = "chunked"
+    block: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.name not in ATTENTION_SCHEDULES:
+            raise ValueError(
+                "attention must be 'chunked', 'resident' or 'tiled', "
+                f"got {self.name!r}"
+            )
+        if self.block is not None and self.name != "tiled":
+            raise ValueError(
+                "an attention block is only valid with the 'tiled' "
+                f"schedule, not {self.name!r}"
+            )
+        if self.block is not None and self.block < 1:
+            raise ValueError(f"attention block must be >= 1, got {self.block}")
+
+    @property
+    def live_block(self) -> Optional[int]:
+        """The device model's live attention block (``None``: the
+        production chunk, or all rows when resident)."""
+        if self.name == "tiled" and self.block is None:
+            raise ValueError(
+                "the tiled schedule needs a block: pass one "
+                "(--attention-block), or plan one for a single device "
+                "with resolve_schedule"
+            )
+        return self.block
+
+    @property
+    def chunked_triangle(self) -> bool:
+        """Whether the triangle cores chunk (all but ``resident``)."""
+        return self.name != "resident"
+
+    @property
+    def allow_unified_memory(self) -> bool:
+        """Only the production schedule may spill into unified memory;
+        the explicit ones are strict admission checks."""
+        return self.name == "chunked"
+
+    def simulator(
+        self, platform: Platform, config: Optional[ModelConfig] = None
+    ) -> InferenceSimulator:
+        """The inference device model on ``platform`` under this
+        schedule (admission still takes :attr:`allow_unified_memory`)."""
+        return InferenceSimulator(
+            platform.gpu, platform.host_single_thread_ips, config=config,
+            host_thread_penalty=platform.inference_thread_penalty,
+            chunked_triangle=self.chunked_triangle,
+            attention_block=self.live_block,
+        )
 
 
 class MemoryBudgetError(RuntimeError):
@@ -416,6 +484,23 @@ def plan_for_device(
             ),
         )
     return plan_memory(num_tokens, budget, allow_resident=allow_resident)
+
+
+def resolve_schedule(
+    schedule: AttentionSchedule, num_tokens: int, device_bytes: float,
+    budget_bytes: Optional[float] = None,
+) -> Tuple[AttentionSchedule, Optional[MemoryPlan]]:
+    """Plan an unplanned tiled schedule's block (never resident)
+    against ``budget_bytes`` of workspace, else the whole device; any
+    other schedule comes back as is, with no plan.  An infeasible plan
+    raises :class:`MemoryBudgetError`."""
+    if schedule.name != "tiled" or schedule.block is not None:
+        return schedule, None
+    if budget_bytes is not None:
+        plan = plan_memory(num_tokens, budget_bytes, allow_resident=False)
+    else:
+        plan = plan_for_device(num_tokens, device_bytes, allow_resident=False)
+    return AttentionSchedule("tiled", plan.attention_block), plan
 
 
 def functional_attention_peak_bytes(

@@ -163,12 +163,6 @@ class GatewayConfig:
     breaker_cooldown_seconds: float = 1800.0
     degraded_fallback: bool = False   # serve reduced depth, don't error
     degraded_msa_depth: int = 16
-    # -- attention schedule for every GPU worker ("chunked" default,
-    #    "resident", or a memory-planner "tiled" block); changes the
-    #    per-batch memory demand and therefore the OOM/split admission
-    #    path (docs/memory_planner.md) ------------------------------
-    attention: str = "chunked"
-    attention_block: Optional[int] = None
     # -- shared XLA compile cache across GPU workers ("none" keeps the
     #    historical per-worker compilation; "shared" models one
     #    --jax_compilation_cache_dir every worker mounts, so only the
@@ -192,13 +186,6 @@ class GatewayConfig:
             raise ValueError("breaker_cooldown_seconds must be >= 0")
         if self.degraded_msa_depth < 1:
             raise ValueError("degraded_msa_depth must be >= 1")
-        if self.attention not in ("chunked", "resident", "tiled"):
-            raise ValueError(
-                "attention must be 'chunked', 'resident' or 'tiled', "
-                f"got {self.attention!r}"
-            )
-        if self.attention_block is not None and self.attention_block < 1:
-            raise ValueError("attention_block must be >= 1 (or None)")
         if self.compile_cache not in ("none", "shared"):
             raise ValueError(
                 "compile_cache must be 'none' or 'shared', "
@@ -258,8 +245,6 @@ class ServingGateway:
         self.workers: List[InferenceServer] = [
             InferenceServer(
                 platform, model_config, self.config.buckets,
-                attention=self.config.attention,
-                attention_block=self.config.attention_block,
                 compile_cache=self.compile_cache,
             )
             for _ in range(self.config.num_gpu_workers)

@@ -241,6 +241,8 @@ class TestBucketCommands:
     ["scale", "--measured-only", "--workers", "0"],
     ["observe", "export-scan-trace", "--workers", "0"],
     ["observe", "export-scan-trace", "--num-background", "-1"],
+    ["estimate", "--attention", "tiled"],
+    ["estimate", "--attention", "chunked", "--attention-block", "512"],
 ])
 def test_bad_numeric_flag_exits_2_without_traceback(argv):
     """Bad values stop at the argparse boundary: exit 2, one error
