@@ -8,7 +8,8 @@ Acceptance harness for the batched kernel cascade
   (:func:`~repro.msa.jackhmmer.reference_scan_protein_shard`) and the
   production batched cascade
   (:func:`~repro.msa.jackhmmer.scan_protein_shard`), and records both
-  medians plus per-kernel batched microbenchmarks into
+  medians plus per-kernel batched microbenchmarks (a 64-target bucket
+  and a single target) into
   ``benchmarks/out/BENCH_kernels_batched.json`` for the regression
   gate.  Only the shard scan is timed: the Gumbel calibration and the
   trace emission a full search adds are outside both entries;
@@ -52,6 +53,9 @@ REPEATS = 1 if QUICK else 3
 #: Homolog-rich: most of the database reaches the banded kernels.
 NUM_BACKGROUND = 30 if QUICK else 60
 HOMOLOGS = 30 if QUICK else 60
+#: Kernel calls per timed sample of the single-target entries (one
+#: call takes only a few ms, too short to time alone on a noisy host).
+SINGLE_CALLS = 10
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +125,33 @@ def test_record_batched_kernel_micro(bench_recorder, kernel_case):
         ),
         repeats=REPEATS,
     )
+
+
+def test_record_batched_kernel_single(bench_recorder, kernel_case):
+    """Viterbi/Forward medians on one target alone in the 256 bucket.
+
+    Most Forward calls of a ``repro run`` search see a single survivor,
+    where per-row interpreter overhead, not arithmetic, sets the cost;
+    these entries let the regression gate catch that overhead growing.
+    """
+    query, _ = kernel_case
+    from repro.sequences.alphabets import MoleculeType
+
+    mtype = MoleculeType.PROTEIN
+    profile = ProfileHMM.from_query(query, mtype)
+    target = encode_sequence(mutate_sequence(query, mtype, 0.7, seed=0),
+                             mtype)
+    (batch,) = batch_targets([target])
+    assert batch.padded_len == 256
+    emissions = emission_tensor(profile, batch)
+    for name, kernel in (("calc_band_9_batch_single", calc_band_9_batch),
+                         ("calc_band_10_batch_single", calc_band_10_batch)):
+
+        def run(kernel=kernel):
+            for _ in range(SINGLE_CALLS):
+                kernel(profile, batch, band=64, emissions=emissions)
+
+        bench_recorder.record("kernels_batched", name, run, repeats=REPEATS)
 
 
 def test_batched_scan_speedup_over_scalar(bench_recorder, kernel_case):

@@ -146,9 +146,11 @@ def _banded_dp(
 ) -> KernelResult:
     seq = np.asarray(encoded_seq)
     length, seq_len = profile.length, len(seq)
+    band_eff = effective_band(length, seq_len, band)  # rejects band <= 0
     if seq_len == 0:
+        # An empty target reports the requested band, as a batched lane does.
         return KernelResult(score=0.0, cells=0, band_width=band)
-    band = effective_band(length, seq_len, band)
+    band = band_eff
     if emissions is None:
         emissions = profile.emission_row(seq)
     mask = _band_mask(length, seq_len, band)

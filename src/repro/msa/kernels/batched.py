@@ -4,11 +4,14 @@ These are the striped-engine counterparts of the scalar kernels in
 :mod:`repro.msa.dp`: instead of a Python loop over targets, each
 kernel advances the row recurrence of an entire :class:`TargetBatch`
 at once, turning the scalar ``(N,)`` state vectors (``m_prev`` /
-``i_prev`` / ``d_prev``) into ``(B, P)`` matrices.  This is the same
-restructuring real HMMER applies with 16-lane SIMD stripes — the
-paper's Table IV attributes ~55 % of MSA CPU cycles to exactly these
-loops — done at the numpy level: one interpreter iteration per profile
-row for the whole batch instead of one per row *per target*.
+``i_prev`` / ``d_prev``) into matrices over the whole batch.  The
+banded kernels hold them ``(column, lane)`` and run each row only over
+the union of its lanes' band windows, not over the padded width.  This
+is the same restructuring real HMMER applies with 16-lane SIMD
+stripes — the paper's Table IV attributes ~55 % of MSA CPU cycles to
+exactly these loops — done at the numpy level: one interpreter
+iteration per profile row for the whole batch instead of one per row
+*per target*.
 
 **Bit-identity contract.**  Every result (scores, DP cell counts, band
 widths) is bit-identical to the scalar kernel's, not merely close:
@@ -17,13 +20,16 @@ widths) is bit-identical to the scalar kernel's, not merely close:
   scalar vector ops, and padding columns are pinned to ``NEG_INF`` so
   they can never propagate into a valid lane (padding sits at the row
   end; column ``j`` only ever reads column ``j - 1``);
+* columns outside a row's window are never computed and hold
+  ``NEG_INF``, which is what computing them would give: a finite
+  transition score added to ``-1e30`` rounds back to ``-1e30``;
 * ``max`` reductions are exact in any evaluation order, so masked
-  whole-row maxima equal the scalar per-row maxima;
+  window maxima equal the scalar per-row maxima;
 * the one rounding-sensitive reduction — Forward's row-wise
   ``log2-sum-exp`` — sums, per lane, the *same contiguous band slice*
   numpy's pairwise summation saw in the scalar kernel (the in-band
-  cells of a row are contiguous and always finite), grouped across
-  lanes that share identical slice geometry so the pairwise tree is
+  cells of a row are contiguous and always finite), gathered into a
+  contiguous block per slice length so the pairwise tree is
   unchanged.
 
 The differential suite (``tests/test_kernels_batched.py``) enforces
@@ -33,11 +39,11 @@ the contract with ``==``, never ``approx``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..dp import NEG_INF, _log2addexp
+from ..dp import NEG_INF
 from ..profile_hmm import ProfileHMM
 from .batch import TargetBatch, batch_targets, emission_tensor
 
@@ -133,27 +139,66 @@ def viterbi_panel_scores(
     return scores
 
 
+def _band_bounds(
+    length: int, seq_lens: np.ndarray, band_eff: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's band ``(starts, counts)``, each ``(L, B)``.
+
+    Lane ``b``'s band on row ``i`` is the columns ``j < seq_len`` the
+    scalar :func:`repro.msa.dp._band_mask` keeps: ``|j - c| <= band``
+    in floating point, with ``c = i * (seq_len / length)``.  ``fl(j -
+    c)`` never decreases as ``j`` grows, so the band is one run of
+    columns ``[a, z]``: ``a`` is the first column where the difference
+    reaches ``-band`` and ``z`` the last where it stays within
+    ``+band``.  Rounding moves each of them at most one column from
+    ``ceil(c - band)`` and ``floor(c + band)`` (themselves rounded by
+    at most one), so evaluating that same float test on the five
+    columns around each estimate finds both edges exactly, without
+    building an ``(L, N)`` mask.  ``starts`` is 0 where ``counts`` is 0.
+    """
+    centers = np.arange(length)[:, None] * (seq_lens / max(1, length))
+
+    def candidates(estimate: np.ndarray):
+        cols = estimate[:, :, None] + np.arange(-2.0, 3.0)
+        inside = np.abs(cols - centers[:, :, None]) <= band_eff[:, None]
+        return cols, inside
+
+    cols, inside = candidates(np.ceil(centers - band_eff))
+    first = cols[:, :, 0] + inside.argmax(axis=2)
+    cols, inside = candidates(np.floor(centers + band_eff))
+    last = cols[:, :, -1] - inside[:, :, ::-1].argmax(axis=2)
+    starts = np.maximum(first, 0).astype(np.int64)
+    ends = np.minimum(last + 1, seq_lens).astype(np.int64)
+    counts = np.maximum(ends - starts, 0)
+    return np.where(counts > 0, starts, 0), counts
+
+
 def _ladd_into(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    a: np.ndarray, b, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """:func:`repro.msa.dp._log2addexp` into preallocated buffers.
 
-    Performs the exact elementwise op sequence of the shared helper —
-    max, min, clip, exp2, +1, log2, add, sentinel mask — so results
-    are bit-identical; it only avoids the seven fresh temporaries per
-    call, which dominate the Forward kernel's runtime at batch sizes.
-    ``out`` and ``scratch`` must not alias ``a``, ``b``, or each other.
+    Runs the helper's elementwise op sequence — max, min, clamp, exp2,
+    +1, log2, add — without a single fresh temporary, and bit for bit:
+
+    * ``lo - hi`` is never positive, so the helper's ``clip(.., -60,
+      0)`` is its lower clamp alone;
+    * the helper's final sentinel mask is left out.  Every operand the
+      kernel passes is a finite score or exactly ``NEG_INF``; where
+      both are ``NEG_INF`` the sum is ``-1e30 + log2(2) == -1e30``, so
+      the mask could only rewrite ``NEG_INF`` with itself.
+
+    ``b`` may be a scalar; ``out`` and ``scratch`` must not alias
+    ``a``, ``b``, or each other.
     """
     np.maximum(a, b, out=out)        # hi
     np.minimum(a, b, out=scratch)    # lo
-    sentinel = out <= NEG_INF / 2
     np.subtract(scratch, out, out=scratch)
-    np.clip(scratch, -60.0, 0.0, out=scratch)
+    np.maximum(scratch, -60.0, out=scratch)
     np.exp2(scratch, out=scratch)
-    scratch += 1.0
+    np.add(scratch, 1.0, out=scratch)
     np.log2(scratch, out=scratch)
-    out += scratch
-    out[sentinel] = NEG_INF
+    np.add(out, scratch, out=out)
     return out
 
 
@@ -162,31 +207,35 @@ def _forward_row_totals(
     starts: np.ndarray,
     counts: np.ndarray,
     highs: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Per-lane ``log2-sum-exp`` over each lane's contiguous band slice.
 
-    Reproduces ``hi + log2(exp2(finite - hi).sum())`` bit for bit:
-    ``finite`` in the scalar kernel is the boolean-compacted in-band
-    row, a contiguous length-``k`` array, and numpy's pairwise
-    summation tree depends only on that length — so lanes are grouped
-    by identical ``(start, k)`` and summed along the last axis of a
-    contiguous ``(G, k)`` block, which runs the very same per-row
-    pairwise reduction.
+    ``m_row`` is ``(columns, lanes)``.  Reproduces ``hi +
+    log2(exp2(finite - hi).sum())`` bit for bit: ``finite`` in the
+    scalar kernel is the boolean-compacted in-band row, a contiguous
+    length-``k`` array, and numpy's pairwise summation tree depends
+    only on that length.  A single lane sums its slice as the same 1-D
+    array; otherwise lanes with equal ``k`` gather their slices into
+    the rows of one contiguous ``(G, k)`` block and sum along its last
+    axis, which runs the very same per-row pairwise reduction.  Lanes
+    without in-band cells get ``NEG_INF``.
     """
-    totals = np.full(m_row.shape[0], NEG_INF)
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for lane in range(m_row.shape[0]):
-        count = int(counts[lane])
+    if m_row.shape[1] == 1:  # the lane has cells: the window is its band
+        start, count = int(starts[0]), int(counts[0])
+        block = m_row[start:start + count, 0]
+        out[0] = highs[0] + np.log2(np.exp2(block - highs[0]).sum())
+        return out
+    out.fill(NEG_INF)
+    for count in np.unique(counts).tolist():
         if count == 0:
             continue
-        groups.setdefault((int(starts[lane]), count), []).append(lane)
-    for (start, count), lanes in groups.items():
-        rows = np.asarray(lanes, dtype=np.int64)
-        block = np.ascontiguousarray(m_row[rows, start:start + count])
-        hi = highs[rows]
+        lanes = np.flatnonzero(counts == count)
+        block = m_row[starts[lanes, None] + np.arange(count), lanes[:, None]]
+        hi = highs[lanes]
         sums = np.exp2(block - hi[:, None]).sum(axis=1)
-        totals[rows] = hi + np.log2(sums)
-    return totals
+        out[lanes] = hi + np.log2(sums)
+    return out
 
 
 def _banded_dp_batch(
@@ -196,6 +245,19 @@ def _banded_dp_batch(
     forward: bool,
     emissions: Optional[np.ndarray] = None,
 ) -> BatchKernelResult:
+    """Banded Viterbi/Forward over the union of the lanes' band windows.
+
+    Row ``i`` computes only columns ``[lo, hi)``, the smallest window
+    covering every lane's band on that row; cells in the window but off
+    a lane's band are pinned to ``NEG_INF`` exactly as the scalar
+    kernel's mask pins them.  Cells outside the window are never
+    written and stay ``NEG_INF``: every finite transition score added
+    to ``-1e30`` rounds back to ``-1e30``, so computing them would
+    reproduce the sentinel bit for bit (docs/kernels.md).
+
+    State is laid out ``(column, lane)``, so any window of columns is
+    one contiguous block and every row op runs as a single flat loop.
+    """
     if band <= 0:
         raise ValueError("band must be positive")
     length = profile.length
@@ -209,96 +271,127 @@ def _banded_dp_batch(
         emissions = emission_tensor(profile, batch)
     t = profile.transitions
 
-    cols = np.arange(padded)
-    valid = cols[None, :] < seq_lens[:, None]
-    # Scalar _band_mask computes centers as row * (seq_len / length);
-    # the same two float ops per lane keep the mask bit-identical.
-    center_scale = seq_lens / max(1, length)
+    starts, counts = _band_bounds(length, seq_lens, band_eff)
+    cells = counts.sum(axis=0)
+    present = counts > 0
+    ends = starts + counts
+    # Row i computes columns [lo, hi), the union of its lanes' bands.
+    los = np.where(present, starts, padded).min(axis=1)
+    his = ends.max(axis=1)
+    # Rows where every lane's band is the whole window need no mask.
+    unmasked = ((starts == los[:, None]) & (ends == his[:, None])).all(axis=1)
+    rel_starts = starts - los[:, None]
+    col_ids = np.arange(padded)[:, None]
 
-    m_prev = np.full((size, padded), NEG_INF)
-    i_prev = np.full((size, padded), NEG_INF)
-    d_prev = np.full((size, padded), NEG_INF)
+    # M/I/D state of two rows, (state, 1 + column, lane): row i writes
+    # buffer i % 2 and reads row i - 1 from the other.  Buffer column 0
+    # is a permanent NEG_INF pad standing for DP column -1, so "column
+    # j - 1" is the same slice shifted by one, with no edge case.
+    state = np.full((2, 3, padded + 1, size), NEG_INF)
+    held = [(0, 0), (0, 0)]  # column window each buffer last wrote
+    into_match = np.array([t.mm, t.im, t.dm])[:, None, None]
+    into_delete = np.array([t.md, t.dd])[:, None, None]
+    # Scratch for one window, (columns, lanes).
+    widest = int((his - los).max(initial=0))
+    diagonal = np.empty((3, widest, size))
+    vertical = np.empty((2, widest, size))
+    work_a = np.empty((widest, size))
+    work_b = np.empty((widest, size))
+    scratch = np.empty((widest, size))
+    below = np.empty((widest, size), dtype=bool)
+    outside = np.empty((widest, size), dtype=bool)
+    # Row-loop invariants in buffer columns (k = column + 1), the same
+    # float expressions the scalar kernel evaluates every row.
+    pos_ii = (np.arange(-1, padded) * t.ii)[:, None]
+    ins_base = (t.mi + (np.arange(padded) - 1) * t.ii)[:, None]
+
     best = np.zeros(size)
+    row_best = np.empty(size)
     total_score = np.full(size, NEG_INF)
-    cells = np.zeros(size, dtype=np.int64)
+    highs = np.empty(size)
+    row_totals = np.empty(size)
+    lane_acc = np.empty(size)
+    lane_scratch = np.empty(size)
 
-    positions = cols
-    # Row-loop invariants (bit-identical to recomputing per row: the
-    # scalar kernel evaluates the same float expressions every row).
-    begin = np.zeros((size, padded))  # free local begin
-    from_m = np.full((size, padded), NEG_INF)
-    from_i = np.full((size, padded), NEG_INF)
-    from_d = np.full((size, padded), NEG_INF)
-    if forward:
-        buf_a = np.empty((size, padded))
-        buf_b = np.empty((size, padded))
-        buf_c = np.empty((size, padded))
-        scratch = np.empty((size, padded))
-    else:
-        pos_ii = positions * t.ii
-        ins_base = t.mi + (positions[1:] - 1) * t.ii
-    for i in range(length):
-        centers = i * center_scale
-        row_mask = (
-            np.abs(cols[None, :] - centers[:, None]) <= band_eff[:, None]
-        ) & valid
-        counts = row_mask.sum(axis=1)
-        cells += counts
+    for i, (lo, hi, whole) in enumerate(
+        zip(los.tolist(), his.tolist(), unmasked.tolist())
+    ):
+        cur, prev = state[i & 1], state[(i & 1) ^ 1]
+        # This buffer still holds row i - 2's window: clear the part of
+        # it the new window will not overwrite.
+        old_lo, old_hi = held[i & 1]
+        if old_lo < lo:
+            cur[:, old_lo + 1:min(old_hi, lo) + 1] = NEG_INF
+        if hi < old_hi:
+            cur[:, max(old_lo, hi) + 1:old_hi + 1] = NEG_INF
+        held[i & 1] = (lo, hi)
+        if hi <= lo:
+            continue
+        width = hi - lo
+        win = slice(lo + 1, hi + 1)
+        mask = None
+        if not whole:
+            mask = outside[:width]
+            np.less(col_ids[lo:hi], starts[i], out=below[:width])
+            np.greater_equal(col_ids[lo:hi], ends[i], out=mask)
+            np.logical_or(mask, below[:width], out=mask)
+        m_row, i_row, d_row = cur[0, win], cur[1, win], cur[2, win]
+        emit = emissions[i, :, lo:hi].T
 
-        # --- match state ---  (column 0 of from_* stays NEG_INF)
-        np.add(m_prev[:, :-1], t.mm, out=from_m[:, 1:])
-        np.add(i_prev[:, :-1], t.im, out=from_i[:, 1:])
-        np.add(d_prev[:, :-1], t.dm, out=from_d[:, 1:])
+        # --- match state ---
+        from3 = diagonal[:, :width]
+        np.add(prev[:, lo:hi], into_match, out=from3)
         if forward:
-            _ladd_into(from_m, from_i, out=buf_a, scratch=scratch)
-            _ladd_into(buf_a, from_d, out=buf_b, scratch=scratch)
-            _ladd_into(buf_b, begin, out=buf_a, scratch=scratch)
-            np.add(emissions[i], buf_a, out=buf_b)
-            m_row = np.where(row_mask, buf_b, NEG_INF)
+            a, b = work_a[:width], work_b[:width]
+            s = scratch[:width]
+            _ladd_into(from3[0], from3[1], out=a, scratch=s)
+            _ladd_into(a, from3[2], out=b, scratch=s)
+            _ladd_into(b, 0.0, out=a, scratch=s)  # free local begin
+            np.add(emit, a, out=m_row)
         else:
-            m_row = np.maximum(np.maximum(from_m, from_i),
-                               np.maximum(from_d, begin))
-            m_row = emissions[i] + m_row
-            m_row = np.where(row_mask, m_row, NEG_INF)
+            np.maximum.reduce(from3, axis=0, out=m_row)
+            np.maximum(m_row, 0.0, out=m_row)  # free local begin
+            np.add(emit, m_row, out=m_row)
+        if mask is not None:
+            np.copyto(m_row, NEG_INF, where=mask)
 
-        # --- insert state ---
-        i_row = np.full((size, padded), NEG_INF)
+        # --- insert state ---  (reads this row's M at column j - 1)
         if forward:
             # Single MI step (II self-loop omitted; see dp docstring).
-            np.add(m_row[:, :-1], t.mi, out=i_row[:, 1:])
-            i_row[~row_mask] = NEG_INF
+            np.add(cur[0, lo:hi], t.mi, out=i_row)
         else:
-            # Exact II chain via a per-lane max-scan.
-            adjusted = m_row - pos_ii
-            running = np.maximum.accumulate(adjusted, axis=1)
-            i_row[:, 1:] = ins_base + running[:, :-1]
-            i_row = np.maximum(i_row, NEG_INF)
-            i_row = np.where(row_mask, i_row, NEG_INF)
+            # Exact II chain via a per-lane max-scan.  Left of the
+            # window M is NEG_INF, so the skipped scan prefix is
+            # exactly -1e30 and the window's own pad cell stands in.
+            scan = scratch[:width]
+            np.subtract(cur[0, lo:hi], pos_ii[lo:hi], out=scan)
+            np.maximum.accumulate(scan, axis=0, out=scan)
+            np.add(ins_base[lo:hi], scan, out=i_row)
+            np.maximum(i_row, NEG_INF, out=i_row)
 
         # --- delete state ---
+        down = vertical[:, :width]
+        np.add(prev[::2, win], into_delete, out=down)
         if forward:
-            np.add(m_prev, t.md, out=buf_a)
-            np.add(d_prev, t.dd, out=buf_c)
-            d_row = np.empty((size, padded))
-            _ladd_into(buf_a, buf_c, out=d_row, scratch=scratch)
-            d_row[~row_mask] = NEG_INF
+            _ladd_into(down[0], down[1], out=d_row, scratch=scratch[:width])
         else:
-            d_row = np.maximum(m_prev + t.md, d_prev + t.dd)
-            d_row = np.where(row_mask, d_row, NEG_INF)
+            np.maximum(down[0], down[1], out=d_row)
+        if mask is not None:
+            np.copyto(cur[1:, win], NEG_INF, where=mask)
 
         if forward:
-            # In-band cells are always finite and out-of-band cells are
-            # exactly NEG_INF, so the masked row max IS the scalar
+            # In-band cells are always finite and off-band cells are
+            # exactly NEG_INF, so the window max IS the scalar
             # kernel's max over its compacted finite values.
-            highs = m_row.max(axis=1)
-            starts = row_mask.argmax(axis=1)
-            row_totals = _forward_row_totals(m_row, starts, counts, highs)
-            accumulated = _log2addexp(total_score, row_totals)
-            total_score = np.where(counts > 0, accumulated, total_score)
+            np.maximum.reduce(m_row, axis=0, out=highs)
+            _forward_row_totals(m_row, rel_starts[i], counts[i],
+                                highs, out=row_totals)
+            _ladd_into(total_score, row_totals, out=lane_acc,
+                       scratch=lane_scratch)
+            np.copyto(total_score, lane_acc, where=present[i])
         else:
-            best = np.maximum(best, m_row.max(axis=1))
-
-        m_prev, i_prev, d_prev = m_row, i_row, d_row
+            np.maximum.reduce(m_row, axis=0, out=row_best)
+            np.maximum(best, row_best, out=best)
 
     if forward:
         scores = np.where(total_score <= NEG_INF / 2, 0.0, total_score)

@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.msa.database import NT_RNA, PROTEIN_SEARCH_DBS, build_database
-from repro.msa.dp import NEG_INF, calc_band_9, calc_band_10, msv_filter
+from repro.msa.dp import (
+    NEG_INF,
+    _band_mask,
+    calc_band_9,
+    calc_band_10,
+    msv_filter,
+)
 from repro.msa.evalue import calibrate, reference_calibrate
 from repro.msa import jackhmmer, nhmmer
 from repro.msa.jackhmmer import (
@@ -42,6 +48,7 @@ from repro.msa.kernels import (
     run_cascade,
     scan_waste_summary,
 )
+from repro.msa.kernels.batched import _band_bounds
 from repro.msa.nhmmer import (
     NhmmerSearch,
     reference_scan_rna_shard,
@@ -199,11 +206,72 @@ class TestKernelBitIdentity:
             profile, encode_random([0, 3, 9], seed=9), band=1000
         )
 
+    @given(
+        qlen=st.integers(min_value=20, max_value=200),
+        lengths=st.lists(
+            st.integers(min_value=0, max_value=400), min_size=2, max_size=8
+        ),
+        band=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_banded_regime_length_mixes(self, qlen, lengths, band, seed):
+        # Bands narrower than the rows, so lanes of one bucket have
+        # band windows that diverge row by row.
+        profile = make_profile(qlen, seed=seed)
+        encs = encode_random(lengths, seed=seed + 1)
+        assert_batch_matches_scalar(profile, encs, band)
+
+    @pytest.mark.parametrize("qlen,lengths,band", [
+        pytest.param(30, [0, 0, 0], 8, id="all-empty-batch"),
+        pytest.param(1, [0, 1, 2, 9, 40], 1, id="profile-of-one-band-1"),
+        pytest.param(1, [3, 40, 129], 64, id="profile-of-one"),
+        pytest.param(60, [17, 60, 61, 100, 129, 250], 1, id="band-1"),
+        pytest.param(200, [257, 511, 300], 64, id="lanes-257-and-511"),
+    ])
+    def test_banded_regime_fixed_cases(self, qlen, lengths, band):
+        profile = make_profile(qlen, seed=qlen)
+        assert_batch_matches_scalar(
+            profile, encode_random(lengths, seed=len(lengths)), band
+        )
+
     def test_batch_rejects_nonpositive_band(self):
+        # Both paths validate the band before any empty-target guard.
         profile = make_profile(6, seed=10)
-        (batch,) = batch_targets(encode_random([4], seed=10))
-        with pytest.raises(ValueError):
-            calc_band_9_batch(profile, batch, band=0)
+        for lengths in ([4], [0]):
+            enc = encode_random(lengths, seed=10)
+            (batch,) = batch_targets(enc)
+            for band in (0, -3):
+                for kernel in (calc_band_9_batch, calc_band_10_batch):
+                    with pytest.raises(ValueError):
+                        kernel(profile, batch, band=band)
+                for kernel in (calc_band_9, calc_band_10):
+                    with pytest.raises(ValueError):
+                        kernel(profile, enc[0], band=band)
+
+
+@pytest.mark.parametrize("length", [1, 3, 7, 12, 49, 242])
+@pytest.mark.parametrize("band", [1, 2, 5, 64])
+def test_band_bounds_match_scalar_mask(length, band):
+    """The kernel's per-row band starts and counts equal the scalar
+    ``_band_mask`` rows' ``argmax`` and ``sum`` for every lane.
+
+    Ratios like 10/3 or 250/242 are not dyadic, so ``row * ratio``
+    rounds: row 121 of a 250-residue lane is centred on 125 exactly,
+    but the float center lies an ulp below, so column ``125 - band``
+    is in the band and ``125 + band`` is not.
+    """
+    seq_lens = np.array([0, 1, 5, 10, 11, 100, 129, 250, 257, 511])
+    band_eff = np.minimum(band, np.maximum(length, seq_lens))
+    starts, counts = _band_bounds(length, seq_lens, band_eff)
+    assert starts.shape == counts.shape == (length, len(seq_lens))
+    for lane, n in enumerate(seq_lens):
+        mask = _band_mask(length, int(n), int(band_eff[lane]))
+        assert (counts[:, lane] == mask.sum(axis=1)).all()
+        if n:
+            assert (starts[:, lane] == mask.argmax(axis=1)).all()
+        else:
+            assert (starts[:, lane] == 0).all()
 
 
 # ---------------------------------------------------------------------------
