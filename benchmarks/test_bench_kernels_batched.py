@@ -7,7 +7,7 @@ Acceptance harness for the batched kernel cascade
   through the scalar reference loop
   (:func:`~repro.msa.jackhmmer.reference_scan_protein_shard`) and the
   production batched cascade
-  (:func:`~repro.msa.jackhmmer.scan_protein_shard`), and records both
+  (:func:`~repro.msa.kernels.scan_shard`), and records both
   medians plus per-kernel batched microbenchmarks (a 64-target bucket
   and a single target) into
   ``benchmarks/out/BENCH_kernels_batched.json`` for the regression
@@ -33,16 +33,14 @@ import os
 import pytest
 
 from repro.msa.database import PROTEIN_SEARCH_DBS, build_database
-from repro.msa.jackhmmer import (
-    reference_scan_protein_shard,
-    scan_protein_shard,
-)
+from repro.msa.jackhmmer import reference_scan_protein_shard
 from repro.msa.kernels import (
     batch_targets,
     calc_band_9_batch,
     calc_band_10_batch,
     emission_tensor,
     msv_filter_batch,
+    scan_shard,
 )
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
 from repro.parallel.measure import scan_payloads
@@ -77,7 +75,7 @@ def test_record_kernel_scan_timings(bench_recorder, kernel_case):
     payloads = scan_payloads(database, query, seed=1, scan_shards=2)
     results = {}
     for name, scan in (("scalar", reference_scan_protein_shard),
-                       ("batched", scan_protein_shard)):
+                       ("batched", scan_shard)):
 
         def run(name=name, scan=scan):
             results[name] = [scan(payload) for payload in payloads]

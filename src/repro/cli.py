@@ -917,7 +917,7 @@ def cmd_observe_export_scan_trace(args: argparse.Namespace) -> int:
     result = engine.run(sample)
     outcomes, labels = [], []
     for search in result.searches:
-        for outcome in getattr(search, "scan_outcomes", []):
+        for outcome in search.scan_outcomes:
             outcomes.append(outcome)
             labels.append(f"{search.query_name}:{search.database_name}")
     recorder = scan_timeline(

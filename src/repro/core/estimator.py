@@ -22,8 +22,7 @@ from ..hardware.gpu import WEIGHTS_BYTES, activation_memory_bytes
 from ..hardware.memory import MemoryOutcome
 from ..hardware.platform import DESKTOP, DESKTOP_128G, Platform, SERVER
 from ..model.memory_planner import AttentionSchedule
-from ..msa.nhmmer import protein_peak_memory_bytes, rna_peak_memory_bytes
-from ..sequences.alphabets import MoleculeType
+from ..msa.nhmmer import chain_peak_memory_bytes
 from ..sequences.chain import Assembly
 from .report import render_table
 
@@ -113,28 +112,24 @@ class MemoryEstimate:
         return table
 
 
+def _msa_demand(chain, threads: int) -> float:
+    return chain_peak_memory_bytes(chain.molecule_type, chain.length, threads)
+
+
 def estimate_msa_peak_bytes(assembly: Assembly, threads: int) -> float:
     """Peak MSA-phase memory across all searched chains."""
-    peak = 0.0
-    for chain in assembly.msa_chains():
-        if chain.molecule_type is MoleculeType.RNA:
-            peak = max(peak, rna_peak_memory_bytes(chain.length))
-        else:
-            peak = max(peak, protein_peak_memory_bytes(chain.length, threads))
-    return peak
+    return max(
+        (_msa_demand(chain, threads) for chain in assembly.msa_chains()),
+        default=0.0,
+    )
 
 
 def dominant_msa_chain(assembly: Assembly, threads: int) -> str:
     """The chain responsible for the MSA peak (for the warning text)."""
-    best_id, best = "-", -1.0
-    for chain in assembly.msa_chains():
-        if chain.molecule_type is MoleculeType.RNA:
-            demand = rna_peak_memory_bytes(chain.length)
-        else:
-            demand = protein_peak_memory_bytes(chain.length, threads)
-        if demand > best:
-            best_id, best = chain.chain_id, demand
-    return best_id
+    chains = assembly.msa_chains()
+    if not chains:
+        return "-"
+    return max(chains, key=lambda chain: _msa_demand(chain, threads)).chain_id
 
 
 def estimate(

@@ -20,12 +20,16 @@ jackhmmer/nhmmer.  Those are not shippable, so this module provides:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from ..sequences.alphabets import MoleculeType
 from ..sequences.generator import insert_poly_run, mutate_sequence, random_sequence
 from ..trace import AccessPattern, OpRecord, Resource, WorkloadTrace
+from .profile_hmm import encode_sequence
 
 #: Residues that dominate real low-complexity protein regions.
 REPEAT_RESIDUES = "QNSAEG"
@@ -90,6 +94,17 @@ class SequenceDatabase:
     def synthetic_bytes(self) -> int:
         """Approximate in-memory bytes of the synthetic records."""
         return sum(len(seq) for _, seq in self.records)
+
+    @functools.cached_property
+    def encoded_records(self) -> List[Tuple[str, str, np.ndarray]]:
+        """``(name, seq, encoded)`` for every record, encoded on first
+        use.  Encoding is query-independent, so every search against
+        this database, protein or RNA, shares one encode pass."""
+        mtype = self.spec.molecule_type
+        return [
+            (name, seq, encode_sequence(seq, mtype))
+            for name, seq in self.records
+        ]
 
 
 def build_database(

@@ -36,13 +36,7 @@ from .database import (
 )
 from .features import AssemblyFeatures, build_assembly_features
 from .jackhmmer import JackhmmerSearch, SearchConfig, SearchResult
-from .profile_hmm import encode_sequence
-from .nhmmer import (
-    NhmmerResult,
-    NhmmerSearch,
-    protein_peak_memory_bytes,
-    rna_peak_memory_bytes,
-)
+from .nhmmer import NhmmerSearch, chain_peak_memory_bytes
 
 #: Global work-scale calibration.  The synthetic-to-paper extrapolation
 #: slightly overestimates how much of each database survives the real
@@ -86,7 +80,7 @@ class MsaPhaseResult:
     """Everything the MSA phase produces for one sample."""
 
     sample_name: str
-    searches: List[object]           # SearchResult | NhmmerResult
+    searches: List[SearchResult]
     chain_msas: Dict[str, Msa]
     features: AssemblyFeatures
     trace: WorkloadTrace
@@ -98,15 +92,11 @@ class MsaPhaseResult:
         Protein searches scale with threads; long-RNA nhmmer memory is
         thread-independent and usually dominates (paper Section III-C).
         """
-        peak = 0.0
-        for msa in self.chain_msas.values():
-            if msa.molecule_type == MoleculeType.PROTEIN:
-                peak = max(
-                    peak, protein_peak_memory_bytes(msa.width, threads)
-                )
-            elif msa.molecule_type == MoleculeType.RNA:
-                peak = max(peak, rna_peak_memory_bytes(msa.width))
-        return peak
+        return max(
+            (chain_peak_memory_bytes(msa.molecule_type, msa.width, threads)
+             for msa in self.chain_msas.values()),
+            default=0.0,
+        )
 
     @property
     def total_hits(self) -> int:
@@ -115,12 +105,12 @@ class MsaPhaseResult:
     @property
     def scan_outcomes(self) -> List[ExecutionOutcome]:
         """Measured shard schedules of every database scan, in search
-        order (one entry per scan iteration; empty lists for searches
-        run before the parallel engine existed)."""
-        outcomes: List[ExecutionOutcome] = []
-        for search in self.searches:
-            outcomes.extend(getattr(search, "scan_outcomes", []))
-        return outcomes
+        order (one entry per scan iteration)."""
+        return [
+            outcome
+            for search in self.searches
+            for outcome in search.scan_outcomes
+        ]
 
     def paired_msa(self, max_paired_rows: Optional[int] = None):
         """Cross-chain paired MSA over the searched chains.
@@ -148,10 +138,6 @@ class MsaEngine:
         self.plan = plan or ExecutionPlan.serial()
         self._cache: Dict[str, MsaPhaseResult] = {}
         self._db_cache: Dict[Tuple[str, str], SequenceDatabase] = {}
-        #: (db key) -> pre-encoded (name, seq, encoded) target triples.
-        #: Encoding is query-independent, so every protein chain
-        #: searched against the same database reuses one encode pass.
-        self._encoded_cache: Dict[Tuple[str, str], List[tuple]] = {}
 
     def _database_for(
         self, spec: DatabaseSpec, sample: InputSample, queries: List[str]
@@ -172,25 +158,6 @@ class MsaEngine:
             )
         return self._db_cache[key]
 
-    def _encoded_targets_for(
-        self, spec: DatabaseSpec, sample: InputSample, db: SequenceDatabase
-    ) -> List[tuple]:
-        """Cached ``(name, seq, encoded)`` triples for a database.
-
-        Lives next to ``_db_cache`` under the same key: per-residue
-        integer encoding is query-independent, so all chains searching
-        the same database share one encode pass instead of re-encoding
-        every record per search.
-        """
-        key = (spec.name, sample.name)
-        if key not in self._encoded_cache:
-            mtype = db.spec.molecule_type
-            self._encoded_cache[key] = [
-                (name, seq, encode_sequence(seq, mtype))
-                for name, seq in db.records
-            ]
-        return self._encoded_cache[key]
-
     def run(self, sample: InputSample) -> MsaPhaseResult:
         """Run (or fetch the cached) MSA phase for a sample."""
         if sample.name in self._cache:
@@ -202,7 +169,7 @@ class MsaEngine:
     def _run_uncached(self, sample: InputSample) -> MsaPhaseResult:
         cfg = self.config
         trace = WorkloadTrace()
-        searches: List[object] = []
+        searches: List[SearchResult] = []
         chain_msas: Dict[str, Msa] = {}
         database_bytes = 0
 
@@ -230,9 +197,6 @@ class MsaEngine:
                         seed=cfg.seed,
                         plan=self.plan,
                         scan_shards=cfg.scan_shards,
-                        encoded_targets=self._encoded_targets_for(
-                            spec, sample, db
-                        ),
                     ).search(f"{sample.name}_{chain.chain_id}", chain.sequence)
                 else:
                     search = NhmmerSearch(
@@ -295,23 +259,12 @@ class MsaEngine:
         chain lengths and molecule types.  The pipeline uses this to
         fail OOM-doomed runs *before* paying for the MSA phase.
         """
-        searched = {
-            chain.sequence: chain.molecule_type
-            for chain in sample.msa_queries()
-        }
-        peak = 0.0
-        for chain in sample.assembly:
-            if not chain.molecule_type.is_polymer:
-                continue
-            mtype = searched.get(chain.sequence)
-            if mtype == MoleculeType.PROTEIN:
-                peak = max(
-                    peak,
-                    protein_peak_memory_bytes(len(chain.sequence), threads),
-                )
-            elif mtype == MoleculeType.RNA:
-                peak = max(peak, rna_peak_memory_bytes(len(chain.sequence)))
-        return peak
+        return max(
+            (chain_peak_memory_bytes(chain.molecule_type,
+                                     len(chain.sequence), threads)
+             for chain in sample.msa_queries()),
+            default=0.0,
+        )
 
     def database_footprint_bytes(self, sample: InputSample) -> int:
         """Paper-scale on-disk bytes of every database the sample touches."""

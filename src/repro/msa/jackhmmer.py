@@ -23,9 +23,7 @@ the exact mechanism behind the paper's Observation 2.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Tuple
 
 from ..parallel.executor import ExecutionOutcome, run_sharded
 from ..parallel.plan import ExecutionPlan
@@ -36,8 +34,15 @@ from ..trace import AccessPattern, OpRecord, WorkloadTrace
 from .database import BufferedDatabaseReader, SCAN_SHARDS, SequenceDatabase
 from .dp import calc_band_9, calc_band_10, msv_filter
 from .evalue import GumbelParams, calibrate
-from .kernels import pad_waste, run_cascade, scan_waste_summary
-from .profile_hmm import ProfileHMM, encode_sequence
+from .kernels import (
+    Hit,
+    ScanGates,
+    ShardScanResult,
+    pad_waste,
+    scan_shard,
+    scan_waste_summary,
+)
+from .profile_hmm import ProfileHMM
 
 # Instruction costs per DP cell.  MSV is a 16-lane striped SIMD scan
 # (~0.2 instr per cell); Viterbi moves three states with bookkeeping
@@ -85,16 +90,11 @@ class SearchConfig:
         if not (self.final_evalue <= self.viterbi_evalue <= self.msv_evalue):
             raise ValueError("thresholds must tighten along the cascade")
 
-
-@dataclasses.dataclass(frozen=True)
-class Hit:
-    """One database sequence accepted by the full cascade."""
-
-    target_name: str
-    target_sequence: str
-    viterbi_score: float
-    forward_score: float
-    evalue: float
+    @property
+    def gates(self) -> ScanGates:
+        """The scan's gates: every target is scanned whole."""
+        return ScanGates(self.band, self.msv_evalue, self.viterbi_evalue,
+                         self.final_evalue)
 
 
 @dataclasses.dataclass
@@ -158,7 +158,7 @@ class SearchStats:
 
 @dataclasses.dataclass
 class SearchResult:
-    """Outcome of a jackhmmer search against one database."""
+    """Outcome of a jackhmmer or nhmmer search against one database."""
 
     query_name: str
     database_name: str
@@ -172,82 +172,79 @@ class SearchResult:
     scan_outcomes: List[ExecutionOutcome] = dataclasses.field(
         default_factory=list
     )
-    #: Scan summary of per-bucket padded-token waste (padded vs real
-    #: tokens under the batched kernels' power-of-two buckets), merged
-    #: across shards and iterations by
-    #: :func:`repro.msa.kernels.scan_waste_summary` — kernel bucketing
-    #: overhead as measured by this search, not assumed.
-    scan_waste: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def scan_waste(self) -> dict:
+        """Per-bucket padded-token waste (padded vs real tokens under
+        the batched kernels' power-of-two buckets) of every scanned
+        target or RNA window, merged across shards and iterations by
+        :func:`repro.msa.kernels.scan_waste_summary` — kernel bucketing
+        overhead as measured by this search, not assumed."""
+        return scan_waste_summary(
+            triple
+            for outcome in self.scan_outcomes
+            for shard in outcome.results
+            for triple in shard.pad_waste
+        )
 
 
-@dataclasses.dataclass(frozen=True)
-class ShardScanResult:
-    """One shard's cascade outcome: everything the serial loop would
-    have accumulated while scanning the shard's record range."""
+def shard_payloads(
+    database: SequenceDatabase,
+    profile: ProfileHMM,
+    gumbel: GumbelParams,
+    gates: ScanGates,
+    scan_shards: int,
+) -> list:
+    """One database scan's picklable :func:`scan_shard` payloads.
 
-    shard_index: int
-    hits: Tuple[Hit, ...]
-    candidates: int
-    msv_pass: int
-    vit_pass: int
-    msv_cells: int
-    vit_cells: int
-    fwd_cells: int
-    #: Per-bucket ``(padded_len, targets, real_tokens)`` under the
-    #: batched kernels' power-of-two geometry.  A pure function of
-    #: target lengths, so the reference loop reports the same value
-    #: and the ``==`` oracle contract covers it too.
-    pad_waste: Tuple[Tuple[int, int, int], ...] = ()
-
-
-def scan_protein_shard(payload) -> ShardScanResult:
-    """Run the MSV -> Viterbi -> Forward cascade over one shard.
-
-    Module-level and driven by one picklable payload tuple so the fork
-    pool can run it; each target's result depends only on (profile,
-    gumbel, target), so shards are pure and order-independent.
-    ``payload`` is ``(shard_index, profile, gumbel, targets, config,
-    db_paper_size)`` with ``targets`` a list of ``(name, seq, encoded)``
-    triples.  The shard runs the batched tensor cascade
-    (:func:`repro.msa.kernels.run_cascade`); its result equals
-    :func:`reference_scan_protein_shard`'s under ``==`` (see
-    docs/kernels.md).
+    Shard boundaries depend only on (record count, scan_shards) — the
+    same geometry the checkpoint/resume accounting uses — never on the
+    worker count, so every plan scans identical shards and the merged
+    result is byte-identical to serial.
     """
-    shard_index, profile, gumbel, targets, cfg, db_paper_size = payload
-    outcome = run_cascade(
-        profile, gumbel, [encoded for _, _, encoded in targets],
-        band=cfg.band,
-        msv_evalue=cfg.msv_evalue,
-        viterbi_evalue=cfg.viterbi_evalue,
-        final_evalue=cfg.final_evalue,
-        db_size=db_paper_size,
+    targets = database.encoded_records
+    return [
+        (i, profile, gumbel, targets[lo:hi], gates,
+         database.spec.num_sequences)
+        for i, (lo, hi) in enumerate(shard_bounds(len(targets), scan_shards))
+    ]
+
+
+def scan_database(
+    search, scan: Callable, profile: ProfileHMM, gumbel: GumbelParams,
+    gates: ScanGates, stats: SearchStats,
+    outcomes: List[ExecutionOutcome],
+) -> Tuple[List[Hit], Tuple[int, int, int, int]]:
+    """One sharded scan of ``search.database`` under ``search.plan``.
+
+    Shared by :class:`JackhmmerSearch` and
+    :class:`repro.msa.nhmmer.NhmmerSearch`: runs ``scan`` (the module's
+    ``scan_shard``) over every shard, merges the hits in shard order,
+    appends the schedule to ``outcomes`` and the counters to ``stats``.
+    Returns the hits and the scan's own ``(msv_cells, vit_cells,
+    fwd_cells, msv_pass)``.
+    """
+    outcome = run_sharded(
+        scan,
+        shard_payloads(search.database, profile, gumbel, gates,
+                       search.scan_shards),
+        search.plan,
     )
-    return ShardScanResult(
-        shard_index=shard_index,
-        hits=tuple(
-            Hit(targets[index][0], targets[index][1],
-                vit_score, fwd_score, evalue)
-            for index, vit_score, fwd_score, evalue
-            in outcome.accepted
-        ),
-        candidates=outcome.candidates,
-        msv_pass=outcome.msv_pass,
-        vit_pass=outcome.vit_pass,
-        msv_cells=outcome.msv_cells,
-        vit_cells=outcome.vit_cells,
-        fwd_cells=outcome.fwd_cells,
-        pad_waste=outcome.pad_waste,
+    outcomes.append(outcome)
+    hits: List[Hit] = merge_sharded(
+        (r.shard_index, r.hits) for r in outcome.results
     )
+    return hits, stats.add_scan(outcome.results, hits)
 
 
 def reference_scan_protein_shard(payload) -> ShardScanResult:
-    """The scalar per-target loop over one shard: the ``==`` oracle
-    for :func:`scan_protein_shard` (same payload, same result).
+    """The scalar per-target loop over one protein shard: the ``==``
+    oracle for :func:`scan_shard` (same payload, same result).
 
     Runs the :mod:`repro.msa.dp` kernels one target at a time; tests
     and the batched-over-scalar speedup measurement call it directly.
     """
-    shard_index, profile, gumbel, targets, cfg, db_paper_size = payload
+    shard_index, profile, gumbel, targets, gates, db_size = payload
     hits: List[Hit] = []
     msv_cells = vit_cells = fwd_cells = 0
     msv_pass = vit_pass = 0
@@ -256,20 +253,20 @@ def reference_scan_protein_shard(payload) -> ShardScanResult:
         emissions = profile.emission_row(encoded)
         msv = msv_filter(profile, encoded, emissions=emissions)
         msv_cells += msv.cells
-        if gumbel.evalue(msv.score, db_paper_size) > cfg.msv_evalue:
+        if gumbel.evalue(msv.score, db_size) > gates.msv_evalue:
             continue
         msv_pass += 1
-        vit = calc_band_9(profile, encoded, band=cfg.band,
+        vit = calc_band_9(profile, encoded, band=gates.band,
                           emissions=emissions)
         vit_cells += vit.cells
-        if gumbel.evalue(vit.score, db_paper_size) > cfg.viterbi_evalue:
+        if gumbel.evalue(vit.score, db_size) > gates.viterbi_evalue:
             continue
         vit_pass += 1
-        fwd = calc_band_10(profile, encoded, band=cfg.band,
+        fwd = calc_band_10(profile, encoded, band=gates.band,
                            emissions=emissions)
         fwd_cells += fwd.cells
-        evalue = gumbel.evalue(fwd.score, db_paper_size)
-        if evalue > cfg.final_evalue:
+        evalue = gumbel.evalue(fwd.score, db_size)
+        if evalue > gates.final_evalue:
             continue
         hits.append(Hit(name, seq, vit.score, fwd.score, evalue))
     return ShardScanResult(
@@ -309,60 +306,16 @@ class JackhmmerSearch:
         seed: int = 0,
         plan: Optional[ExecutionPlan] = None,
         scan_shards: int = SCAN_SHARDS,
-        encoded_targets: Optional[List[Tuple[str, str, np.ndarray]]] = None,
     ) -> None:
         if database.spec.molecule_type != MoleculeType.PROTEIN:
             raise ValueError("jackhmmer searches protein databases")
         if scan_shards < 1:
             raise ValueError("scan_shards must be >= 1")
-        if encoded_targets is not None and len(encoded_targets) != len(
-            database.records
-        ):
-            raise ValueError(
-                "encoded_targets must cover every database record"
-            )
         self.database = database
         self.config = config or SearchConfig()
         self.seed = seed
         self.plan = plan or ExecutionPlan.serial()
         self.scan_shards = scan_shards
-        self._encoded_targets = encoded_targets
-
-    def encoded_targets(self) -> List[Tuple[str, str, np.ndarray]]:
-        """``(name, seq, encoded)`` triples for every database record.
-
-        Encoding is query-independent, so callers running many searches
-        against one database (:class:`repro.msa.engine.MsaEngine`) pass
-        the list in once via ``encoded_targets=`` instead of paying the
-        per-residue encode loop on every search.
-        """
-        if self._encoded_targets is None:
-            mtype = self.database.spec.molecule_type
-            self._encoded_targets = [
-                (name, seq, encode_sequence(seq, mtype))
-                for name, seq in self.database.records
-            ]
-        return self._encoded_targets
-
-    def shard_payloads(
-        self, profile: ProfileHMM, gumbel: GumbelParams
-    ) -> list:
-        """One database scan's picklable :func:`scan_protein_shard`
-        payloads.
-
-        Shard boundaries depend only on (record count, scan_shards) —
-        the same geometry the checkpoint/resume accounting uses —
-        never on the worker count, so every plan scans identical
-        shards and the merged result is byte-identical to serial.
-        """
-        targets = self.encoded_targets()
-        return [
-            (i, profile, gumbel, targets[lo:hi], self.config,
-             self.database.spec.num_sequences)
-            for i, (lo, hi) in enumerate(
-                shard_bounds(len(targets), self.scan_shards)
-            )
-        ]
 
     def search(self, query_name: str, query_sequence: str) -> SearchResult:
         """Run the full iterative search and return hits + trace."""
@@ -378,24 +331,12 @@ class JackhmmerSearch:
         profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
         gumbel = calibrate(profile, seed=self.seed)
         scan_outcomes: List[ExecutionOutcome] = []
-        waste_triples: List[Tuple[int, int, int]] = []
 
         for iteration in range(cfg.iterations):
-            outcome = run_sharded(
-                scan_protein_shard, self.shard_payloads(profile, gumbel),
-                self.plan,
+            iter_hits, (msv_cells, vit_cells, fwd_cells, msv_pass) = (
+                scan_database(self, scan_shard, profile, gumbel,
+                              cfg.gates, stats, scan_outcomes)
             )
-            scan_outcomes.append(outcome)
-            shard_results: List[ShardScanResult] = outcome.results
-            iter_hits: List[Hit] = merge_sharded(
-                (r.shard_index, r.hits) for r in shard_results
-            )
-            msv_cells, vit_cells, fwd_cells, msv_pass = stats.add_scan(
-                shard_results, iter_hits
-            )
-            for r in shard_results:
-                waste_triples.extend(r.pad_waste)
-
             self._emit_iteration_trace(
                 trace, profile, msv_cells, vit_cells, fwd_cells,
                 msv_pass, inflation, scale,
@@ -424,7 +365,6 @@ class JackhmmerSearch:
             trace=trace,
             gumbel=gumbel,
             scan_outcomes=scan_outcomes,
-            scan_waste=scan_waste_summary(waste_triples),
         )
 
     def _emit_iteration_trace(

@@ -7,7 +7,8 @@ by power-of-two padded length, :func:`emission_tensor` builds one
 (:func:`msv_filter_batch`, :func:`calc_band_9_batch`,
 :func:`calc_band_10_batch`) advance the whole bucket per profile row.
 :func:`run_cascade` chains them with survivor compaction between
-stages; it is the only scan path a search runs.  Everything is
+stages, and :func:`scan_shard` runs it over one protein or RNA shard;
+it is the only scan path a search runs.  Everything is
 bit-identical to the scalar kernels, which stay as the ``==`` oracle
 (``reference_scan_*_shard``) — see docs/kernels.md for the design and
 the argument for exactness.
@@ -29,12 +30,21 @@ from .batched import (
     msv_filter_batch,
     viterbi_panel_scores,
 )
-from .cascade import CascadeResult, run_cascade
+from .cascade import (
+    Hit,
+    ScanGates,
+    ShardScanResult,
+    run_cascade,
+    scan_shard,
+    window_bounds,
+)
 
 __all__ = [
     "BatchKernelResult",
-    "CascadeResult",
+    "Hit",
     "PAD",
+    "ScanGates",
+    "ShardScanResult",
     "TargetBatch",
     "batch_targets",
     "calc_band_9_batch",
@@ -44,6 +54,8 @@ __all__ = [
     "pad_length",
     "pad_waste",
     "run_cascade",
+    "scan_shard",
     "scan_waste_summary",
     "viterbi_panel_scores",
+    "window_bounds",
 ]

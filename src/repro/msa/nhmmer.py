@@ -20,34 +20,31 @@ the published measurements (documented in DESIGN.md).
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from ..parallel.executor import ExecutionOutcome, run_sharded
+from ..parallel.executor import ExecutionOutcome
 from ..parallel.plan import ExecutionPlan
-from ..parallel.shard import merge_sharded, shard_bounds
 from ..sequences.alphabets import MoleculeType
 from ..trace import AccessPattern, OpRecord, WorkloadTrace
 from .database import BufferedDatabaseReader, SCAN_SHARDS, SequenceDatabase
 from .dp import calc_band_9, calc_band_10, msv_filter
 from .evalue import calibrate
 from .kernels import (
-    batch_targets,
-    calc_band_9_batch,
-    calc_band_10_batch,
-    emission_tensor,
-    msv_filter_batch,
+    Hit,
+    ScanGates,
+    ShardScanResult,
+    pad_waste,
+    scan_shard,
+    window_bounds,
 )
 from .jackhmmer import (
     FORWARD_INSTR_PER_CELL,
-    Hit,
     MSV_INSTR_PER_CELL,
+    SearchResult,
     SearchStats,
-    ShardScanResult,
     VITERBI_INSTR_PER_CELL,
+    scan_database,
 )
 from .profile_hmm import ProfileHMM, encode_sequence
 
@@ -115,141 +112,53 @@ def protein_peak_memory_bytes(protein_length: int, threads: int) -> float:
     return gib * GIB
 
 
+def chain_peak_memory_bytes(
+    molecule_type: MoleculeType, length: int, threads: int
+) -> float:
+    """Peak MSA memory of searching one chain, in bytes.
+
+    nhmmer's model for RNA, jackhmmer's for protein, and nothing for
+    chains no search runs on.  The MSA phase's peak is the max of this
+    over its searched chains.
+    """
+    if molecule_type == MoleculeType.RNA:
+        return rna_peak_memory_bytes(length)
+    if molecule_type == MoleculeType.PROTEIN:
+        return protein_peak_memory_bytes(length, threads)
+    return 0.0
+
+
 #: Window length nhmmer uses when scanning long nucleotide targets.
 SCAN_WINDOW = 256
 
-
-@dataclasses.dataclass
-class NhmmerResult:
-    """Outcome of an nhmmer search against one nucleotide database."""
-
-    query_name: str
-    database_name: str
-    hits: List[Hit]
-    stats: SearchStats
-    trace: WorkloadTrace
-    peak_memory_bytes: float
-    #: Measured shard schedule of the scan (timings only; the
-    #: functional fields are identical for every plan).
-    scan_outcomes: List[ExecutionOutcome] = dataclasses.field(
-        default_factory=list
-    )
-
-
-def _window_bounds(length: int) -> List[Tuple[int, int]]:
-    """``[start, end)`` scan-window ranges over a length-``n`` target.
-
-    Shared by the production scan (which slices the encoded array) and
-    the reference loop (which slices the raw string — residue encoding
-    is per-character, so the two are interchangeable).
-    """
-    if length <= SCAN_WINDOW:
-        return [(0, length)]
-    step = SCAN_WINDOW // 2
-    return [
-        (start, min(start + SCAN_WINDOW, length))
-        for start in range(0, length - step, step)
-    ]
-
-
-def scan_rna_shard(payload) -> ShardScanResult:
-    """Windowed MSV -> Viterbi -> Forward cascade over one RNA shard.
-
-    Module-level and picklable (fork-pool entry point); ``payload`` is
-    ``(shard_index, profile, gumbel, records, mtype, band, msv_evalue,
-    final_evalue, db_size)``.  RNA has no Viterbi gate, so
-    ``vit_pass == msv_pass``.
-
-    Each record is encoded **once** and its windows are slices of that
-    encoding; every window of every record joins one length-bucketed
-    MSV pass, then the per-record best windows (first-max, matching the
-    reference loop's strict ``>``) share a single emission tensor
-    across the Viterbi and Forward kernels.  The result equals
-    :func:`reference_scan_rna_shard`'s under ``==``.
-    """
-    (shard_index, profile, gumbel, records, mtype, band,
-     msv_evalue, final_evalue, db_size) = payload
-    window_encs: List[np.ndarray] = []
-    owners: List[int] = []
-    for rec_idx, (_, seq) in enumerate(records):
-        encoded = encode_sequence(seq, mtype)
-        for lo, hi in _window_bounds(len(encoded)):
-            owners.append(rec_idx)
-            window_encs.append(encoded[lo:hi])
-
-    msv_cells = 0
-    msv_scores = [0.0] * len(window_encs)
-    for batch in batch_targets(window_encs):
-        res = msv_filter_batch(profile, batch)
-        msv_cells += int(res.cells.sum())
-        for row, idx in enumerate(batch.indices):
-            msv_scores[idx] = float(res.scores[row])
-
-    best_window: dict = {}
-    for w_idx, rec_idx in enumerate(owners):
-        cur = best_window.get(rec_idx)
-        if cur is None or msv_scores[w_idx] > msv_scores[cur]:
-            best_window[rec_idx] = w_idx
-    survivors = [
-        (rec_idx, best_window[rec_idx])
-        for rec_idx in range(len(records))
-        if not gumbel.evalue(msv_scores[best_window[rec_idx]], db_size)
-        > msv_evalue
-    ]
-
-    vit_cells = fwd_cells = 0
-    vit_scores = [0.0] * len(survivors)
-    fwd_scores = [0.0] * len(survivors)
-    for batch in batch_targets([window_encs[w] for _, w in survivors]):
-        emissions = emission_tensor(profile, batch)
-        vit = calc_band_9_batch(profile, batch, band=band,
-                                emissions=emissions)
-        fwd = calc_band_10_batch(profile, batch, band=band,
-                                 emissions=emissions)
-        vit_cells += int(vit.cells.sum())
-        fwd_cells += int(fwd.cells.sum())
-        for row, idx in enumerate(batch.indices):
-            vit_scores[idx] = float(vit.scores[row])
-            fwd_scores[idx] = float(fwd.scores[row])
-
-    hits: List[Hit] = []
-    for pos, (rec_idx, _) in enumerate(survivors):
-        evalue = gumbel.evalue(fwd_scores[pos], db_size)
-        if evalue > final_evalue:
-            continue
-        name, seq = records[rec_idx]
-        hits.append(Hit(name, seq, vit_scores[pos], fwd_scores[pos],
-                        evalue))
-    return ShardScanResult(
-        shard_index=shard_index,
-        hits=tuple(hits),
-        candidates=len(records),
-        msv_pass=len(survivors),
-        vit_pass=len(survivors),
-        msv_cells=msv_cells,
-        vit_cells=vit_cells,
-        fwd_cells=fwd_cells,
-    )
-
-
-def _windows(sequence: str) -> List[str]:
-    """Split a target into overlapping scan windows (both handled as
-    forward strand; our synthetic RNA has no strand asymmetry)."""
-    return [sequence[lo:hi] for lo, hi in _window_bounds(len(sequence))]
+#: nhmmer's E-value gates: a permissive MSV prefilter, then the
+#: reporting threshold on the Forward score.  nhmmer has no Viterbi
+#: gate: its scan passes ``viterbi_evalue=math.inf``.
+MSV_EVALUE = 500.0
+FINAL_EVALUE = 1e-2
 
 
 def reference_scan_rna_shard(payload) -> ShardScanResult:
     """The scalar per-window loop over one RNA shard: the ``==``
-    oracle for :func:`scan_rna_shard` (same payload, same result)."""
-    (shard_index, profile, gumbel, records, mtype, band,
-     msv_evalue, final_evalue, db_size) = payload
+    oracle for :func:`repro.msa.kernels.scan_shard` (same payload,
+    same result).
+
+    Windows are cut from the raw ``seq`` strings and encoded one at a
+    time in the profile's molecule type; the encoded triple member of
+    each target is not read.
+    """
+    shard_index, profile, gumbel, targets, gates, db_size = payload
+    mtype = profile.molecule_type
     hits: List[Hit] = []
     msv_cells = vit_cells = fwd_cells = 0
     msv_pass = 0
-    for name, seq in records:
+    window_lengths: List[int] = []
+    for name, seq, _ in targets:
         best_window_score = None
         best_window = None
-        for window in _windows(seq):
+        for lo, hi in window_bounds(len(seq), gates.window):
+            window = seq[lo:hi]
+            window_lengths.append(len(window))
             encoded = encode_sequence(window, mtype)
             msv = msv_filter(profile, encoded)
             msv_cells += msv.cells
@@ -257,28 +166,31 @@ def reference_scan_rna_shard(payload) -> ShardScanResult:
                 best_window_score, best_window = msv.score, window
         if best_window is None:
             continue
-        if gumbel.evalue(best_window_score, db_size) > msv_evalue:
+        if gumbel.evalue(best_window_score, db_size) > gates.msv_evalue:
             continue
         msv_pass += 1
         encoded = encode_sequence(best_window, mtype)
         emissions = profile.emission_row(encoded)
-        vit = calc_band_9(profile, encoded, band=band, emissions=emissions)
+        vit = calc_band_9(profile, encoded, band=gates.band,
+                          emissions=emissions)
         vit_cells += vit.cells
-        fwd = calc_band_10(profile, encoded, band=band, emissions=emissions)
+        fwd = calc_band_10(profile, encoded, band=gates.band,
+                           emissions=emissions)
         fwd_cells += fwd.cells
         evalue = gumbel.evalue(fwd.score, db_size)
-        if evalue > final_evalue:
+        if evalue > gates.final_evalue:
             continue
         hits.append(Hit(name, seq, vit.score, fwd.score, evalue))
     return ShardScanResult(
         shard_index=shard_index,
         hits=tuple(hits),
-        candidates=len(records),
+        candidates=len(targets),
         msv_pass=msv_pass,
         vit_pass=msv_pass,
         msv_cells=msv_cells,
         vit_cells=vit_cells,
         fwd_cells=fwd_cells,
+        pad_waste=pad_waste(window_lengths),
     )
 
 
@@ -289,8 +201,6 @@ class NhmmerSearch:
         self,
         database: SequenceDatabase,
         band: int = 48,
-        msv_evalue: float = 500.0,
-        final_evalue: float = 1e-2,
         seed: int = 0,
         plan: Optional[ExecutionPlan] = None,
         scan_shards: int = SCAN_SHARDS,
@@ -301,47 +211,36 @@ class NhmmerSearch:
             raise ValueError("scan_shards must be >= 1")
         self.database = database
         self.band = band
-        self.msv_evalue = msv_evalue
-        self.final_evalue = final_evalue
         self.seed = seed
         self.plan = plan or ExecutionPlan.serial()
         self.scan_shards = scan_shards
 
-    def search(self, query_name: str, query_sequence: str) -> NhmmerResult:
+    def search(self, query_name: str, query_sequence: str) -> SearchResult:
         """Run the windowed cascade for one RNA query."""
         mtype = self.database.spec.molecule_type
         profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
         gumbel = calibrate(profile, seed=self.seed)
-        db_size = self.database.spec.num_sequences
         scale = self.database.scale_factor
 
         stats = SearchStats(scale_factor=scale, inflation_factor=1.0)
-        records = list(self.database.records)
-        bounds = shard_bounds(len(records), self.scan_shards)
-        payloads = [
-            (i, profile, gumbel, records[lo:hi], mtype, self.band,
-             self.msv_evalue, self.final_evalue, db_size)
-            for i, (lo, hi) in enumerate(bounds)
-        ]
-        outcome = run_sharded(scan_rna_shard, payloads, self.plan)
-        hits: List[Hit] = merge_sharded(
-            (r.shard_index, r.hits) for r in outcome.results
-        )
-        msv_cells, vit_cells, fwd_cells, _ = stats.add_scan(
-            outcome.results, hits
+        scan_outcomes: List[ExecutionOutcome] = []
+        gates = ScanGates(self.band, MSV_EVALUE, math.inf, FINAL_EVALUE,
+                          SCAN_WINDOW)
+        hits, (msv_cells, vit_cells, fwd_cells, _) = scan_database(
+            self, scan_shard, profile, gumbel, gates, stats, scan_outcomes
         )
 
         trace = self._emit_trace(msv_cells, vit_cells, fwd_cells, scale,
                                  len(query_sequence))
         hits.sort(key=lambda h: h.evalue)
-        return NhmmerResult(
+        return SearchResult(
             query_name=query_name,
             database_name=self.database.spec.name,
             hits=hits,
             stats=stats,
             trace=trace,
-            peak_memory_bytes=rna_peak_memory_bytes(len(query_sequence)),
-            scan_outcomes=[outcome],
+            gumbel=gumbel,
+            scan_outcomes=scan_outcomes,
         )
 
     def _emit_trace(

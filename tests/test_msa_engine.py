@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.msa.database import RNA_SEARCH_DBS
 from repro.msa.engine import MsaEngine, MsaEngineConfig
-from repro.msa.nhmmer import NhmmerResult
 from repro.sequences.builtin import get_sample
 
 GIB = 1024 ** 3
@@ -20,7 +20,8 @@ class TestEngineBasics:
         assert len(msa_2pv7.searches) == 3
 
     def test_6qnr_includes_rna_searches(self, msa_6qnr):
-        rna = [s for s in msa_6qnr.searches if isinstance(s, NhmmerResult)]
+        rna_dbs = {spec.name for spec in RNA_SEARCH_DBS}
+        rna = [s for s in msa_6qnr.searches if s.database_name in rna_dbs]
         assert len(rna) == 3  # one RNA chain x 3 RNA databases
 
     def test_chain_msas_cover_searched_chains(self, msa_promo, samples):

@@ -7,6 +7,7 @@ from repro.msa.nhmmer import (
     NhmmerSearch,
     PROTEIN_MEMORY_BASE_GIB,
     RNA_MEMORY_ANCHORS,
+    chain_peak_memory_bytes,
     protein_peak_memory_bytes,
     rna_peak_memory_bytes,
 )
@@ -92,8 +93,14 @@ class TestNhmmerSearch:
     def test_finds_homologs(self, result):
         assert len(result.hits) >= 3
 
-    def test_memory_model_attached(self, result):
-        assert result.peak_memory_bytes == rna_peak_memory_bytes(300)
+    def test_chain_demand_uses_the_molecule_model(self):
+        assert chain_peak_memory_bytes(MoleculeType.RNA, 300, 8) == (
+            rna_peak_memory_bytes(300)
+        )
+        assert chain_peak_memory_bytes(MoleculeType.PROTEIN, 300, 8) == (
+            protein_peak_memory_bytes(300, 8)
+        )
+        assert chain_peak_memory_bytes(MoleculeType.DNA, 300, 8) == 0.0
 
     def test_trace_functions(self, result):
         names = set(result.trace.function_shares())
