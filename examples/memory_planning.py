@@ -6,14 +6,16 @@ dies mid-run by OOM kill.  The paper proposes a static estimator that
 inspects the input first.  This example IS that estimator, built from
 the library's calibrated memory models: given assemblies, it predicts
 peak MSA memory, GPU memory demand, and issues the early warnings the
-paper recommends.
+paper recommends.  The MSA peak is the max over searched chains of
+the per-chain demand the MSA phase itself uses
+(``repro.msa.nhmmer.chain_peak_memory_bytes``).
 """
 
 from repro import DESKTOP, DESKTOP_128G, MoleculeType, SERVER
+from repro.core.estimator import estimate_msa_peak_bytes
 from repro.core.report import render_table
 from repro.hardware.gpu import InferenceSimulator
 from repro.hardware.memory import MemoryOutcome
-from repro.msa.nhmmer import protein_peak_memory_bytes, rna_peak_memory_bytes
 from repro.sequences import Assembly, Chain
 from repro.sequences.generator import random_sequence
 
@@ -24,17 +26,6 @@ OUTCOME_LABEL = {
     MemoryOutcome.FITS_WITH_CXL: "needs CXL",
     MemoryOutcome.OOM: "OOM!",
 }
-
-
-def estimate_msa_peak(assembly: Assembly, threads: int = 8) -> float:
-    """The paper's proposed pre-check, in bytes."""
-    peak = 0.0
-    for chain in assembly.msa_chains():
-        if chain.molecule_type is MoleculeType.RNA:
-            peak = max(peak, rna_peak_memory_bytes(chain.length))
-        else:
-            peak = max(peak, protein_peak_memory_bytes(chain.length, threads))
-    return peak
 
 
 def make_inputs():
@@ -60,7 +51,7 @@ def main() -> None:
         DESKTOP.gpu, DESKTOP.host_single_thread_ips
     )
     for assembly in make_inputs():
-        peak = estimate_msa_peak(assembly)
+        peak = estimate_msa_peak_bytes(assembly, threads=8)
         gpu_demand = gpu_server.memory_demand_bytes(assembly.num_tokens)
         rows.append(
             (
