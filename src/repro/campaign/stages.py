@@ -20,16 +20,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
+from ..core.estimator import estimate_msa_peak_bytes
 from ..hardware.gpu import GpuOutOfMemoryError
 from ..hardware.memory import MemoryOutcome
 from ..hardware.platform import get_platform
 from ..model.memory_planner import (
     AttentionSchedule, MemoryBudgetError, resolve_schedule,
 )
-from ..serving.cache import (
-    chain_content_key, chain_feature_key, chain_store_payload,
-)
-from ..serving.gateway import AnalyticMsaCostModel
+from ..msa.cost import msa_cost
+from ..serving.cache import chain_feature_key, chain_store_payload
 from .dag import task_id
 from .manifest import ChainSpec, TargetSpec
 
@@ -64,9 +63,12 @@ def _preprocess(target: TargetSpec, context: Dict) -> "OrderedDict":
         )
     platform = get_platform(context["platform"])
     # The paper's Section VI pre-check: predict the MSA-phase peak from
-    # chain lengths alone and refuse admission to OOM-doomed targets
-    # instead of letting them die mid-campaign.
-    outcome = platform.memory.check(_predicted_msa_peak_bytes(sample))
+    # chain lengths alone — the same model ``repro estimate`` and
+    # ``repro run`` admit by — and refuse admission to OOM-doomed
+    # targets instead of letting them die mid-campaign.
+    outcome = platform.memory.check(
+        estimate_msa_peak_bytes(assembly, int(context["threads"]))
+    )
     if outcome is MemoryOutcome.OOM:
         raise StageError(
             f"target {target.target_id!r} is predicted to exceed "
@@ -97,29 +99,12 @@ def _preprocess(target: TargetSpec, context: Dict) -> "OrderedDict":
     )
 
 
-def _predicted_msa_peak_bytes(sample) -> float:
-    """Coarse chain-length-driven MSA peak estimate (admission only).
-
-    The campaign stages use analytic cost models, so this mirrors the
-    depth law those models share: peak scales with the widest query's
-    residues × its MSA depth.  Deliberately simple — the point is a
-    deterministic admission verdict, not fidelity.
-    """
-    peak = 0.0
-    for chain in sample.msa_queries():
-        depth = min(254, 32 + chain.length // 6)
-        peak = max(peak, 4.0 * 64 * chain.length * depth * 48)
-    return peak
-
-
 def _msa(
     target: TargetSpec, context: Dict, upstream: Dict
 ) -> "OrderedDict":
     sample = target.to_sample()
     platform = get_platform(context["platform"])
-    cost = AnalyticMsaCostModel(
-        platform, threads=int(context["threads"])
-    ).cost(sample, chain_content_key(sample.assembly))
+    cost = msa_cost(sample, platform, int(context["threads"]))
     stored = set(context.get("stored_keys") or ())
     publish: List[Tuple[str, dict]] = []
     keys = []

@@ -50,7 +50,6 @@ from .metrics import (
 from .migration import MigrationLedger
 from .nodes import DEFAULT_POOLS, Node, NodePoolSpec, NodeState
 from .preemption import (
-    checkpointable_shards,
     drain_window,
     select_crash_target,
     select_spot_target,
@@ -84,7 +83,6 @@ __all__ = [
     "Node",
     "NodePoolSpec",
     "NodeState",
-    "checkpointable_shards",
     "drain_window",
     "select_crash_target",
     "select_spot_target",

@@ -20,11 +20,10 @@ import dataclasses
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..hardware.platform import Platform
+from ..msa.cost import chain_scan_seconds, msa_depth
 from ..sequences.chain import Chain
 from ..sequences.sample import InputSample
 from ..serving.cache import chain_feature_key
-from ..serving.gateway import AnalyticMsaCostModel
 from ..serving.scenarios import ppi_chain_library, ppi_pair_samples
 
 __all__ = [
@@ -43,26 +42,6 @@ _PRIORITY_SALT = 0x9307
 PRIORITY_HIGH = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
-
-
-def chain_scan_seconds(
-    platform: Platform, chain: Chain, threads: int = 8
-) -> float:
-    """Seconds one node spends scanning the databases for one chain.
-
-    Uses the :class:`AnalyticMsaCostModel` coefficients per chain
-    (each scan streams the database once, so the setup overhead is
-    paid per chain, not per assembly) so cluster scan costs stay
-    calibrated to the gateway's.
-    """
-    m = AnalyticMsaCostModel
-    if chain.molecule_type.value == "rna":
-        instructions = m.RNA_COEFF * chain.length ** m.RNA_EXP
-    else:
-        instructions = m.PROTEIN_COEFF * chain.length ** m.PROTEIN_EXP
-    instructions += m.OVERHEAD_INSTRUCTIONS
-    rate = platform.host_single_thread_ips * threads ** m.THREAD_EXP
-    return instructions / rate
 
 
 class ChainStatus:
@@ -129,8 +108,8 @@ class ClusterJob:
 
     @property
     def msa_depth(self) -> int:
-        """Depth the GPU phase is served with (gateway-calibrated)."""
-        return min(254, 32 + self.sample.assembly.total_residues // 6)
+        """Depth the GPU phase is served with."""
+        return msa_depth(self.sample.assembly.total_residues)
 
     def next_pending_chain(self) -> Optional[ChainWork]:
         for work in self.chains:

@@ -15,7 +15,6 @@ one source of truth for the chaos audit.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from ..faults.plan import FaultEvent
@@ -25,7 +24,6 @@ __all__ = [
     "select_spot_target",
     "select_crash_target",
     "drain_window",
-    "checkpointable_shards",
 ]
 
 
@@ -66,15 +64,3 @@ def drain_window(event: FaultEvent) -> float:
     """Seconds of notice lead the drain gets (non-negative)."""
     return max(0.0, event.magnitude)
 
-
-def checkpointable_shards(
-    elapsed: float, planned: float, total_shards: int
-) -> int:
-    """DB shards provably finished after ``elapsed`` of a
-    ``planned``-second scan — the floor the drain may checkpoint.
-    Clamped to ``total_shards - 1``: a scan that *looks* complete but
-    whose finish event has not fired is not complete."""
-    if planned <= 0 or elapsed <= 0:
-        return 0
-    done = math.floor(total_shards * min(1.0, elapsed / planned))
-    return max(0, min(done, total_shards - 1))

@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..buckets.compile_cache import SharedCompileCache
 from ..events import EventQueue, fault_handler
 from ..faults.plan import FaultEvent, FaultKind, FaultPlan, GPU_DOMAIN
-from ..faults.recovery import CheckpointStore, FaultStats, MsaCheckpoint
-from ..msa.database import SCAN_SHARDS
+from ..faults.recovery import (
+    CheckpointStore, FaultStats, MsaCheckpoint, finished_scan_shards,
+)
 from ..observability.instrument import NULL_CLUSTER_PROBE, ClusterProbe
 from ..serving.cache import chain_store_payload
 from ..store.feature_store import FeatureStore
@@ -33,7 +34,6 @@ from .jobs import ChainStatus, ChainWork, ClusterJob, chain_scan_seconds
 from .migration import MigrationLedger
 from .nodes import DEFAULT_POOLS, Node, NodePoolSpec, NodeState
 from .preemption import (
-    checkpointable_shards,
     drain_window,
     select_crash_target,
     select_spot_target,
@@ -97,16 +97,13 @@ class ClusterConfig:
 class _ScanState:
     """What a node knows about its in-flight chain scan."""
 
-    __slots__ = (
-        "work", "started", "planned", "resumed", "full_seconds"
-    )
+    __slots__ = ("work", "started", "planned", "resumed")
 
-    def __init__(self, work, started, planned, resumed, full_seconds):
+    def __init__(self, work, started, planned, resumed):
         self.work: ChainWork = work
         self.started = started
         self.planned = planned          # seconds this scan will take
         self.resumed = resumed          # shards inherited from checkpoint
-        self.full_seconds = full_seconds
 
 
 class ClusterScheduler:
@@ -281,21 +278,21 @@ class ClusterScheduler:
     def _start_chain_scan(self, node: Node, job: ClusterJob) -> None:
         work = job.next_pending_chain()
         resumed = 0
+        remaining = 1.0
         checkpoint = self.checkpoints.take(
             self._checkpoint_key(job, work)
         )
         if checkpoint is not None:
             resumed = checkpoint.completed_shards
+            remaining = checkpoint.remaining_fraction
             job.resumed_shards += resumed
         self.ledger.record_scan_start(job, work.key, resumed)
-        full = chain_scan_seconds(node.platform, work.chain)
-        remaining = 1.0 - resumed / SCAN_SHARDS
         planned = (
-            full * remaining
+            chain_scan_seconds(node.platform, work.chain) * remaining
             * node.health.active_slowdown(self._now)
         )
         self._scan_state[node.node_id] = _ScanState(
-            work, self._now, planned, resumed, full
+            work, self._now, planned, resumed
         )
         job.scan_seconds_billed += planned
         self._pool_busy[node.pool.name] += planned
@@ -431,20 +428,14 @@ class ClusterScheduler:
                 checkpointed_key = ""
                 checkpointed = 0
                 if state is not None:
-                    done = state.resumed + checkpointable_shards(
-                        self._now - state.started, state.planned,
-                        SCAN_SHARDS - state.resumed,
+                    done = finished_scan_shards(
+                        state.resumed, self._now - state.started,
+                        state.planned,
                     )
-                    done = min(done, SCAN_SHARDS - 1)
                     if done > 0:
                         self.checkpoints.save(
                             self._checkpoint_key(job, state.work),
-                            MsaCheckpoint(
-                                completed_shards=done,
-                                total_shards=SCAN_SHARDS,
-                                full_seconds=state.full_seconds,
-                                depth=job.msa_depth,
-                            ),
+                            MsaCheckpoint(done),
                         )
                         checkpointed_key = state.work.key
                         checkpointed = done

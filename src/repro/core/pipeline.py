@@ -17,7 +17,7 @@ This is the primary public entry point of the library::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..hardware.cpu import CpuPhaseReport, CpuSimulator
 from ..hardware.gpu import InferenceBreakdown
@@ -205,10 +205,6 @@ class Af3Pipeline:
             msa_report.seconds,
             io_fraction=io_fraction,
         )
-
-    def msa_trace_summary(self, sample: InputSample) -> Dict[str, float]:
-        """Instruction share per traced function (Table IV's shape)."""
-        return self.msa_engine.run(sample).trace.function_shares()
 
 
 def optimal_thread_count(

@@ -28,6 +28,7 @@ from .recovery import (
     FaultStats,
     MsaCheckpoint,
     WorkerHealth,
+    finished_scan_shards,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "MsaCheckpoint",
     "SimulatedKill",
     "WorkerHealth",
+    "finished_scan_shards",
     "merge_plans",
     "restrict_kinds",
     "run_campaign",

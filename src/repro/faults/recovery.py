@@ -25,6 +25,8 @@ import enum
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from ..msa.database import SCAN_SHARDS
+
 
 class BreakerState(enum.Enum):
     """The classic three-state circuit-breaker lifecycle."""
@@ -164,34 +166,35 @@ class WorkerHealth:
 class MsaCheckpoint:
     """Resume point of an interrupted MSA database scan.
 
-    The scan is modelled as ``total_shards`` equal slices of the
+    The scan is modelled as ``SCAN_SHARDS`` equal slices of the
     paper-scale database stream; ``completed_shards`` of them survived
-    the interruption.  ``full_seconds`` is the cost of a cold scan and
-    ``depth`` the MSA depth the finished search will produce.
+    the interruption.
     """
 
     completed_shards: int
-    total_shards: int
-    full_seconds: float
-    depth: int
 
     def __post_init__(self) -> None:
-        if self.total_shards < 1:
-            raise ValueError("total_shards must be >= 1")
-        if not 0 <= self.completed_shards <= self.total_shards:
+        if not 0 <= self.completed_shards <= SCAN_SHARDS:
             raise ValueError("completed_shards out of range")
-        if self.full_seconds < 0:
-            raise ValueError("full_seconds must be >= 0")
 
     @property
     def remaining_fraction(self) -> float:
         """Fraction of the scan a resume still has to run."""
-        return 1.0 - self.completed_shards / self.total_shards
+        return 1.0 - self.completed_shards / SCAN_SHARDS
 
-    @property
-    def remaining_seconds(self) -> float:
-        """Cold-scan seconds scaled to the unfinished fraction."""
-        return self.full_seconds * self.remaining_fraction
+
+def finished_scan_shards(
+    resumed: int, elapsed: float, planned: float
+) -> int:
+    """DB shards an interrupted scan provably finished: the ``resumed``
+    ones it started from plus the floor of the share of the rest that
+    ``elapsed`` of its ``planned`` seconds covered.  Clamped to
+    ``SCAN_SHARDS - 1``: a scan that *looks* complete but whose finish
+    event has not fired is not complete."""
+    if planned <= 0 or elapsed <= 0:
+        return resumed
+    progressed = int((SCAN_SHARDS - resumed) * min(1.0, elapsed / planned))
+    return min(SCAN_SHARDS - 1, resumed + progressed)
 
 
 class CheckpointStore:

@@ -315,11 +315,6 @@ class CpuPhaseReport:
         f = self.functions.get(function)
         return f.cycles / total if f and total else 0.0
 
-    def cache_miss_share(self, function: str) -> float:
-        total = self._sum("llc_misses")
-        f = self.functions.get(function)
-        return f.llc_misses / total if f and total else 0.0
-
 
 class CpuSimulator:
     """Replays traces against a :class:`CpuSpec`."""

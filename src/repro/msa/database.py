@@ -90,11 +90,6 @@ class SequenceDatabase:
         """How many paper-scale records each synthetic record stands for."""
         return self.spec.num_sequences / len(self.records)
 
-    @property
-    def synthetic_bytes(self) -> int:
-        """Approximate in-memory bytes of the synthetic records."""
-        return sum(len(seq) for _, seq in self.records)
-
     @functools.cached_property
     def encoded_records(self) -> List[Tuple[str, str, np.ndarray]]:
         """``(name, seq, encoded)`` for every record, encoded on first
@@ -275,10 +270,6 @@ class BufferedDatabaseReader:
             branch_rate=0.22,
         ))
         return trace
-
-    def iter_records(self) -> Iterator[Tuple[str, str]]:
-        """Iterate synthetic records (the functional search path)."""
-        return iter(self.database.records)
 
 
 def record_stream_bytes(record: Tuple[str, str]) -> int:

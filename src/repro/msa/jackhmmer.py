@@ -105,10 +105,6 @@ class StageStats:
     survivors: int = 0
     cells: int = 0
 
-    @property
-    def pass_rate(self) -> float:
-        return self.survivors / self.candidates if self.candidates else 0.0
-
 
 @dataclasses.dataclass
 class SearchStats:
@@ -145,15 +141,6 @@ class SearchStats:
         self.forward.cells += fwd_cells
         self.iterations += 1
         return msv_cells, vit_cells, fwd_cells, msv_pass
-
-    @property
-    def targets_scanned_paper_scale(self) -> float:
-        return self.msv.candidates * self.scale_factor
-
-    @property
-    def candidates_scored_paper_scale(self) -> float:
-        """Paper-scale count of targets that reached the gapped kernels."""
-        return self.viterbi.candidates * self.scale_factor * self.inflation_factor
 
 
 @dataclasses.dataclass

@@ -74,11 +74,6 @@ class TargetBatch:
         """Tokens the kernels actually compute over: rows × width."""
         return self.size * self.padded_len
 
-    def valid_mask(self) -> np.ndarray:
-        """Boolean ``(B, P)`` mask of real (non-padding) columns."""
-        cols = np.arange(self.padded_len)
-        return cols[None, :] < self.seq_lens[:, None]
-
     def take(self, keep: Sequence[int]) -> "TargetBatch":
         """Survivor compaction: the sub-batch at local row positions
         ``keep`` (in the given order), original indices preserved."""

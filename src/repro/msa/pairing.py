@@ -53,10 +53,6 @@ class PairedMsa:
     def paired_depth(self) -> int:
         return len(self.paired_taxa) + 1  # + query row
 
-    def full_rows(self, chain_id: str) -> Tuple[str, ...]:
-        """Paired block followed by the chain's unpaired block."""
-        return self.paired_rows[chain_id] + self.unpaired_rows[chain_id]
-
     def assembly_width(self) -> int:
         return sum(len(self.paired_rows[c][0]) for c in self.chain_ids)
 

@@ -61,10 +61,6 @@ class InputSample:
         return bool(self.assembly.chains_of(MoleculeType.RNA))
 
     @property
-    def has_dna(self) -> bool:
-        return bool(self.assembly.chains_of(MoleculeType.DNA))
-
-    @property
     def max_rna_length(self) -> int:
         """Longest RNA chain; drives nhmmer's non-linear memory (Fig 2)."""
         rna = self.assembly.chains_of(MoleculeType.RNA)

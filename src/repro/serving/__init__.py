@@ -32,9 +32,7 @@ from .cache import (
     chain_store_payload,
 )
 from .gateway import (
-    AnalyticMsaCostModel,
     GatewayConfig,
-    MsaCost,
     ServingGateway,
     sequential_warm_baseline,
     serving_trace,
@@ -56,14 +54,12 @@ from .queueing import (
 )
 
 __all__ = [
-    "AnalyticMsaCostModel",
     "ArrivalProcess",
     "BoundedFifo",
     "CachedMsa",
     "DynamicBatcher",
     "GatewayConfig",
     "LatencyStats",
-    "MsaCost",
     "MsaResultCache",
     "PoissonArrivals",
     "RequestState",

@@ -16,6 +16,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Optional
 
+from ..msa.cost import msa_depth
 from ..sequences.chain import Assembly, Chain
 
 
@@ -60,15 +61,14 @@ def chain_store_payload(chain: Chain) -> dict:
     Platform-independent on purpose (a store filled on one host must be
     valid on another), and identical whether written by an offline
     ``msa-precompute`` job or by a gateway leader publishing its scan —
-    the differential tests rely on that bit-equivalence.  ``msa_depth``
-    mirrors :class:`~repro.serving.gateway.AnalyticMsaCostModel`'s depth
-    law for a single chain.
+    the differential tests rely on that bit-equivalence.
     """
+    residues = len(chain.sequence or "")
     return {
         "schema": 1,
         "molecule_type": chain.molecule_type.value,
-        "residues": len(chain.sequence or ""),
-        "msa_depth": min(254, 32 + len(chain.sequence or "") // 6),
+        "residues": residues,
+        "msa_depth": msa_depth(residues),
         "sequence_sha": hashlib.sha256(
             (chain.sequence or "").encode()
         ).hexdigest()[:16],

@@ -60,13 +60,13 @@ from ..faults.recovery import (
     FaultStats,
     MsaCheckpoint,
     WorkerHealth,
+    finished_scan_shards,
 )
 from ..hardware.gpu import GpuOutOfMemoryError
 from ..hardware.platform import Platform
 from ..model.config import ModelConfig
-from ..msa.database import SCAN_SHARDS
+from ..msa.cost import AnalyticMsaCostModel
 from ..observability.instrument import NULL_PROBE, GatewayProbe
-from ..sequences.sample import InputSample
 from ..store.coalesce import InflightLeases
 from ..store.feature_store import FeatureStore
 from ..trace import OpRecord, Resource, WorkloadTrace
@@ -79,66 +79,6 @@ from .cache import (
 )
 from .metrics import ServingReport, build_report
 from .queueing import BoundedFifo, RequestState, ServingRequest
-
-
-@dataclasses.dataclass(frozen=True)
-class MsaCost:
-    """Service time and resulting depth of one MSA-phase execution."""
-
-    seconds: float
-    depth: int
-
-
-class AnalyticMsaCostModel:
-    """Closed-form MSA phase cost, calibrated to the paper's shape.
-
-    Protein chains pay jackhmmer-style superlinear scan cost; RNA
-    chains pay the far heavier nhmmer cost (the paper's Fig 2/4: RNA
-    search dominates mixed inputs).  Costs scale with the platform's
-    single-thread instruction rate and sublinearly with the worker's
-    thread count — the same saturation the thread-sweep experiments
-    show.  Deterministic and cheap: a 200-request stream costs 200
-    dictionary lookups, not 200 profile-HMM searches.
-    """
-
-    #: Instruction-count coefficients (chain length in residues).
-    PROTEIN_COEFF = 6.0e9
-    PROTEIN_EXP = 1.2
-    RNA_COEFF = 8.0e9
-    RNA_EXP = 1.35
-    OVERHEAD_INSTRUCTIONS = 1.2e11   # database streaming / setup
-    THREAD_EXP = 0.75                # sublinear thread scaling
-
-    def __init__(self, platform: Platform, threads: int = 8) -> None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        self.platform = platform
-        self.threads = threads
-        self._cache: Dict[str, MsaCost] = {}
-
-    def cost(self, sample: InputSample, key: str) -> MsaCost:
-        """Scan seconds + MSA depth for ``sample``, cached per chain
-        content ``key`` (``chain_content_key(sample.assembly)``, which
-        callers hold already)."""
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        instructions = self.OVERHEAD_INSTRUCTIONS
-        for chain in sample.msa_queries():
-            if chain.molecule_type.value == "rna":
-                instructions += self.RNA_COEFF * chain.length ** self.RNA_EXP
-            else:
-                instructions += (
-                    self.PROTEIN_COEFF * chain.length ** self.PROTEIN_EXP
-                )
-        rate = (
-            self.platform.host_single_thread_ips
-            * self.threads ** self.THREAD_EXP
-        )
-        depth = min(254, 32 + sample.assembly.total_residues // 6)
-        result = MsaCost(seconds=instructions / rate, depth=depth)
-        self._cache[key] = result
-        return result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -573,11 +513,12 @@ class ServingGateway:
             key = request.content_key()
             cost = self.msa_cost_model.cost(request.sample, key=key)
             base_shards = 0
+            remaining = 1.0
             checkpoint = self.checkpoints.take(key)
             if checkpoint is not None:
                 base_shards = checkpoint.completed_shards
+                remaining = checkpoint.remaining_fraction
                 request.resumed_shards += base_shards
-            remaining = 1.0 - base_shards / SCAN_SHARDS
             stall = health.take_stall()
             if stall > 0:
                 request.msa_stall_wait += stall
@@ -1035,24 +976,15 @@ class ServingGateway:
         if not job:
             return
         request, base_shards, planned, corrupted = job
-        elapsed = self._now - health.job_started
-        if planned > 0 and not corrupted:
-            progressed = int(
-                (SCAN_SHARDS - base_shards) * (elapsed / planned)
-            )
-            completed = min(SCAN_SHARDS - 1, base_shards + progressed)
-        else:
-            completed = 0
+        # A corrupted stream proves nothing it delivered: save nothing.
+        completed = 0 if corrupted else finished_scan_shards(
+            base_shards, self._now - health.job_started, planned
+        )
         self.probe.msa_aborted(request, worker, self._now, completed)
-        key = request.content_key()
-        cost = self.msa_cost_model.cost(request.sample, key=key)
         if completed > 0:
-            self.checkpoints.save(key, MsaCheckpoint(
-                completed_shards=completed,
-                total_shards=SCAN_SHARDS,
-                full_seconds=cost.seconds,
-                depth=cost.depth,
-            ))
+            self.checkpoints.save(
+                request.content_key(), MsaCheckpoint(completed)
+            )
         request.fault_failures += 1
         self.fault_stats.fault_retries += 1
         request.state = RequestState.QUEUED_MSA

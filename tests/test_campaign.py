@@ -18,7 +18,9 @@ import pytest
 from repro.campaign import (
     CampaignConfig,
     CampaignState,
+    ChainSpec,
     ManifestError,
+    TargetSpec,
     build_graph,
     campaign_spans,
     cohort_summary,
@@ -33,8 +35,11 @@ from repro.campaign import (
     simulated_schedule,
 )
 from repro.campaign.dag import STAGES, task_id
+from repro.campaign.stages import StageError, stage_output
+from repro.core.estimator import DEFAULT_PLATFORMS, estimate
 from repro.observability import CAMPAIGN_METRICS, prometheus_metrics
 from repro.parallel import ExecutionPlan
+from repro.sequences.builtin import builtin_samples
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "campaign_summary.json"
 
@@ -342,3 +347,31 @@ class TestFailuresAndStatus:
         failed = {d["target"] for d in state.failed_records()}
         assert failed
         assert not failed & set(merged)
+
+
+def test_preprocess_admits_exactly_as_estimate():
+    """Campaign admission and ``repro estimate`` share one MSA peak
+    model: the same target gets the same MSA verdict from both, on
+    every platform preset and thread count (6QNR's 650-nt RNA chain
+    is the case that tells them apart on Desktop)."""
+    for sample in builtin_samples().values():
+        target = TargetSpec(
+            target_id=sample.name,
+            chains=tuple(
+                ChainSpec(c.molecule_type.value, c.sequence, c.copies)
+                for c in sample.assembly if c.molecule_type.is_polymer
+            ),
+        )
+        for threads in (1, 8):
+            verdicts = estimate(sample.assembly, threads=threads).verdicts
+            for platform, verdict in zip(DEFAULT_PLATFORMS, verdicts):
+                context = {"platform": platform.name, "threads": threads}
+                try:
+                    outcome = stage_output(
+                        "preprocess", target, context, {}
+                    )["memory_outcome"]
+                except StageError:
+                    outcome = "oom"
+                assert outcome == verdict.msa_outcome.value, (
+                    sample.name, platform.name, threads,
+                )

@@ -24,12 +24,12 @@ from repro.faults import (
 )
 from repro.faults.chaos import check_invariants
 from repro.hardware.platform import SERVER
+from repro.msa.cost import MsaCost
 from repro.sequences import Assembly, Chain, MoleculeType
 from repro.sequences.generator import random_sequence
 from repro.sequences.sample import ComplexityClass, InputSample
 from repro.serving import (
     GatewayConfig,
-    MsaCost,
     RequestState,
     ServingGateway,
     ServingRequest,

@@ -29,7 +29,6 @@ from repro.cluster import (
     PriorityJobQueue,
     build_job_stream,
     chain_scan_seconds,
-    checkpointable_shards,
     get_policy,
     pareto_rows,
     run_cluster_campaign,
@@ -237,23 +236,6 @@ class TestAutoscalerPolicies:
             queue_depth=20, total=1, busy=0, idle=1, spec=spec,
         ))
         assert deltas["od"] == 0   # backlog goes to spot, not here
-
-
-class TestCheckpointableShards:
-    def test_zero_before_any_progress(self):
-        assert checkpointable_shards(0.0, 100.0, 16) == 0
-        assert checkpointable_shards(-5.0, 100.0, 16) == 0
-        assert checkpointable_shards(50.0, 0.0, 16) == 0
-
-    def test_floor_of_elapsed_fraction(self):
-        assert checkpointable_shards(50.0, 100.0, 16) == 8
-        assert checkpointable_shards(99.0, 100.0, 16) == 15
-
-    def test_never_reports_a_complete_scan(self):
-        # elapsed >= planned still caps at total - 1: completion is
-        # the finish event's job, not the drain's.
-        assert checkpointable_shards(100.0, 100.0, 16) == 15
-        assert checkpointable_shards(500.0, 100.0, 16) == 15
 
 
 class TestMigrationLedger:

@@ -20,6 +20,7 @@ from repro.faults import (
     MSA_DOMAIN,
     MsaCheckpoint,
     WorkerHealth,
+    finished_scan_shards,
     merge_plans,
 )
 from repro.hardware.cpu import CpuSimulator
@@ -145,16 +146,14 @@ class TestCircuitBreaker:
 
 class TestCheckpoints:
     def test_remaining_math(self):
-        cp = MsaCheckpoint(
-            completed_shards=12, total_shards=16,
-            full_seconds=800.0, depth=64,
-        )
-        assert cp.remaining_fraction == pytest.approx(0.25)
-        assert cp.remaining_seconds == pytest.approx(200.0)
+        cp = MsaCheckpoint(completed_shards=12)
+        assert SCAN_SHARDS == 16
+        assert cp.remaining_fraction == 0.25
+        assert MsaCheckpoint(0).remaining_fraction == 1.0
 
     def test_store_counts_saves_resumes_and_shards(self):
         store = CheckpointStore()
-        cp = MsaCheckpoint(4, 16, 100.0, 32)
+        cp = MsaCheckpoint(4)
         store.save("k", cp)
         assert "k" in store and len(store) == 1
         assert store.take("k") is cp
@@ -163,7 +162,7 @@ class TestCheckpoints:
 
     def test_invalidate_drops_untrusted_checkpoints(self):
         store = CheckpointStore()
-        store.save("k", MsaCheckpoint(4, 16, 100.0, 32))
+        store.save("k", MsaCheckpoint(4))
         assert store.invalidate("k") is True
         assert store.invalidate("k") is False
         assert store.take("k") is None
@@ -171,9 +170,31 @@ class TestCheckpoints:
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            MsaCheckpoint(17, 16, 100.0, 32)
+            MsaCheckpoint(SCAN_SHARDS + 1)
         with pytest.raises(ValueError):
-            MsaCheckpoint(1, 0, 100.0, 32)
+            MsaCheckpoint(-1)
+
+
+class TestFinishedScanShards:
+    def test_zero_before_any_progress(self):
+        assert finished_scan_shards(0, 0.0, 100.0) == 0
+        assert finished_scan_shards(0, -5.0, 100.0) == 0
+        assert finished_scan_shards(0, 50.0, 0.0) == 0
+        # A resumed scan keeps what it started from.
+        assert finished_scan_shards(6, 0.0, 100.0) == 6
+
+    def test_floor_of_elapsed_fraction(self):
+        assert finished_scan_shards(0, 50.0, 100.0) == 8
+        assert finished_scan_shards(0, 99.0, 100.0) == 15
+        # Progress is a share of the shards left after the resume.
+        assert finished_scan_shards(8, 50.0, 100.0) == 12
+
+    def test_never_reports_a_complete_scan(self):
+        # elapsed >= planned still caps at SCAN_SHARDS - 1: completion
+        # is the finish event's job, not the interruption's.
+        assert finished_scan_shards(0, 100.0, 100.0) == 15
+        assert finished_scan_shards(0, 500.0, 100.0) == 15
+        assert finished_scan_shards(15, 500.0, 100.0) == 15
 
 
 class TestWorkerHealth:

@@ -18,7 +18,6 @@ from repro.sequences.builtin import builtin_samples, get_sample
 from repro.sequences.generator import random_sequence
 from repro.sequences.sample import ComplexityClass, InputSample
 from repro.serving import (
-    AnalyticMsaCostModel,
     GatewayConfig,
     MsaResultCache,
     PoissonArrivals,
