@@ -18,6 +18,8 @@ the committed baselines in ``benchmarks/baselines/``.  Raw seconds are
 meaningless across machines, so each artifact carries a *canary* (a
 fixed numpy workload timed in the same session) and the gate compares
 canary-normalised ratios: ``median / canary`` now vs at baseline time.
+An entry's own canary, timed right around it, is preferred; entries
+recorded before per-entry canaries existed fall back to the file's.
 A kernel is flagged only if its normalised cost grew by more than the
 tolerance (default 25%; override with ``REPRO_BENCH_TOLERANCE=0.4``).
 
@@ -57,8 +59,10 @@ def check_group(current: dict, baseline: dict, tolerance: float,
         if cur is None:
             failures.append(f"{name}/{entry}: missing from current run")
             continue
-        base_ratio = base["median_seconds"] / base_canary
-        cur_ratio = cur["median_seconds"] / cur_canary
+        base_ratio = base["median_seconds"] / base.get(
+            "canary_seconds", base_canary)
+        cur_ratio = cur["median_seconds"] / cur.get(
+            "canary_seconds", cur_canary)
         change = cur_ratio / base_ratio - 1.0
         status = "FAIL" if change > tolerance else "ok"
         print(f"  {status:4s} {name}/{entry}: {change:+.1%} "

@@ -6,7 +6,10 @@ for the regression gate (``benchmarks/check_regression.py``).
 Raw seconds are not comparable across machines, so every artifact also
 stores a *canary*: the median time of a fixed numpy workload measured
 in the same session.  The regression gate compares canary-normalised
-ratios, which makes a committed baseline meaningful on any host.
+ratios, which makes a committed baseline meaningful on any host.  Each
+entry also carries its own canary, timed right before and right after
+the entry, so a host whose speed drifts during the session (a shared
+machine) normalises every entry by the speed it actually ran at.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import os
 import statistics
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
@@ -63,10 +66,16 @@ def _canary_workload() -> None:
         b = np.tanh(acc)
 
 
+#: Canary samples timed right before and again right after each entry.
+ENTRY_CANARY_SAMPLES = 3
+
+
 @dataclasses.dataclass
 class BenchEntry:
     median_seconds: float
     repeats: int
+    #: Median canary time over the samples taken around this entry.
+    canary_seconds: float
 
 
 class BenchRecorder:
@@ -78,27 +87,34 @@ class BenchRecorder:
 
     def canary_seconds(self) -> float:
         if not self._canary:
-            self._canary = self._median(5, _canary_workload)
+            self._canary = statistics.median(
+                self._samples(5, _canary_workload)
+            )
         return self._canary
 
     @staticmethod
-    def _median(repeats: int, fn: Callable[[], object]) -> float:
+    def _samples(repeats: int, fn: Callable[[], object]) -> List[float]:
         times = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
-        return statistics.median(times)
+        return times
 
     def record(
         self, group: str, name: str, fn: Callable[[], object],
         repeats: int = 5,
     ) -> float:
         """Time ``fn`` median-of-``repeats`` and store it under
-        ``BENCH_<group>.json`` / ``name``.  Returns the median."""
-        median = self._median(repeats, fn)
+        ``BENCH_<group>.json`` / ``name``, with the canary timed right
+        around it.  Returns the median."""
+        before = self._samples(ENTRY_CANARY_SAMPLES, _canary_workload)
+        median = statistics.median(self._samples(repeats, fn))
+        after = self._samples(ENTRY_CANARY_SAMPLES, _canary_workload)
         self.groups.setdefault(group, {})[name] = BenchEntry(
-            median_seconds=median, repeats=repeats
+            median_seconds=median,
+            repeats=repeats,
+            canary_seconds=statistics.median(before + after),
         )
         return median
 

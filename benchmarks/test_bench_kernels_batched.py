@@ -5,16 +5,18 @@ Acceptance harness for the batched kernel cascade
 
 * times one serial database scan — the same list of shard payloads —
   through the scalar reference loop
-  (:func:`~repro.msa.jackhmmer.reference_scan_protein_shard`) and the
-  production batched cascade
-  (:func:`~repro.msa.kernels.scan_shard`), and records both
-  medians plus per-kernel batched microbenchmarks (a 64-target bucket
-  and a single target) into
+  (:func:`~repro.msa.jackhmmer.reference_scan_protein_shard`), the
+  batched cascade one shard at a time
+  (:func:`~repro.msa.kernels.scan_shard`) and one batched cascade over
+  every shard (:func:`~repro.msa.kernels.scan_shard_group`, the
+  production grouping), and records the three medians plus per-kernel
+  batched microbenchmarks (a 64-target bucket and a single target)
+  into
   ``benchmarks/out/BENCH_kernels_batched.json`` for the regression
   gate.  Only the shard scan is timed: the Gumbel calibration and the
   trace emission a full search adds are outside both entries;
-* re-asserts ``==`` between the two scans' full ``ShardScanResult``
-  tuples;
+* re-asserts ``==`` between the three scans' full ``ShardScanResult``
+  lists;
 * requires the batched scan to beat the scalar scan by >= 3x median.
   Unlike the worker-scaling bar this holds on ANY host, 1-core CI
   included — the speedup is algorithmic (one interpreter sweep per
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.msa.database import PROTEIN_SEARCH_DBS, build_database
@@ -38,9 +41,10 @@ from repro.msa.kernels import (
     batch_targets,
     calc_band_9_batch,
     calc_band_10_batch,
-    emission_tensor,
+    emission_gather,
     msv_filter_batch,
     scan_shard,
+    scan_shard_group,
 )
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
 from repro.parallel.measure import scan_payloads
@@ -84,7 +88,15 @@ def test_record_kernel_scan_timings(bench_recorder, kernel_case):
             "kernels_batched", f"scan_{name}", run, repeats=REPEATS
         )
 
+    def run_grouped():
+        results["grouped"] = scan_shard_group(payloads)
+
+    bench_recorder.record(
+        "kernels_batched", "scan_grouped", run_grouped, repeats=REPEATS
+    )
+
     assert results["batched"] == results["scalar"]
+    assert results["grouped"] == results["scalar"]
 
 
 def test_record_batched_kernel_micro(bench_recorder, kernel_case):
@@ -99,28 +111,31 @@ def test_record_batched_kernel_micro(bench_recorder, kernel_case):
         for s in range(64)
     ]
     (batch,) = batch_targets(encoded)
-    emissions = emission_tensor(profile, batch)
+
+    def gather_rows():
+        # The score table, the column index and every row's (B, P)
+        # gather: the emission work of one MSV sweep.
+        table, index = emission_gather(profile, batch)
+        row = np.empty(index.shape)
+        for i in range(profile.length):
+            np.take(table[i], index, out=row, mode="clip")
+
     bench_recorder.record(
-        "kernels_batched", "emission_tensor",
-        lambda: emission_tensor(profile, batch), repeats=REPEATS,
-    )
-    bench_recorder.record(
-        "kernels_batched", "msv_filter_batch",
-        lambda: msv_filter_batch(profile, batch, emissions=emissions),
+        "kernels_batched", "emission_row_gather", gather_rows,
         repeats=REPEATS,
     )
     bench_recorder.record(
+        "kernels_batched", "msv_filter_batch",
+        lambda: msv_filter_batch(profile, batch), repeats=REPEATS,
+    )
+    bench_recorder.record(
         "kernels_batched", "calc_band_9_batch",
-        lambda: calc_band_9_batch(
-            profile, batch, band=64, emissions=emissions
-        ),
+        lambda: calc_band_9_batch(profile, batch, band=64),
         repeats=REPEATS,
     )
     bench_recorder.record(
         "kernels_batched", "calc_band_10_batch",
-        lambda: calc_band_10_batch(
-            profile, batch, band=64, emissions=emissions
-        ),
+        lambda: calc_band_10_batch(profile, batch, band=64),
         repeats=REPEATS,
     )
 
@@ -141,13 +156,12 @@ def test_record_batched_kernel_single(bench_recorder, kernel_case):
                              mtype)
     (batch,) = batch_targets([target])
     assert batch.padded_len == 256
-    emissions = emission_tensor(profile, batch)
     for name, kernel in (("calc_band_9_batch_single", calc_band_9_batch),
                          ("calc_band_10_batch_single", calc_band_10_batch)):
 
         def run(kernel=kernel):
             for _ in range(SINGLE_CALLS):
-                kernel(profile, batch, band=64, emissions=emissions)
+                kernel(profile, batch, band=64)
 
         bench_recorder.record("kernels_batched", name, run, repeats=REPEATS)
 

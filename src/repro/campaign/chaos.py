@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..parallel import ExecutionPlan
 from .manifest import TargetSpec

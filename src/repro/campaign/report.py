@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 from ..observability.spans import SpanRecorder
 from .dag import STAGES, build_graph

@@ -21,7 +21,7 @@ compares:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from .nodes import NodePoolSpec
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..msa.cost import chain_scan_seconds, msa_depth
 from ..sequences.chain import Chain

@@ -16,7 +16,7 @@ configurations are flagged before any compute is spent.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..hardware.gpu import WEIGHTS_BYTES, activation_memory_bytes
 from ..hardware.memory import MemoryOutcome

@@ -26,7 +26,7 @@ from ..hardware.platform import Platform
 from ..hardware.storage import IostatReport, PageCacheModel, simulate_iostat
 from ..model.config import ModelConfig
 from ..model.memory_planner import AttentionSchedule
-from ..msa.engine import MsaEngine, MsaEngineConfig, MsaPhaseResult
+from ..msa.engine import MsaEngine, MsaPhaseResult
 from ..parallel.plan import ExecutionPlan
 from ..sequences.sample import InputSample
 

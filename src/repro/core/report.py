@@ -8,7 +8,7 @@ in any terminal and easy to diff in CI.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 BAR_CHARS = 48
 

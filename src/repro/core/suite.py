@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..msa.engine import MsaEngineConfig
-from .runner import BenchmarkRunner, SweepConfig
+from .runner import BenchmarkRunner
 
 
 class AfSysBench:

@@ -6,7 +6,6 @@ from typing import Optional
 
 from ..core.report import render_table
 from ..core.runner import BenchmarkRunner
-from ..sequences.builtin import builtin_samples
 from ._shared import ensure_runner
 
 

@@ -27,7 +27,7 @@ Key mechanisms (each maps to a finding in the paper's Table III):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 from ..trace import AccessPattern, OpRecord, Resource, WorkloadTrace
 

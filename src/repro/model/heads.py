@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 

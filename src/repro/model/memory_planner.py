@@ -37,11 +37,10 @@ tests pin.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..hardware.gpu import (
     ACTIVATION_BASE_BYTES,
-    ATTENTION_WORKSPACE_BYTES_PER_PAIR_ROW,
     PAIR_STACK_BYTES_PER_PAIR,
     WEIGHTS_BYTES,
     InferenceSimulator,

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .profile_hmm import ProfileHMM, encode_sequence  # noqa: F401  (re-export)
+from .profile_hmm import ProfileHMM
 
 NEG_INF = -1e30
 

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..parallel.executor import ExecutionOutcome
 from ..parallel.plan import ExecutionPlan
 from ..sequences.alphabets import MoleculeType
-from ..sequences.chain import Chain
 from ..sequences.sample import InputSample
 from ..trace import WorkloadTrace
 from .aligner import Msa, assemble_msa

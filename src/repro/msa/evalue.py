@@ -18,7 +18,6 @@ from typing import List
 
 import numpy as np
 
-from ..sequences.alphabets import MoleculeType
 from ..sequences.generator import random_sequence
 from .dp import calc_band_9
 from .kernels.batched import viterbi_panel_scores

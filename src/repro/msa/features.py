@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..sequences.alphabets import GAP, MoleculeType, alphabet_for
+from ..sequences.alphabets import GAP, MoleculeType
 from .aligner import Msa
 
 #: Feature classes: the union protein+nucleic alphabet plus gap and

@@ -39,7 +39,7 @@ from .kernels import (
     ScanGates,
     ShardScanResult,
     pad_waste,
-    scan_shard,
+    scan_shard_group,
     scan_waste_summary,
 )
 from .profile_hmm import ProfileHMM
@@ -205,17 +205,31 @@ def scan_database(
     """One sharded scan of ``search.database`` under ``search.plan``.
 
     Shared by :class:`JackhmmerSearch` and
-    :class:`repro.msa.nhmmer.NhmmerSearch`: runs ``scan`` (the module's
-    ``scan_shard``) over every shard, merges the hits in shard order,
-    appends the schedule to ``outcomes`` and the counters to ``stats``.
+    :class:`repro.msa.nhmmer.NhmmerSearch`.  The checkpoint shards are
+    cut into one contiguous group per worker (one group under a serial
+    plan), and ``scan`` (the module's ``scan_shard_group``) runs one
+    cascade per group, returning one result per shard.  The appended
+    outcome holds those results in shard order and one timing per
+    group, whose ``shards`` is the group's shard range.  Hits are
+    merged in shard order and the counters added to ``stats``.
     Returns the hits and the scan's own ``(msv_cells, vit_cells,
     fwd_cells, msv_pass)``.
     """
+    payloads = shard_payloads(search.database, profile, gumbel, gates,
+                              search.scan_shards)
+    workers = (1 if search.plan.resolve_backend("process") == "serial"
+               else search.plan.workers)
+    groups = shard_bounds(len(payloads), min(workers, len(payloads)))
     outcome = run_sharded(
-        scan,
-        shard_payloads(search.database, profile, gumbel, gates,
-                       search.scan_shards),
-        search.plan,
+        scan, [payloads[lo:hi] for lo, hi in groups], search.plan
+    )
+    outcome = dataclasses.replace(
+        outcome,
+        results=[result for group in outcome.results for result in group],
+        timings=[
+            dataclasses.replace(timing, shards=groups[timing.index])
+            for timing in outcome.timings
+        ],
     )
     outcomes.append(outcome)
     hits: List[Hit] = merge_sharded(
@@ -321,7 +335,7 @@ class JackhmmerSearch:
 
         for iteration in range(cfg.iterations):
             iter_hits, (msv_cells, vit_cells, fwd_cells, msv_pass) = (
-                scan_database(self, scan_shard, profile, gumbel,
+                scan_database(self, scan_shard_group, profile, gumbel,
                               cfg.gates, stats, scan_outcomes)
             )
             self._emit_iteration_trace(

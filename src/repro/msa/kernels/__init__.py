@@ -1,14 +1,17 @@
 """Batched DP kernels: the scan hot loop as length-bucketed tensors.
 
 ``repro.msa.dp`` scores one target at a time; this package scores a
-whole shard at once.  :func:`batch_targets` buckets encoded sequences
-by power-of-two padded length, :func:`emission_tensor` builds one
-``(L, B, P)`` score tensor per bucket, and the three batched kernels
-(:func:`msv_filter_batch`, :func:`calc_band_9_batch`,
-:func:`calc_band_10_batch`) advance the whole bucket per profile row.
-:func:`run_cascade` chains them with survivor compaction between
-stages, and :func:`scan_shard` runs it over one protein or RNA shard;
-it is the only scan path a search runs.  Everything is
+worker's whole share of a database scan at once.
+:func:`batch_targets` buckets encoded sequences by power-of-two padded
+length, and the three batched kernels (:func:`msv_filter_batch`,
+:func:`calc_band_9_batch`, :func:`calc_band_10_batch`) advance the
+whole bucket per profile row, gathering that row's emissions from
+:func:`emission_gather`'s score table as it runs.  :func:`run_cascade`
+chains them with survivor compaction between stages over a group of
+shards and splits the outcome back per shard;
+:func:`scan_shard_group` runs it over a contiguous group of protein
+or RNA shards, the only scan path a search runs, and
+:func:`scan_shard` over one shard.  Everything is
 bit-identical to the scalar kernels, which stay as the ``==`` oracle
 (``reference_scan_*_shard``) — see docs/kernels.md for the design and
 the argument for exactness.
@@ -18,7 +21,7 @@ from .batch import (
     PAD,
     TargetBatch,
     batch_targets,
-    emission_tensor,
+    emission_gather,
     pad_length,
     pad_waste,
     scan_waste_summary,
@@ -36,6 +39,7 @@ from .cascade import (
     ShardScanResult,
     run_cascade,
     scan_shard,
+    scan_shard_group,
     window_bounds,
 )
 
@@ -49,12 +53,13 @@ __all__ = [
     "batch_targets",
     "calc_band_9_batch",
     "calc_band_10_batch",
-    "emission_tensor",
+    "emission_gather",
     "msv_filter_batch",
     "pad_length",
     "pad_waste",
     "run_cascade",
     "scan_shard",
+    "scan_shard_group",
     "scan_waste_summary",
     "viterbi_panel_scores",
     "window_bounds",

@@ -8,7 +8,7 @@ power of two, padded to that length:
 
 * padding columns carry the sentinel index :data:`PAD` in
   ``encoded`` so they can never be mistaken for a wildcard (``-1``);
-* :func:`emission_tensor` scores padding columns at ``NEG_INF`` so no
+* :func:`emission_gather` scores padding columns at ``NEG_INF`` so no
   reduction inside a kernel can ever pick a padded cell;
 * each element keeps its true ``seq_len``, which is what the kernels
   use for band geometry, validity masks, and cell accounting — the
@@ -179,25 +179,26 @@ def scan_waste_summary(
     )
 
 
-def emission_tensor(profile: ProfileHMM, batch: TargetBatch) -> np.ndarray:
-    """``(L, B, P)`` match-emission tensor for a batch.
+def emission_gather(
+    profile: ProfileHMM, batch: TargetBatch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(L, A + 2)`` score table and ``(B, P)`` column index a
+    kernel gathers a batch's match emissions from, one profile row at a
+    time.
 
-    Valid columns hold exactly ``profile.emission_row``'s values
-    (wildcards score 0 everywhere, as in the scalar path); padding
-    columns hold ``NEG_INF`` so batched reductions can never prefer
-    them.  Computed once per batch and threaded through all three
-    cascade stages (the scalar path used to compute it up to three
-    times per surviving target).
-
-    The score table is augmented with one constant column per sentinel
-    (wildcard -> 0, padding -> NEG_INF) so the whole tensor is a single
-    fancy-index gather — one pass over the output instead of a gather
-    plus two full-tensor ``np.where`` rewrites (~4x faster, and the
-    gathered values are copied verbatim so bit-identity is untouched).
+    ``np.take(table[i], index)`` is row ``i``'s ``(B, P)`` emissions:
+    valid columns hold exactly ``profile.emission_row``'s values
+    (wildcards score 0 everywhere, as in the scalar path) and padding
+    columns hold ``NEG_INF``, so batched reductions can never prefer
+    them.  The table is ``profile.match_scores`` augmented with one
+    constant column per sentinel (wildcard -> 0, padding -> NEG_INF),
+    so each row is one fancy-index gather of float64 values copied
+    verbatim: bit-identity is untouched, and no array scales with
+    ``L * B * P``.
     """
     scores = profile.match_scores
     length, alphabet = scores.shape
-    augmented = np.concatenate(
+    table = np.concatenate(
         [
             scores,
             np.zeros((length, 1)),           # wildcard column
@@ -206,7 +207,7 @@ def emission_tensor(profile: ProfileHMM, batch: TargetBatch) -> np.ndarray:
         axis=1,
     )
     enc = batch.encoded
-    idx = np.where(
+    index = np.where(
         enc >= 0, enc, np.where(enc == -1, alphabet, alphabet + 1)
     )
-    return augmented[:, idx]
+    return table, index

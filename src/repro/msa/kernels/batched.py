@@ -39,13 +39,13 @@ the contract with ``==``, never ``approx``.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..dp import NEG_INF
 from ..profile_hmm import ProfileHMM
-from .batch import TargetBatch, batch_targets, emission_tensor
+from .batch import TargetBatch, batch_targets, emission_gather
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,29 +65,31 @@ class BatchKernelResult:
 def msv_filter_batch(
     profile: ProfileHMM,
     batch: TargetBatch,
-    emissions: Optional[np.ndarray] = None,
 ) -> BatchKernelResult:
     """Batched ungapped Kadane diagonal scan (MSV analogue).
 
-    One sweep over the ``(L, B, P)`` emission tensor; the running
-    maximum-subarray state is a ``(B, P)`` matrix.  Padding columns
-    score ``NEG_INF`` so they never win a row maximum, and zero-length
-    targets come out at score 0 / 0 cells exactly like the scalar
-    guard.
+    One sweep over the profile rows, gathering each row's ``(B, P)``
+    emissions as it runs; the running maximum-subarray state is a
+    ``(B, P)`` matrix.  Padding columns score ``NEG_INF`` so they
+    never win a row maximum, and zero-length targets come out at score
+    0 / 0 cells exactly like the scalar guard.
     """
-    if emissions is None:
-        emissions = emission_tensor(profile, batch)
+    table, index = emission_gather(profile, batch)
     length = profile.length
     size, padded = batch.encoded.shape
     best = np.zeros(size)
     row_best = np.empty(size)
+    emit = np.empty((size, padded))
     running = np.zeros((size, padded))
     shifted = np.empty((size, padded))
     scratch = np.empty((size, padded))
     for i in range(length):
+        # Every index is in range, so "clip" never clips; it only spares
+        # the temporary "raise" mode would buffer ``out`` through.
+        np.take(table[i], index, out=emit, mode="clip")
         shifted[:, 0] = 0.0
         np.maximum(running[:, :-1], 0.0, out=shifted[:, 1:])
-        np.add(emissions[i], shifted, out=scratch)
+        np.add(emit, shifted, out=scratch)
         running, scratch = scratch, running
         running.max(axis=1, out=row_best)
         np.maximum(best, row_best, out=best)
@@ -102,22 +104,18 @@ def calc_band_9_batch(
     profile: ProfileHMM,
     batch: TargetBatch,
     band: int = 64,
-    emissions: Optional[np.ndarray] = None,
 ) -> BatchKernelResult:
     """Batched banded local Viterbi (``calc_band_9`` across a batch)."""
-    return _banded_dp_batch(profile, batch, band, forward=False,
-                            emissions=emissions)
+    return _banded_dp_batch(profile, batch, band, forward=False)
 
 
 def calc_band_10_batch(
     profile: ProfileHMM,
     batch: TargetBatch,
     band: int = 64,
-    emissions: Optional[np.ndarray] = None,
 ) -> BatchKernelResult:
     """Batched banded local Forward (``calc_band_10`` across a batch)."""
-    return _banded_dp_batch(profile, batch, band, forward=True,
-                            emissions=emissions)
+    return _banded_dp_batch(profile, batch, band, forward=True)
 
 
 def viterbi_panel_scores(
@@ -243,7 +241,6 @@ def _banded_dp_batch(
     batch: TargetBatch,
     band: int,
     forward: bool,
-    emissions: Optional[np.ndarray] = None,
 ) -> BatchKernelResult:
     """Banded Viterbi/Forward over the union of the lanes' band windows.
 
@@ -257,6 +254,8 @@ def _banded_dp_batch(
 
     State is laid out ``(column, lane)``, so any window of columns is
     one contiguous block and every row op runs as a single flat loop.
+    Each row gathers its window's emissions into the same layout, so
+    no array here scales with ``L * B * P``.
     """
     if band <= 0:
         raise ValueError("band must be positive")
@@ -267,8 +266,8 @@ def _banded_dp_batch(
     # band in the reported width, exactly like the scalar guard.
     band_eff = np.minimum(band, np.maximum(length, seq_lens))
     band_widths = np.where(seq_lens == 0, band, band_eff).astype(np.int64)
-    if emissions is None:
-        emissions = emission_tensor(profile, batch)
+    table, index = emission_gather(profile, batch)
+    index_t = np.ascontiguousarray(index.T)   # (column, lane)
     t = profile.transitions
 
     starts, counts = _band_bounds(length, seq_lens, band_eff)
@@ -293,6 +292,7 @@ def _banded_dp_batch(
     into_delete = np.array([t.md, t.dd])[:, None, None]
     # Scratch for one window, (columns, lanes).
     widest = int((his - los).max(initial=0))
+    emissions = np.empty((widest, size))
     diagonal = np.empty((3, widest, size))
     vertical = np.empty((2, widest, size))
     work_a = np.empty((widest, size))
@@ -336,7 +336,9 @@ def _banded_dp_batch(
             np.greater_equal(col_ids[lo:hi], ends[i], out=mask)
             np.logical_or(mask, below[:width], out=mask)
         m_row, i_row, d_row = cur[0, win], cur[1, win], cur[2, win]
-        emit = emissions[i, :, lo:hi].T
+        emit = emissions[:width]
+        # In-range indices: "clip" only skips "raise"'s buffered copy.
+        np.take(table[i], index_t[lo:hi], out=emit, mode="clip")
 
         # --- match state ---
         from3 = diagonal[:, :width]

@@ -1,17 +1,22 @@
-"""Batched acceleration cascade: MSV → Viterbi → Forward over a shard.
+"""Batched acceleration cascade: MSV → Viterbi → Forward over shards.
 
-The one scan path of both searches: :func:`scan_shard` runs a
-jackhmmer (protein) or nhmmer (RNA) shard through :func:`run_cascade`.
+The one scan path of both searches: :func:`scan_shard_group` runs a
+contiguous group of jackhmmer (protein) or nhmmer (RNA) shards through
+one :func:`run_cascade`, and :func:`scan_shard` is its one-shard case.
 It is the same three-stage filter pipeline as the scalar reference
 loops (:func:`repro.msa.jackhmmer.reference_scan_protein_shard`,
 :func:`repro.msa.nhmmer.reference_scan_rna_shard`), but over length
-buckets.  A target is scanned as one or more windows: a protein target
-whole, an RNA target in overlapping nhmmer windows.  MSV scores every
-window; each target keeps its best window, and the survivors of the
-MSV gate are re-bucketed so each bucket's emission tensor is computed
-**once** and shared by Viterbi and Forward, with the survivors of the
-Viterbi gate compacted (rows of the batch *and* lanes of the emission
-tensor) before Forward runs.
+buckets that span every shard of the group, so the batched kernels
+see a worker's whole share of the database at once.  A target is
+scanned as one or more windows: a protein target whole, an RNA target
+in overlapping nhmmer windows.  MSV scores every window; each target
+keeps its best window, the survivors of the MSV gate are re-bucketed
+for Viterbi, and the survivors of the Viterbi gate are compacted out
+of their batch before Forward runs.  Each kernel gathers a profile
+row's emissions when that row runs, so no stage holds an emission
+tensor.  Counters, hits and padding waste are split back per shard by
+the shard each lane came from, so every shard's result is exactly the
+one its own reference loop reports.
 
 Gating decisions call :meth:`GumbelParams.evalue` per target with the
 same floats the scalar path sees, so the survivor sets — and therefore
@@ -27,7 +32,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..profile_hmm import ProfileHMM
-from .batch import batch_targets, emission_tensor
+from .batch import batch_targets, pad_waste
 from .batched import calc_band_9_batch, calc_band_10_batch, msv_filter_batch
 
 if TYPE_CHECKING:
@@ -73,11 +78,12 @@ class ShardScanResult:
     msv_cells: int
     vit_cells: int
     fwd_cells: int
-    #: Per-bucket ``(padded_len, targets, real_tokens)`` of the MSV
-    #: batches over every scanned window (the full candidate set,
-    #: before survivor compaction: waste is paid by the scan, not by
-    #: what clears the gates).  A pure function of window lengths under
-    #: the power-of-two geometry, so the reference loops report the
+    #: Per-bucket ``(padded_len, targets, real_tokens)`` of MSV
+    #: batches over every window this shard scans (the full candidate
+    #: set, before survivor compaction: waste is paid by the scan, not
+    #: by what clears the gates).  A pure function of the shard's own
+    #: window lengths under the power-of-two geometry, whichever group
+    #: the shard was scanned in, so the reference loops report the
     #: same value and the ``==`` oracle contract covers it too.
     pad_waste: Tuple[Tuple[int, int, int], ...] = ()
 
@@ -105,50 +111,77 @@ def window_bounds(
 def scan_shard(payload) -> ShardScanResult:
     """Run the batched cascade over one protein or RNA shard.
 
-    Module-level and driven by one picklable payload tuple so the fork
-    pool can run it; each target's result depends only on (profile,
-    gumbel, target), so shards are pure and order-independent.
     ``payload`` is ``(shard_index, profile, gumbel, targets, gates,
     db_size)`` with ``targets`` a list of ``(name, seq, encoded)``
     triples and ``gates`` a :class:`ScanGates`.  The result equals the
     molecule type's ``reference_scan_*_shard`` under ``==`` (see
     docs/kernels.md).
     """
-    shard_index, profile, gumbel, targets, gates, db_size = payload
+    (result,) = scan_shard_group([payload])
+    return result
+
+
+def scan_shard_group(payloads) -> List[ShardScanResult]:
+    """One cascade over a contiguous group of one scan's shards.
+
+    Module-level so the fork pool can run it; ``payloads`` are
+    :func:`scan_shard` payloads sharing one profile, Gumbel fit, gates
+    and database size.  Each target's result depends only on (profile,
+    gumbel, target), so grouping never changes a result: the returned
+    list holds, in payload order, exactly what :func:`scan_shard`
+    returns for each payload.
+    """
+    if not payloads:
+        return []
+    _, profile, gumbel, _, gates, db_size = payloads[0]
     return run_cascade(
         profile, gumbel,
         [
-            (name, seq, [
-                encoded[lo:hi]
-                for lo, hi in window_bounds(len(encoded), gates.window)
+            (shard_index, [
+                (name, seq, [
+                    encoded[lo:hi]
+                    for lo, hi in window_bounds(len(encoded), gates.window)
+                ])
+                for name, seq, encoded in targets
             ])
-            for name, seq, encoded in targets
+            for shard_index, _, _, targets, _, _ in payloads
         ],
-        gates, db_size, shard_index=shard_index,
+        gates, db_size,
     )
 
 
 def run_cascade(
     profile: ProfileHMM,
     gumbel: GumbelParams,
-    targets: Sequence[Tuple[str, str, Sequence[np.ndarray]]],
+    shards: Sequence[
+        Tuple[int, Sequence[Tuple[str, str, Sequence[np.ndarray]]]]
+    ],
     gates: ScanGates,
     db_size: int,
-    *,
-    shard_index: int = 0,
-) -> ShardScanResult:
-    """Batched MSV → Viterbi → Forward over ``(name, seq, windows)``
-    targets, with survivor compaction between stages."""
-    windows = [window for _, _, ws in targets for window in ws]
+) -> List[ShardScanResult]:
+    """Batched MSV → Viterbi → Forward over ``(shard_index, targets)``
+    pairs, ``targets`` being ``(name, seq, windows)``, with survivor
+    compaction between stages.  Returns one :class:`ShardScanResult`
+    per shard, in the given order."""
+    targets = [target for _, shard in shards for target in shard]
+    # Position in ``shards`` of every target and of every window.
+    target_shard = [k for k, (_, shard) in enumerate(shards) for _ in shard]
+    windows: List[np.ndarray] = []
+    window_shard: List[int] = []
+    for k, (_, _, ws) in zip(target_shard, targets):
+        windows.extend(ws)
+        window_shard.extend([k] * len(ws))
     msv_scores = [0.0] * len(windows)
-    msv_cells = vit_cells = fwd_cells = 0
-    pad_waste: List[Tuple[int, int, int]] = []
+    msv_cells = [0] * len(shards)
+    vit_cells = [0] * len(shards)
+    fwd_cells = [0] * len(shards)
+    msv_pass = [0] * len(shards)
+    vit_pass = [0] * len(shards)
     for batch in batch_targets(windows):
-        pad_waste.append((batch.padded_len, batch.size, batch.real_tokens))
         msv = msv_filter_batch(profile, batch)
-        msv_cells += int(msv.cells.sum())
         for row, index in enumerate(batch.indices):
             msv_scores[index] = float(msv.scores[row])
+            msv_cells[window_shard[index]] += int(msv.cells[row])
 
     # Each target keeps its best-MSV window; ``max`` keeps the first
     # maximum, as the reference loop's strict ``>`` does.
@@ -160,53 +193,58 @@ def run_cascade(
                        key=msv_scores.__getitem__)
             if not gumbel.evalue(msv_scores[best], db_size) > gates.msv_evalue:
                 survivors.append((target, best))
+                msv_pass[target_shard[target]] += 1
         start += len(ws)
 
     accepted: List[Tuple[int, float, float, float]] = []
-    vit_pass = 0
     for batch in batch_targets([windows[w] for _, w in survivors]):
-        emissions = emission_tensor(profile, batch)
-        vit = calc_band_9_batch(profile, batch, band=gates.band,
-                                emissions=emissions)
-        vit_cells += int(vit.cells.sum())
-        keep = [
-            row for row in range(batch.size)
-            if not gumbel.evalue(float(vit.scores[row]), db_size)
-            > gates.viterbi_evalue
-        ]
-        vit_pass += len(keep)
+        vit = calc_band_9_batch(profile, batch, band=gates.band)
+        keep = []
+        for row, index in enumerate(batch.indices):
+            shard = target_shard[survivors[index][0]]
+            vit_cells[shard] += int(vit.cells[row])
+            evalue = gumbel.evalue(float(vit.scores[row]), db_size)
+            if not evalue > gates.viterbi_evalue:
+                keep.append(row)
+                vit_pass[shard] += 1
         if not keep:
             continue
         vit_scores = vit.scores[keep]
         if len(keep) < batch.size:
             batch = batch.take(keep)
-            emissions = emissions[:, keep, :]
-        fwd = calc_band_10_batch(profile, batch, band=gates.band,
-                                 emissions=emissions)
-        fwd_cells += int(fwd.cells.sum())
-        for row in range(batch.size):
+        fwd = calc_band_10_batch(profile, batch, band=gates.band)
+        for row, index in enumerate(batch.indices):
+            target = survivors[index][0]
+            fwd_cells[target_shard[target]] += int(fwd.cells[row])
             evalue = gumbel.evalue(float(fwd.scores[row]), db_size)
             if not evalue > gates.final_evalue:
                 accepted.append((
-                    survivors[batch.indices[row]][0],
+                    target,
                     float(vit_scores[row]),
                     float(fwd.scores[row]),
                     evalue,
                 ))
 
     accepted.sort(key=lambda item: item[0])
-    return ShardScanResult(
-        shard_index=shard_index,
-        hits=tuple(
-            Hit(targets[target][0], targets[target][1], vit_score,
-                fwd_score, evalue)
-            for target, vit_score, fwd_score, evalue in accepted
-        ),
-        candidates=len(targets),
-        msv_pass=len(survivors),
-        vit_pass=vit_pass,
-        msv_cells=msv_cells,
-        vit_cells=vit_cells,
-        fwd_cells=fwd_cells,
-        pad_waste=tuple(pad_waste),
-    )
+    hits: List[List[Hit]] = [[] for _ in shards]
+    for target, vit_score, fwd_score, evalue in accepted:
+        name, seq, _ = targets[target]
+        hits[target_shard[target]].append(
+            Hit(name, seq, vit_score, fwd_score, evalue)
+        )
+    return [
+        ShardScanResult(
+            shard_index=shard_index,
+            hits=tuple(hits[k]),
+            candidates=len(shard),
+            msv_pass=msv_pass[k],
+            vit_pass=vit_pass[k],
+            msv_cells=msv_cells[k],
+            vit_cells=vit_cells[k],
+            fwd_cells=fwd_cells[k],
+            pad_waste=pad_waste(
+                len(window) for _, _, ws in shard for window in ws
+            ),
+        )
+        for k, (shard_index, shard) in enumerate(shards)
+    ]

@@ -35,7 +35,7 @@ from .kernels import (
     ScanGates,
     ShardScanResult,
     pad_waste,
-    scan_shard,
+    scan_shard_group,
     window_bounds,
 )
 from .jackhmmer import (
@@ -227,7 +227,8 @@ class NhmmerSearch:
         gates = ScanGates(self.band, MSV_EVALUE, math.inf, FINAL_EVALUE,
                           SCAN_WINDOW)
         hits, (msv_cells, vit_cells, fwd_cells, _) = scan_database(
-            self, scan_shard, profile, gumbel, gates, stats, scan_outcomes
+            self, scan_shard_group, profile, gumbel, gates, stats,
+            scan_outcomes,
         )
 
         trace = self._emit_trace(msv_cells, vit_cells, fwd_cells, scale,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sequences.alphabets import GAP, MoleculeType
 from .aligner import Msa

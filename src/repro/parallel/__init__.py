@@ -9,7 +9,7 @@ substrate reproduce the paper's scaling *behaviour* on real cores:
 * :mod:`~repro.parallel.shard` — scan shard geometry shared with the
   checkpoint/resume accounting, plus the order-invariant merge;
 * :mod:`~repro.parallel.executor` — serial/thread/forked-process
-  sharded map with per-shard wall-clock timings;
+  sharded map with per-task wall-clock timings;
 * :mod:`~repro.parallel.timeline` — renders those timings as
   observability spans (real worker tracks in ``repro observe``);
 * :mod:`~repro.parallel.measure` — wall-clock scaling measurements

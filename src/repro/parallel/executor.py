@@ -2,7 +2,7 @@
 
 :func:`run_sharded` maps one picklable module-level function over a
 list of shard payloads and returns results **in payload order** plus
-one wall-clock :class:`TaskTiming` per shard.  The functional results
+one wall-clock :class:`TaskTiming` per payload.  The functional results
 are independent of backend, worker count and completion order — that
 is the caller's contract to uphold (the MSA scan upholds it by making
 each shard a pure function of its inputs) and the differential test
@@ -28,19 +28,25 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Sequence, Tuple
 
 from .plan import ExecutionPlan
 
 
 @dataclasses.dataclass(frozen=True)
 class TaskTiming:
-    """Wall-clock window of one shard on one worker."""
+    """Wall-clock window of one task on one worker.
+
+    ``shards`` is the ``[start, end)`` range of shards the task
+    covered: ``(index, index + 1)`` for a one-shard task, a wider range
+    when the caller ran a group of shards as one task.
+    """
 
     index: int
     worker: str
     start: float
     end: float
+    shards: Tuple[int, int]
 
     @property
     def seconds(self) -> float:
@@ -120,7 +126,8 @@ def run_sharded(
     raw.sort(key=lambda item: item[0])
     results = [item[4] for item in raw]
     timings = [
-        TaskTiming(index=index, worker=worker, start=start, end=end)
+        TaskTiming(index=index, worker=worker, start=start, end=end,
+                   shards=(index, index + 1))
         for index, worker, start, end, _ in raw
     ]
     return ExecutionOutcome(

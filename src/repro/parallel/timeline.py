@@ -1,7 +1,8 @@
 """Render measured worker schedules on the observability span model.
 
 The serving simulator records *simulated* time on worker tracks; the
-parallel scan records *measured* wall-clock shard windows.  Both speak
+parallel scan records *measured* wall-clock windows, one per worker's
+group of shards.  Both speak
 :class:`repro.observability.spans.SpanRecorder`, so the existing
 Chrome-trace exporter (``repro observe export-trace`` and the new
 ``repro observe export-scan-trace``) renders real parallel-scan worker
@@ -34,7 +35,9 @@ def record_outcome(
     Raw worker names (``ForkPoolWorker-3``, ``ThreadPoolExecutor-0_1``)
     are normalised to stable lane names ``<track_prefix>-0..N-1`` in
     order of first appearance; timestamps are shifted so the earliest
-    shard starts at ``origin`` (default: this outcome's own zero).
+    task starts at ``origin`` (default: this outcome's own zero).  Each
+    span carries the inclusive shard range its task covered, e.g.
+    ``shards="0-7"`` for a worker's group of eight shards.
     """
     if not outcome.timings:
         return recorder
@@ -54,7 +57,7 @@ def record_outcome(
             span_name,
             timing.start + shift,
             track=lanes[timing.worker],
-            shard=timing.index,
+            shards=f"{timing.shards[0]}-{timing.shards[1] - 1}",
             backend=outcome.backend,
             **({"label": label} if label else {}),
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..hardware.cpu import CpuPhaseReport
 from ..hardware.gpu import GpuSpec, H100, H100_SCOPE_PARAMS, DEFAULT_SCOPE_PARAMS

@@ -8,9 +8,11 @@ single-residue included), any band, any bucket boundary, and any
 :class:`ExecutionPlan` backend or worker count.  The scalar side is
 the reference shard loops (``reference_scan_protein_shard``,
 ``reference_scan_rna_shard``), which production never runs; the
-batched side is the one shard scan both searches run (``scan_shard``).
-Hypothesis drives the length/band/profile space; fixed cases pin the
-geometry helpers.
+batched side is the one grouped scan both searches run
+(``scan_shard_group``, one cascade over a contiguous group of shards,
+split back into one exact result per shard) and its one-shard case
+``scan_shard``.  Hypothesis drives the length/band/profile/grouping
+space; fixed cases pin the geometry helpers.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.msa.database import NT_RNA, PROTEIN_SEARCH_DBS, build_database
+from repro.msa.database import (
+    NT_RNA,
+    PROTEIN_SEARCH_DBS,
+    SCAN_SHARDS,
+    build_database,
+)
 from repro.msa.dp import (
     NEG_INF,
     _band_mask,
@@ -45,12 +52,13 @@ from repro.msa.kernels import (
     batch_targets,
     calc_band_9_batch,
     calc_band_10_batch,
-    emission_tensor,
+    emission_gather,
     msv_filter_batch,
     pad_length,
     pad_waste,
     run_cascade,
     scan_shard,
+    scan_shard_group,
     scan_waste_summary,
     window_bounds,
 )
@@ -63,7 +71,7 @@ from repro.msa.nhmmer import (
     reference_scan_rna_shard,
 )
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
-from repro.parallel import ExecutionPlan
+from repro.parallel import ExecutionPlan, shard_bounds
 from repro.sequences.alphabets import MoleculeType, alphabet_for
 from repro.sequences.generator import mutate_sequence, random_sequence
 
@@ -130,17 +138,28 @@ class TestBatching:
         assert (sub.encoded[0] == batch.encoded[2]).all()
         assert sub.padded_len == batch.padded_len
 
-    def test_emission_tensor_matches_emission_row(self):
+    def test_row_gather_matches_emission_row(self):
+        """Each profile row's gather, in the MSV ``(lane, column)`` and
+        the banded ``(column, lane)`` layouts, is ``emission_row`` on
+        real columns, 0 on wildcards and NEG_INF on padding."""
         profile = make_profile(12, seed=5)
-        encs = encode_random([0, 1, 6, 8], seed=5)
+        encs = encode_random([0, 1, 6, 8, 8], seed=5)
         encs[2][1] = -1  # wildcard position
+        encs[4][0] = encs[4][7] = -1
         for batch in batch_targets(encs):
-            tensor = emission_tensor(profile, batch)
-            for row, idx in enumerate(batch.indices):
-                n = len(encs[idx])
-                expected = profile.emission_row(encs[idx])
-                assert (tensor[:, row, :n] == expected).all()
-                assert (tensor[:, row, n:] == NEG_INF).all()
+            table, index = emission_gather(profile, batch)
+            assert table.shape == (profile.length,
+                                   profile.match_scores.shape[1] + 2)
+            index_t = np.ascontiguousarray(index.T)
+            for i in range(profile.length):
+                row = np.take(table[i], index)
+                assert (np.take(table[i], index_t) == row.T).all()
+                for lane, idx in enumerate(batch.indices):
+                    n = len(encs[idx])
+                    assert (row[lane, :n]
+                            == profile.emission_row(encs[idx])[i]).all()
+                    assert (row[lane, :n][encs[idx] == -1] == 0.0).all()
+                    assert (row[lane, n:] == NEG_INF).all()
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +170,9 @@ class TestBatching:
 def assert_batch_matches_scalar(profile, encs, band):
     """Every batched result must equal the scalar result bit for bit."""
     for batch in batch_targets(encs):
-        emissions = emission_tensor(profile, batch)
-        msv = msv_filter_batch(profile, batch, emissions=emissions)
-        vit = calc_band_9_batch(profile, batch, band=band,
-                                emissions=emissions)
-        fwd = calc_band_10_batch(profile, batch, band=band,
-                                 emissions=emissions)
+        msv = msv_filter_batch(profile, batch)
+        vit = calc_band_9_batch(profile, batch, band=band)
+        fwd = calc_band_10_batch(profile, batch, band=band)
         for row, idx in enumerate(batch.indices):
             s_msv = msv_filter(profile, encs[idx])
             s_vit = calc_band_9(profile, encs[idx], band=band)
@@ -446,17 +462,29 @@ class TestCascadeEquivalence:
                                                  band=48).score
 
     def test_cascade_counters_match_scalar_loop(self):
+        """One cascade over three shards reports each shard's own
+        counters, hits and waste, as its scalar loop does."""
         _, db, profile, gumbel, targets = _shard_case(seed=2)
         gates = SearchConfig(iterations=1).gates
-        outcome = run_cascade(
+        bounds = shard_bounds(len(targets), 3)
+        outcomes = run_cascade(
             profile, gumbel,
-            [(name, seq, [enc]) for name, seq, enc in targets],
-            gates, db.spec.num_sequences, shard_index=4,
+            [
+                (4 + k, [(name, seq, [enc])
+                         for name, seq, enc in targets[lo:hi]])
+                for k, (lo, hi) in enumerate(bounds)
+            ],
+            gates, db.spec.num_sequences,
         )
-        assert outcome == reference_scan_protein_shard(
-            (4, profile, gumbel, targets, gates, db.spec.num_sequences)
-        )
-        assert outcome.hits
+        assert outcomes == [
+            reference_scan_protein_shard(
+                (4 + k, profile, gumbel, targets[lo:hi], gates,
+                 db.spec.num_sequences)
+            )
+            for k, (lo, hi) in enumerate(bounds)
+        ]
+        # A shard with no MSV survivor beside two with hits.
+        assert [len(outcome.hits) for outcome in outcomes] == [0, 3, 3]
 
     def test_empty_shard(self):
         _, db, profile, gumbel, _ = _shard_case(seed=3)
@@ -476,6 +504,77 @@ class TestCascadeEquivalence:
                 assert result.pad_waste == ()
 
 
+@functools.lru_cache(maxsize=None)
+def _grouping_case(molecule, records, gates):
+    """The ``SCAN_SHARDS`` shard payloads of one scan over the first
+    ``records`` records of a protein or RNA case, and the scalar
+    reference's result for each shard alone."""
+    if molecule == "protein":
+        _, db, profile, gumbel, targets = _shard_case(seed=7)
+        gates = ScanGates(64, *gates)
+        reference = reference_scan_protein_shard
+    else:
+        query, db = _rna_case()
+        profile = ProfileHMM.from_query(query, RNA, name="rna")
+        gumbel = calibrate(profile, seed=6)
+        targets = rna_targets(db.records)
+        gates = rna_gates(gates[0], gates[2])
+        reference = reference_scan_rna_shard
+    targets = targets[:records]
+    payloads = [
+        (i, profile, gumbel, targets[lo:hi], gates, db.spec.num_sequences)
+        for i, (lo, hi) in enumerate(shard_bounds(len(targets),
+                                                  SCAN_SHARDS))
+    ]
+    return payloads, [reference(payload) for payload in payloads]
+
+
+class TestGroupedScan:
+    @given(
+        molecule=st.sampled_from(["protein", "rna"]),
+        # Fewer records than shards leaves some shards empty.
+        records=st.sampled_from([0, 1, 5, 15, 16, 40]),
+        # (msv, viterbi, final) E-value gates: the searches' defaults,
+        # pass-all, and an MSV gate nothing clears.
+        gates=st.sampled_from([
+            (200.0, 1.0, 1e-3), (1e300, 1e300, 1e300), (1e-300, 0.0, 0.0),
+        ]),
+        cuts=st.sets(st.integers(min_value=1, max_value=SCAN_SHARDS - 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_contiguous_grouping_equals_each_shard_alone(
+        self, molecule, records, gates, cuts
+    ):
+        payloads, expected = _grouping_case(molecule, records, gates)
+        edges = [0, *sorted(cuts), SCAN_SHARDS]
+        results = [
+            result
+            for lo, hi in zip(edges, edges[1:])
+            for result in scan_shard_group(payloads[lo:hi])
+        ]
+        assert results == expected
+
+    def test_groups_of_a_real_scan(self):
+        """Every worker-group count of a 16-shard scan, against each
+        shard's scalar result; some groups have no MSV survivor."""
+        for molecule in ("protein", "rna"):
+            payloads, expected = _grouping_case(
+                molecule, 40, (200.0, 1.0, 1e-3)
+            )
+            assert any(r.msv_pass == 0 for r in expected)
+            assert any(r.hits for r in expected)
+            for groups in (1, 2, 3, 5, SCAN_SHARDS):
+                results = [
+                    result
+                    for lo, hi in shard_bounds(SCAN_SHARDS, groups)
+                    for result in scan_shard_group(payloads[lo:hi])
+                ]
+                assert results == expected, (molecule, groups)
+
+    def test_empty_group(self):
+        assert scan_shard_group([]) == []
+
+
 # ---------------------------------------------------------------------------
 # Full searches: every backend x worker count against the scalar oracle
 # ---------------------------------------------------------------------------
@@ -488,12 +587,18 @@ KERNEL_PLANS = [
 ]
 
 
+def each_shard(reference, payloads):
+    """A group scan that runs ``reference`` over each shard alone."""
+    return [reference(payload) for payload in payloads]
+
+
 def scalar_oracle(monkeypatch, module, reference, search):
     """Run ``search()`` with ``module``'s shard scan and calibration
     swapped for their reference loops, on a serial plan: the search as
     the per-target loops compute it."""
     with monkeypatch.context() as patch:
-        patch.setattr(module, "scan_shard", reference)
+        patch.setattr(module, "scan_shard_group",
+                      functools.partial(each_shard, reference))
         patch.setattr(module, "calibrate", reference_calibrate)
         return search()
 
@@ -567,14 +672,20 @@ class TestScanWaste:
         """The batched cascade's measured accounting equals the pure
         length-derived accounting the reference loop reports."""
         _, db, profile, gumbel, targets = _shard_case(seed=2)
-        outcome = run_cascade(
+        bounds = shard_bounds(len(targets), 3)
+        outcomes = run_cascade(
             profile, gumbel,
-            [(name, seq, [enc]) for name, seq, enc in targets],
+            [
+                (k, [(name, seq, [enc])
+                     for name, seq, enc in targets[lo:hi]])
+                for k, (lo, hi) in enumerate(bounds)
+            ],
             SearchConfig(iterations=1).gates, db.spec.num_sequences,
         )
-        assert outcome.pad_waste == pad_waste(
-            [len(enc) for _, _, enc in targets]
-        )
+        assert [outcome.pad_waste for outcome in outcomes] == [
+            pad_waste([len(enc) for _, _, enc in targets[lo:hi]])
+            for lo, hi in bounds
+        ]
 
     def test_rna_scan_counts_every_window(self):
         query, db = _rna_case()

@@ -229,14 +229,27 @@ class TestJackhmmerEquivalence:
         assert parallel.gumbel == serial.gumbel
 
     def test_scan_outcomes_record_every_shard(self):
+        """One result per checkpoint shard, one timing per worker
+        group, and every shard in exactly one group's range."""
         query, db = _protein_case(0)
         config = SearchConfig(iterations=2)
-        result = JackhmmerSearch(
-            db, config, seed=0, plan=ExecutionPlan(workers=2, backend="thread")
-        ).search("q", query)
-        assert len(result.scan_outcomes) == result.stats.iterations
-        for outcome in result.scan_outcomes:
-            assert len(outcome.timings) == SCAN_SHARDS
+        for workers in (1, 2, 7, 20):
+            result = JackhmmerSearch(
+                db, config, seed=0,
+                plan=ExecutionPlan(workers=workers, backend="thread"),
+            ).search("q", query)
+            assert len(result.scan_outcomes) == result.stats.iterations
+            for outcome in result.scan_outcomes:
+                assert [r.shard_index for r in outcome.results] == list(
+                    range(SCAN_SHARDS)
+                )
+                assert len(outcome.timings) == min(workers, SCAN_SHARDS)
+                covered = [
+                    shard
+                    for timing in outcome.timings
+                    for shard in range(*timing.shards)
+                ]
+                assert covered == list(range(SCAN_SHARDS))
 
 
 class TestNhmmerEquivalence:
@@ -379,10 +392,18 @@ class TestScanTimeline:
         recorder = scan_timeline(result.scan_outcomes,
                                  track_prefix="msa-worker")
         spans = recorder.spans
-        assert len(spans) == SCAN_SHARDS
+        # One span per worker group of shards.
+        assert len(spans) == min(2, SCAN_SHARDS)
         tracks = {span.track for span in spans}
         assert tracks <= {"msa-worker-0", "msa-worker-1"}
-        shards = sorted(span.attrs["shard"] for span in spans)
+        shards = sorted(
+            shard
+            for span in spans
+            for shard in range(
+                int(span.attrs["shards"].split("-")[0]),
+                int(span.attrs["shards"].split("-")[1]) + 1,
+            )
+        )
         assert shards == list(range(SCAN_SHARDS))
         for span in spans:
             assert span.end >= span.start >= 0.0
