@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import pathlib
 import sys
 from typing import List, Optional
 
@@ -59,6 +61,33 @@ _TALLY = _at_least(int, 0)                  # retries and fault counts
 _CHAINS = _at_least(int, 2)                 # a PPI screen pairs chains
 _POSITIVE = _at_least(float, 0, strict=True)   # rates, budgets, timeouts
 _SECONDS = _at_least(float, 0)              # waits and backoffs
+
+
+def _store_budget_mb(text: str) -> float:
+    """A ``--store-budget-mb`` that is a whole number of bytes >= 1."""
+    value = float(text)
+    if not (math.isfinite(value) and int(value * 1024 * 1024) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite budget of at least one byte, got {text}"
+        )
+    return value
+
+
+_store_budget_mb.__name__ = "float"   # argparse's "invalid float value"
+
+
+def _store_dir(text: str) -> str:
+    """A ``--store-dir`` whose nearest existing ancestor (the path
+    itself included) is a directory the store can live under."""
+    path = pathlib.Path(text)
+    for ancestor in (path, *path.parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise argparse.ArgumentTypeError(
+                    f"{ancestor} exists and is not a directory"
+                )
+            break
+    return text
 
 
 def _fault_kinds(text: str):
@@ -1054,9 +1083,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "all-vs-all PPI screening workload")
     serve.add_argument("--chains", type=_CHAINS, default=100,
                        help="ppi-screen: size of the chain library")
-    serve.add_argument("--store-dir", default=None,
+    serve.add_argument("--store-dir", type=_store_dir, default=None,
                        help="enable the disk feature store at this path")
-    serve.add_argument("--store-budget-mb", type=_POSITIVE, default=64.0,
+    serve.add_argument("--store-budget-mb", type=_store_budget_mb,
+                       default=64.0,
                        help="feature-store LRU byte budget in MiB")
     serve.add_argument("--precompute", action="store_true",
                        help="bulk-fill the store from the stream's chains "
@@ -1078,9 +1108,10 @@ def build_parser() -> argparse.ArgumentParser:
              "features before an inference wave (checkpointed: "
              "already-stored chains are skipped on restart)",
     )
-    precompute.add_argument("--store-dir", required=True,
+    precompute.add_argument("--store-dir", type=_store_dir, required=True,
                             help="feature-store directory to fill")
-    precompute.add_argument("--store-budget-mb", type=_POSITIVE, default=64.0)
+    precompute.add_argument("--store-budget-mb", type=_store_budget_mb,
+                            default=64.0)
     precompute.add_argument("--scenario",
                             choices=["default", "ppi-screen"],
                             default="ppi-screen")
@@ -1181,11 +1212,12 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_cohort.add_argument("--max-tokens", type=_TALLY, default=0,
                                  help="admission limit; targets over it "
                                       "fail preprocess (0 disables)")
-    campaign_cohort.add_argument("--store-dir", default=None,
+    campaign_cohort.add_argument("--store-dir", type=_store_dir,
+                                 default=None,
                                  help="shared feature store for MSA "
                                       "chain read-through")
-    campaign_cohort.add_argument("--store-budget-mb", type=_POSITIVE,
-                                 default=64.0)
+    campaign_cohort.add_argument("--store-budget-mb",
+                                 type=_store_budget_mb, default=64.0)
     campaign_cohort.add_argument("--attention",
                                  choices=ATTENTION_SCHEDULES,
                                  default="chunked",

@@ -133,6 +133,8 @@ class ClusterScheduler:
         self._now = 0.0
 
         self.nodes: List[Node] = []
+        #: Nodes not yet terminated, in node-id order.
+        self._live: List[Node] = []
         #: Fleet-shared executable cache (the persistent artifact
         #: store every node mounts); crashes and reclaims never clear
         #: it, which is exactly the cold-start amortization it models.
@@ -177,6 +179,8 @@ class ClusterScheduler:
             handlers[kind](payload)
         self.monotonic_violations = events.monotonic_violations
         last_time = self._now = events.horizon
+        if self.store is not None:
+            self.store.sync()   # fold the run's recency into the snapshot
         return build_cluster_report(self, duration_seconds=last_time)
 
     # -- node lifecycle --------------------------------------------------
@@ -187,6 +191,7 @@ class ClusterScheduler:
             compile_cache=self.compile_cache,
         )
         self.nodes.append(node)
+        self._live.append(node)
         self.probe.node_booted(node, at)
         self._events.push(
             _EV_NODE_READY, at + pool.provision_seconds,
@@ -209,6 +214,7 @@ class ClusterScheduler:
     def _terminate_node(self, node: Node, reason: str) -> None:
         node.state = NodeState.TERMINATED
         node.terminated_at = self._now
+        self._live.remove(node)
         self.probe.node_terminated(node, self._now, reason)
 
     # -- job flow --------------------------------------------------------
@@ -219,7 +225,7 @@ class ClusterScheduler:
         self._dispatch()
 
     def _accepting_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.accepts_jobs]
+        return [n for n in self._live if n.accepts_jobs]
 
     def _dispatch(self) -> None:
         """Pair queued jobs with accepting nodes.
@@ -491,7 +497,7 @@ class ClusterScheduler:
         if kind is FaultKind.PREEMPTION:
             return self._handle_no_notice_reclaim(event)
         if kind is FaultKind.WORKER_CRASH:
-            target = select_crash_target(self.nodes, event)
+            target = select_crash_target(self._live, event)
             return target is not None and self._crash_node(target, event)
         if kind is FaultKind.STORE_CORRUPTION:
             return self._store_corruption(event)
@@ -503,7 +509,7 @@ class ClusterScheduler:
         return False
 
     def _handle_notice(self, event: FaultEvent) -> bool:
-        node = select_spot_target(self.nodes, event)
+        node = select_spot_target(self._live, event)
         if node is None:
             return False
         lead = drain_window(event)
@@ -519,7 +525,7 @@ class ClusterScheduler:
     def _handle_no_notice_reclaim(self, event: FaultEvent) -> bool:
         """A reclaim with zero warning: work is lost like a crash, but
         the node is gone for good like a preemption."""
-        node = select_spot_target(self.nodes, event)
+        node = select_spot_target(self._live, event)
         if node is None:
             return False
         job, _ = self._abort_node_job(node)
@@ -566,7 +572,7 @@ class ClusterScheduler:
         return jobs
 
     def _slow_node(self, event: FaultEvent) -> bool:
-        node = select_crash_target(self.nodes, event)
+        node = select_crash_target(self._live, event)
         if node is None or event.seconds <= 0 or event.magnitude <= 1.0:
             return False
         node.health.slow_until = self._now + event.seconds
@@ -583,10 +589,7 @@ class ClusterScheduler:
     def _cluster_view(self) -> ClusterView:
         pools: Dict[str, PoolView] = {}
         for spec in self.config.pools:
-            mine = [
-                n for n in self.nodes
-                if n.pool.name == spec.name and n.alive
-            ]
+            mine = [n for n in self._live if n.pool.name == spec.name]
             pools[spec.name] = PoolView(
                 spec=spec,
                 total_nodes=len(mine),
@@ -616,7 +619,7 @@ class ClusterScheduler:
             elif delta < 0:
                 idle = sorted(
                     (
-                        n for n in self.nodes
+                        n for n in self._live
                         if n.pool.name == spec.name and n.accepts_jobs
                     ),
                     key=lambda n: -n.node_id,   # newest first

@@ -9,11 +9,17 @@ in-process; this module is the durable tier underneath it:
 * **content addressing** — entries are keyed by the same 32-hex digest
   family as :func:`repro.serving.cache.chain_content_key` (per-chain
   stores use :func:`~repro.serving.cache.chain_feature_key`);
-* **atomic persistence** — every object is written to a temp file and
-  ``os.replace``d into place, so a crash never leaves a half-written
-  entry where a reader can see it;
-* **size-bounded LRU** — an on-disk index (``index.json``) records
-  recency and byte sizes; inserts evict oldest-first until the total
+* **atomic persistence** — every object is written to a uniquely named
+  temp file and ``os.replace``d into place, so a crash never leaves a
+  half-written entry where a reader can see it, and two writers never
+  share a temp file;
+* **snapshot + journal index** — ``index.json`` is a snapshot of the
+  recency order and byte sizes, and ``index.journal`` holds one
+  ``O_APPEND`` line per mutation since it (``p <key> <size>`` for a
+  put, ``d <key>`` for an eviction, invalidation or detected
+  corruption), so a put costs one object write and one record instead
+  of a full index rewrite;
+* **size-bounded LRU** — inserts evict oldest-first until the total
   fits ``byte_budget``;
 * **corruption detection** — payloads carry a sha256 checksum; a read
   that fails to parse or verify *invalidates* the entry and reports a
@@ -23,10 +29,19 @@ in-process; this module is the durable tier underneath it:
   counted, and overwriting a live key with different content counts an
   invalidation, exactly as the in-memory cache does.
 
-Reads are served from a verified in-memory mirror once a key has been
-checked, so a hot store costs a dict lookup per read; recency updates
-from reads are flushed lazily (``sync()``), while every mutation
-persists the index immediately.
+Opening a root reads the snapshot, replays the journal over it, drops
+keys whose object is gone and adopts objects no record names, then
+writes a fresh snapshot and starts an empty journal.  ``sync()`` does
+the same write, and so does a put once the journal holds more than
+``_JOURNAL_RATIO`` records per entry.  Reads are served from a
+verified in-memory mirror once a key has been checked, so a hot store
+costs a dict lookup per read; their recency reaches disk only through
+the next snapshot.
+
+Nothing is fsynced.  Every read re-verifies its checksum, so an entry
+lost or torn by a power cut costs a recompute, never a wrong answer,
+while fsyncing every put costs more than the journal saves (see
+``docs/feature_store.md``).
 """
 
 from __future__ import annotations
@@ -45,8 +60,12 @@ __all__ = ["DEFAULT_BYTE_BUDGET", "FeatureStore", "payload_checksum"]
 DEFAULT_BYTE_BUDGET = 64 * 1024 * 1024
 
 _INDEX_NAME = "index.json"
+_JOURNAL_NAME = "index.journal"
 _OBJECTS_DIR = "objects"
 _HEX = set("0123456789abcdef")
+#: A put compacts once the journal holds more than this many records
+#: per entry, which bounds replay work and journal size on reopen.
+_JOURNAL_RATIO = 4
 
 
 def payload_checksum(payload) -> str:
@@ -56,17 +75,30 @@ def payload_checksum(payload) -> str:
 
 
 def atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Write ``text`` through a sibling ``.tmp`` file and ``os.replace``
-    it into place, so a reader sees the old file or the new one, never
-    a half-written one."""
+    """Write ``text`` through a uniquely named sibling ``.tmp`` file and
+    ``os.replace`` it into place, so a reader sees the old file or the
+    new one, never a half-written one, and concurrent writers of one
+    path never touch each other's temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _is_key(key) -> bool:
+    return isinstance(key, str) and len(key) == 32 and set(key) <= _HEX
 
 
 def _validate_key(key: str) -> None:
-    if not (isinstance(key, str) and len(key) == 32 and set(key) <= _HEX):
+    if not _is_key(key):
         raise ValueError(
             f"store keys are 32 lowercase hex chars (chain_content_key), "
             f"got {key!r}"
@@ -74,7 +106,8 @@ def _validate_key(key: str) -> None:
 
 
 class FeatureStore:
-    """One store root on disk: ``objects/<k[:2]>/<key>.json`` + index."""
+    """One store root on disk: ``objects/<k[:2]>/<key>.json`` plus the
+    ``index.json`` snapshot and its ``index.journal``."""
 
     def __init__(self, root, byte_budget: int = DEFAULT_BYTE_BUDGET) -> None:
         if byte_budget < 1:
@@ -83,11 +116,13 @@ class FeatureStore:
         self.byte_budget = int(byte_budget)
         self._objects = self.root / _OBJECTS_DIR
         self._objects.mkdir(parents=True, exist_ok=True)
+        self._journal = self.root / _JOURNAL_NAME
         #: key -> on-disk object size in bytes, oldest-used first.
         self._index: "OrderedDict[str, int]" = OrderedDict()
         self._total = 0
         self._payloads: Dict[str, dict] = {}  # checksum-verified mirror
-        self._dirty = False
+        self._records = 0   # journal records since the last snapshot
+        self._dirty = False  # read recency not yet in a snapshot
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -104,43 +139,83 @@ class FeatureStore:
         return self._objects / key[:2] / f"{key}.json"
 
     def _load(self) -> None:
-        index_path = self.root / _INDEX_NAME
-        entries = []
-        if index_path.exists():
-            try:
-                entries = json.loads(index_path.read_text()).get("entries", [])
-            except (OSError, ValueError):
-                entries = []  # unreadable index: rebuild from objects
+        index = self._index
+        try:
+            entries = json.loads(
+                (self.root / _INDEX_NAME).read_text()
+            )["entries"]
+        except (OSError, ValueError, TypeError, KeyError):
+            entries = []   # no or unreadable snapshot: rebuild
         for item in entries:
             try:
-                key, size = item
+                key, _ = item
             except (TypeError, ValueError):
                 continue
-            if isinstance(key, str) and self._object_path(key).exists():
-                self._index[key] = int(size)
-        # Adopt orphaned objects (crash between object write and index
-        # sync).  Sorted by key so two reopenings agree byte for byte.
+            if _is_key(key):
+                index[key] = 0
+        try:
+            records = self._journal.read_text().splitlines()
+        except OSError:
+            records = []
+        for record in records:   # malformed (torn) lines are skipped
+            fields = record.split()
+            if len(fields) < 2 or not _is_key(fields[1]):
+                continue
+            if fields[0] == "p" and len(fields) == 3:
+                index.pop(fields[1], None)
+                index[fields[1]] = 0
+            elif fields[0] == "d" and len(fields) == 2:
+                index.pop(fields[1], None)
+        # Sizes come from the objects themselves; keys whose object is
+        # gone (a drop whose record was lost) are dropped.
+        for key in list(index):
+            try:
+                index[key] = self._object_path(key).stat().st_size
+            except OSError:
+                del index[key]
+        # Adopt orphaned objects (a crash between object write and its
+        # record).  Sorted by key so two reopenings agree byte for byte.
         for path in sorted(self._objects.glob("*/*.json")):
-            if path.stem not in self._index:
-                self._index[path.stem] = path.stat().st_size
-        self._total = sum(self._index.values())
+            if path.stem not in index and _is_key(path.stem):
+                try:
+                    index[path.stem] = path.stat().st_size
+                except OSError:
+                    pass   # dropped by another writer since the glob
+        self._total = sum(index.values())
         self._evict_to_budget()
-        self._write_index()
-        self._dirty = False
+        self._compact()
 
-    def _write_index(self) -> None:
+    def _append(self, record: str) -> None:
+        """One journal record, as one ``O_APPEND`` write."""
+        fd = os.open(
+            self._journal, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
+        )
+        try:
+            os.write(fd, record.encode())
+        finally:
+            os.close(fd)
+        self._records += 1
+
+    def _compact(self) -> None:
+        """Write the snapshot, then start an empty journal.
+
+        A crash between the two replays the old journal over the new
+        snapshot on reopen, which yields the same entries.
+        """
         doc = {
             "version": 1,
             "byte_budget": self.byte_budget,
             "entries": [[k, s] for k, s in self._index.items()],
         }
         atomic_write_text(self.root / _INDEX_NAME, json.dumps(doc))
+        open(self._journal, "w").close()
+        self._records = 0
+        self._dirty = False
 
     def sync(self) -> None:
-        """Flush lazily-buffered recency updates to the on-disk index."""
-        if self._dirty:
-            self._write_index()
-            self._dirty = False
+        """Fold the journal and read recency into a fresh snapshot."""
+        if self._dirty or self._records:
+            self._compact()
 
     # -- core operations -----------------------------------------------
 
@@ -175,16 +250,14 @@ class FeatureStore:
         if previous is not None and previous != payload:
             self.invalidations += 1
         atomic_write_text(self._object_path(key), text)
-        if key in self._index:
-            self._total -= self._index[key]
+        self._append(f"p {key} {size}\n")
+        self._total += size - self._index.pop(key, 0)
         self._index[key] = size
-        self._index.move_to_end(key)
-        self._total += size
         self._payloads[key] = payload
         self.puts += 1
         self._evict_to_budget()
-        self._write_index()
-        self._dirty = False
+        if self._records > _JOURNAL_RATIO * max(1, len(self._index)):
+            self._compact()
         return True
 
     def get(self, key: str) -> Optional[dict]:
@@ -221,8 +294,6 @@ class FeatureStore:
         ):
             self.corruption_detected += 1
             self._discard(key)
-            self._write_index()
-            self._dirty = False
             return None
         payload = doc["payload"]
         self._payloads[key] = payload
@@ -234,8 +305,6 @@ class FeatureStore:
             return False
         self._discard(key)
         self.invalidations += 1
-        self._write_index()
-        self._dirty = False
         return True
 
     def corrupt(self, key: str) -> bool:
@@ -259,6 +328,9 @@ class FeatureStore:
     # -- internals -----------------------------------------------------
 
     def _discard(self, key: str) -> None:
+        """Unlink the object, then record the drop: a crash between the
+        two leaves a put record whose object is gone, which reopen
+        drops, rather than an orphan it would adopt back."""
         size = self._index.pop(key, 0)
         self._total -= size
         self._payloads.pop(key, None)
@@ -266,6 +338,7 @@ class FeatureStore:
             self._object_path(key).unlink()
         except OSError:
             pass
+        self._append(f"d {key}\n")
 
     def _evict_to_budget(self) -> None:
         while self._total > self.byte_budget and len(self._index) > 1:

@@ -243,6 +243,13 @@ class TestBucketCommands:
     ["observe", "export-scan-trace", "--num-background", "-1"],
     ["estimate", "--attention", "tiled"],
     ["estimate", "--attention", "chunked", "--attention-block", "512"],
+    # A budget that rounds to zero bytes, and a store dir that is a file.
+    ["msa-precompute", "--store-dir", "unused", "--store-budget-mb", "1e-9"],
+    ["serve-sim", "--store-budget-mb", "1e-9"],
+    ["campaign", "run", "--dir", "unused", "--store-budget-mb", "1e-9"],
+    ["msa-precompute", "--store-dir", __file__],
+    ["serve-sim", "--store-dir", __file__],
+    ["campaign", "run", "--dir", "unused", "--store-dir", __file__],
 ])
 def test_bad_numeric_flag_exits_2_without_traceback(argv):
     """Bad values stop at the argparse boundary: exit 2, one error

@@ -33,9 +33,11 @@ from repro.cluster import (
     pareto_rows,
     run_cluster_campaign,
 )
+from repro.cluster.chaos import build_campaign
 from repro.cluster.jobs import ChainStatus
 from repro.observability import ClusterProbe
 from repro.serving.scenarios import ppi_chain_library, ppi_pair_samples
+from repro.store import FeatureStore
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLUSTER_GOLDEN = GOLDEN / "cluster_summary.json"
@@ -357,6 +359,27 @@ class TestFaultFreeRun:
         }
         for pool in summary["pools"].values():
             assert 0.0 <= pool["utilization"] <= 1.0
+
+
+class TestStoreFlush:
+    def test_reopened_store_matches_the_run_s_store(self, tmp_path):
+        """The run syncs its store, so a new process opening the root
+        sees the live store's keys in the live recency order."""
+        jobs, plan, cluster_config = build_campaign(ClusterChaosConfig())
+        store = FeatureStore(tmp_path)
+        scheduler = ClusterScheduler(
+            cluster_config, store=store, fault_plan=plan
+        )
+        scheduler.run(jobs)
+        assert store.hits > 0 and len(store) > 0
+        assert FeatureStore(tmp_path).keys() == store.keys()
+
+    def test_live_node_list_is_the_alive_nodes_in_id_order(self):
+        jobs, plan, cluster_config = build_campaign(ClusterChaosConfig())
+        scheduler = ClusterScheduler(cluster_config, fault_plan=plan)
+        scheduler.run(jobs)
+        assert any(not n.alive for n in scheduler.nodes)
+        assert scheduler._live == [n for n in scheduler.nodes if n.alive]
 
 
 class TestMigrationDifferential:
