@@ -1,10 +1,12 @@
-"""Four seeded runs whose Prometheus expositions are pinned byte for byte.
+"""Five seeded runs whose Prometheus expositions are pinned byte for byte.
 
 Each function returns the exposition text of one small, deterministic
 run; the committed copies live under ``tests/golden/prometheus/``:
 
 * ``observe_cli.prom`` — ``repro --seed 7 observe export-metrics
   --requests 12``, through the CLI (the command CI also compares);
+* ``observe_chaos_cli.prom`` — the same command with ``--chaos``, so
+  the CLI's chaos gateway config is pinned too;
 * ``serving_all_sections.prom`` — a serving run that emits every
   optional section: faults, a disk feature store, a non-default bucket
   list and the shared compile cache;
@@ -26,17 +28,25 @@ import tempfile
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "prometheus"
 
 
-def observe_cli() -> str:
+def _observe_metrics(*flags: str) -> str:
     from repro.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "metrics.prom"
         code = main([
             "--seed", "7", "observe", "export-metrics", "--requests", "12",
-            "--out", str(out),
+            *flags, "--out", str(out),
         ])
         assert code == 0
         return out.read_text()
+
+
+def observe_cli() -> str:
+    return _observe_metrics()
+
+
+def observe_chaos_cli() -> str:
+    return _observe_metrics("--chaos")
 
 
 def serving_all_sections() -> str:
@@ -97,6 +107,7 @@ def campaign() -> str:
 
 EXPOSITIONS = {
     "observe_cli.prom": observe_cli,
+    "observe_chaos_cli.prom": observe_chaos_cli,
     "serving_all_sections.prom": serving_all_sections,
     "cluster.prom": cluster,
     "campaign.prom": campaign,

@@ -1,7 +1,7 @@
 """The Prometheus expositions are pinned byte for byte.
 
-Four seeded runs (serving via the CLI, serving with every optional
-section, cluster, campaign) are rendered fresh and compared with ``==``
+Five seeded runs (serving via the CLI with and without ``--chaos``,
+serving with every optional section, cluster, campaign) are rendered fresh and compared with ``==``
 against the committed text under ``tests/golden/prometheus/``.  A
 refactor of the exporters must leave every byte where it was.
 """
