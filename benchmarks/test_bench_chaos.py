@@ -11,9 +11,10 @@ Set REPRO_BENCH_QUICK=1 to shrink the campaigns (used by CI).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
-from repro.faults import ChaosConfig, run_campaign
+from repro.serving.chaos import CHAOS_GATEWAY, ChaosConfig, run_campaign
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 N_REQUESTS = 40 if QUICK else 150
@@ -37,10 +38,12 @@ def test_chaos_campaign_heavy_faults(benchmark):
     """A fault-dense campaign exercises the recovery paths hardest."""
     config = _config(
         seed=7, arrival_rps=0.05,
-        num_gpu_workers=2, num_msa_workers=2,
+        gateway=dataclasses.replace(
+            CHAOS_GATEWAY, num_gpu_workers=2, num_msa_workers=2,
+            timeout_seconds=7200.0,
+        ),
         crashes=6, preemptions=3, oom_spikes=4,
         db_stalls=5, db_corruptions=4, slow_nodes=3,
-        timeout_seconds=7200.0,
     )
     result = benchmark(run_campaign, config, check_determinism=False)
     assert result.violations == []

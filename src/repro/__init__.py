@@ -31,7 +31,6 @@ from .core import (
     PipelineResult,
     ResultSet,
     RunRecord,
-    SweepConfig,
     estimate,
     optimal_thread_count,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "ServingReport",
     "ServingRequest",
     "GatewayConfig",
-    "SweepConfig",
     "TraceArrivals",
     "WorkloadTrace",
     "build_request_stream",

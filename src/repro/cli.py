@@ -13,6 +13,7 @@ equivalent entry points over the simulated platforms::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -102,6 +103,40 @@ def _fault_kinds(text: str):
     return kinds or None
 
 
+def _with_flags(base, args: argparse.Namespace):
+    """``base`` with each field whose flag the user passed set to it.
+
+    A config flag's argparse ``dest`` is the dataclass field it sets,
+    and its default is ``None``: "keep the base config's value".  So
+    every default lives once, on its config, and every flag lands.
+    """
+    return dataclasses.replace(base, **{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(base)
+        if getattr(args, field.name, None) is not None
+    })
+
+
+def _gateway_config(args: argparse.Namespace, base, stream=()):
+    """The GatewayConfig a serving command runs: ``base`` under its
+    flags (``stream`` is what ``--buckets adaptive`` fits to)."""
+    config = _with_flags(base, args)
+    if getattr(args, "bucket_spec", None) is not None:
+        config = dataclasses.replace(config, buckets=_resolve_buckets(
+            args.bucket_spec, [r.num_tokens for r in stream]
+        ))
+    return config
+
+
+def _chaos_config(args: argparse.Namespace, gateway_base):
+    """The serving campaign the flags describe, on ``gateway_base``."""
+    from .serving.chaos import ChaosConfig
+
+    return _with_flags(
+        ChaosConfig(gateway=_gateway_config(args, gateway_base)), args
+    )
+
+
 @functools.lru_cache(maxsize=8)
 def _small_engine(
     seed: int = 0, plan: Optional[ExecutionPlan] = None
@@ -157,10 +192,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except MemoryBudgetError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if memory_plan is not None:
-        # Realise the planned schedule on the functional substrate too,
-        # so the numpy model runs the same tiles the plan promises.
-        plan = memory_plan.execution_plan(plan)
     pipeline = Af3Pipeline(
         platform, msa_engine=_small_engine(args.seed, plan), plan=plan,
         schedule=schedule,
@@ -329,21 +360,7 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
             arrivals=PoissonArrivals(args.rate, seed=args.seed),
             seed=args.seed,
         )
-    config = GatewayConfig(
-        num_gpu_workers=args.gpu_workers,
-        num_msa_workers=args.msa_workers,
-        max_batch=args.max_batch,
-        max_wait_seconds=args.max_wait,
-        queue_limit=args.queue_limit,
-        timeout_seconds=args.timeout,
-        max_retries=args.retries,
-        retry_backoff_seconds=args.backoff,
-        buckets=_resolve_buckets(
-            getattr(args, "buckets", "fixed"),
-            [r.num_tokens for r in stream],
-        ),
-        compile_cache=getattr(args, "compile_cache", "none"),
-    )
+    config = _gateway_config(args, GatewayConfig(), stream)
     store = _open_store(args)
     if store is not None and args.precompute:
         from .store import precompute_msas
@@ -579,39 +596,12 @@ def cmd_campaign_differential(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import os
+    from .serving.chaos import CHAOS_GATEWAY, run_suite
 
-    from .faults import ChaosConfig, run_suite
-
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
-    base = ChaosConfig(
-        seed=args.seed,
-        platform=args.platform,
-        num_requests=(
-            args.requests if args.requests is not None
-            else (40 if quick else 120)
-        ),
-        arrival_rps=args.rate,
-        num_gpu_workers=args.gpu_workers,
-        num_msa_workers=args.msa_workers,
-        timeout_seconds=args.timeout,
-        max_retries=args.retries,
-        crashes=args.crashes,
-        preemptions=args.preemptions,
-        oom_spikes=args.oom_spikes,
-        db_stalls=args.db_stalls,
-        db_corruptions=args.db_corruptions,
-        slow_nodes=args.slow_nodes,
-        preemption_notices=args.preemption_notices,
-        kinds=args.kinds,
-        restart_seconds=args.restart,
-        breaker_failure_threshold=args.breaker_threshold,
-        breaker_cooldown_seconds=args.breaker_cooldown,
-        degraded_fallback=not args.no_degraded_fallback,
-    )
     seeds = tuple(args.seeds) if args.seeds else (args.seed,)
     results = run_suite(
-        seeds, base, check_determinism=not args.no_determinism_check
+        seeds, _chaos_config(args, CHAOS_GATEWAY),
+        check_determinism=not args.no_determinism_check,
     )
     return _print_chaos_suite("chaos", results, args.format)
 
@@ -636,43 +626,24 @@ def _print_chaos_suite(command: str, results, fmt: str) -> int:
     return 4
 
 
-def _cluster_chaos_config(args: argparse.Namespace, policy: str, seed: int):
-    from .cluster import ClusterChaosConfig
-
-    return ClusterChaosConfig(
-        seed=seed,
-        num_jobs=args.jobs,
-        num_chains=args.chains,
-        arrival_rate_per_hour=args.rate,
-        policy=policy,
-        migration=not args.no_migration,
-        max_attempts=args.max_attempts,
-        preemption_notices=args.preemption_notices,
-        crashes=args.crashes,
-        preemptions=args.preemptions,
-        slow_nodes=args.slow_nodes,
-        store_corruptions=args.store_corruptions,
-        kinds=args.kinds,
-        compile_cache=getattr(args, "compile_cache", "none"),
-    )
-
-
 def cmd_cluster_sim(args: argparse.Namespace) -> int:
     from collections import OrderedDict
 
-    from .cluster import render_pareto_table, pareto_rows
-    from .cluster.chaos import _run_once
+    from .cluster import ClusterChaosConfig, render_pareto_table, pareto_rows
+    from .cluster.chaos import run_once
 
+    base = _with_flags(ClusterChaosConfig(), args)
     reports = OrderedDict()
     for policy in args.policies:
-        config = _cluster_chaos_config(args, policy, args.seed)
-        _scheduler, report, _plan = _run_once(config)
+        _scheduler, report, _plan = run_once(
+            dataclasses.replace(base, policy=policy)
+        )
         reports[policy] = report
     if args.format == "json":
         print(json.dumps(OrderedDict(
-            seed=args.seed,
-            jobs=args.jobs,
-            migration=not args.no_migration,
+            seed=base.seed,
+            jobs=base.num_jobs,
+            migration=base.migration,
             pareto=pareto_rows(list(reports.values())),
             policies=OrderedDict(
                 (name, r.summary()) for name, r in reports.items()
@@ -688,11 +659,11 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_chaos(args: argparse.Namespace) -> int:
-    from .cluster import run_cluster_suite
+    from .cluster import ClusterChaosConfig, run_cluster_suite
 
     seeds = tuple(args.seeds) if args.seeds else (args.seed,)
     results = run_cluster_suite(
-        seeds, _cluster_chaos_config(args, args.policy, args.seed),
+        seeds, _with_flags(ClusterChaosConfig(), args),
         check_determinism=not args.no_determinism_check,
     )
     return _print_chaos_suite("cluster-chaos", results, args.format)
@@ -782,64 +753,31 @@ def cmd_buckets_fit(args: argparse.Namespace) -> int:
 def _observed_run(args: argparse.Namespace):
     """Run one seeded gateway simulation with span recording attached.
 
-    Returns ``(probe, report)``.  With ``--chaos`` the run is built
-    through the chaos harness (same default fault mix as the ``chaos``
-    subcommand); otherwise it is a fault-free ``serve-sim``-style run.
-    Either way the simulation itself is identical to the un-observed
-    one — the probe only listens.
+    Returns ``(config, probe, report)``, ``config`` being the
+    :class:`~repro.serving.chaos.ChaosConfig` that describes the run.
+    With ``--chaos`` the run is built through the chaos harness (same
+    gateway and fault mix as the ``chaos`` subcommand); otherwise it is
+    the same stream on a fault-free 3+3-worker gateway.  Either way the
+    simulation itself is identical to the un-observed one — the probe
+    only listens.
     """
     from .observability import SpanProbe
+    from .serving import GatewayConfig, ServingGateway
+    from .serving.chaos import CHAOS_GATEWAY, build_campaign, campaign_stream
 
     probe = SpanProbe()
     if args.chaos:
-        from .faults.chaos import _build
-
-        config = _chaos_config_from_args(args)
-        gateway, stream, _plan = _build(config, probe=probe)
+        config = _chaos_config(args, CHAOS_GATEWAY)
+        gateway, stream, _plan = build_campaign(config, probe=probe)
     else:
-        from .serving import (
-            GatewayConfig,
-            PoissonArrivals,
-            ServingGateway,
-            build_request_stream,
+        config = _chaos_config(
+            args, GatewayConfig(num_gpu_workers=3, num_msa_workers=3)
         )
-
-        platform = get_platform(args.platform)
-        config = GatewayConfig(
-            num_gpu_workers=args.gpu_workers,
-            num_msa_workers=args.msa_workers,
-            max_batch=args.max_batch,
-            max_wait_seconds=args.max_wait,
-            queue_limit=args.queue_limit,
-            timeout_seconds=args.timeout,
-            max_retries=args.retries,
-            retry_backoff_seconds=args.backoff,
+        stream = campaign_stream(config)
+        gateway = ServingGateway(
+            get_platform(config.platform), config.gateway, probe=probe
         )
-        stream = build_request_stream(
-            list(builtin_samples().values()),
-            n=args.requests,
-            arrivals=PoissonArrivals(args.rate, seed=args.seed),
-            seed=args.seed,
-        )
-        gateway = ServingGateway(platform, config, probe=probe)
-    report = gateway.run(stream)
-    return probe, report
-
-
-def _chaos_config_from_args(args: argparse.Namespace):
-    """The chaos campaign config an ``observe --chaos`` run uses."""
-    from .faults import ChaosConfig
-
-    return ChaosConfig(
-        seed=args.seed,
-        platform=args.platform,
-        num_requests=args.requests,
-        arrival_rps=args.rate,
-        num_gpu_workers=args.gpu_workers,
-        num_msa_workers=args.msa_workers,
-        timeout_seconds=args.timeout if args.timeout else 14400.0,
-        max_retries=args.retries,
-    )
+    return config, probe, gateway.run(stream)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -853,11 +791,11 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def cmd_observe_export_trace(args: argparse.Namespace) -> int:
     from .observability import chrome_trace_json
 
-    probe, _report = _observed_run(args)
+    config, probe, _report = _observed_run(args)
     metadata = {
-        "seed": args.seed,
-        "platform": args.platform,
-        "requests": args.requests,
+        "seed": config.seed,
+        "platform": config.platform,
+        "requests": config.num_requests,
         "chaos": bool(args.chaos),
     }
     text = chrome_trace_json(
@@ -872,7 +810,7 @@ def cmd_observe_export_trace(args: argparse.Namespace) -> int:
 def cmd_observe_export_metrics(args: argparse.Namespace) -> int:
     from .observability import SERVING_METRICS, prometheus_metrics
 
-    _probe, report = _observed_run(args)
+    _config, _probe, report = _observed_run(args)
     _write_out(prometheus_metrics(report.summary(), SERVING_METRICS),
                args.out)
     return 0
@@ -881,13 +819,13 @@ def cmd_observe_export_metrics(args: argparse.Namespace) -> int:
 def cmd_observe_explain(args: argparse.Namespace) -> int:
     from .observability import explain
 
-    probe, _report = _observed_run(args)
+    config, probe, _report = _observed_run(args)
     try:
         print(explain(probe.recorder, args.request_id))
     except KeyError:
         print(
             f"no spans recorded for request {args.request_id} "
-            f"(stream had --requests {args.requests})",
+            f"(stream had --requests {config.num_requests})",
             file=sys.stderr,
         )
         return 2
@@ -1060,19 +998,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of requests in the stream")
     serve.add_argument("--rate", type=_POSITIVE, default=0.02,
                        help="Poisson arrival rate in requests/second")
-    serve.add_argument("--gpu-workers", type=_COUNT, default=4)
-    serve.add_argument("--msa-workers", type=_COUNT, default=4)
-    serve.add_argument("--max-batch", type=_COUNT, default=4,
+    serve.add_argument("--gpu-workers", dest="num_gpu_workers", type=_COUNT)
+    serve.add_argument("--msa-workers", dest="num_msa_workers", type=_COUNT)
+    serve.add_argument("--max-batch", type=_COUNT,
                        help="dynamic batching: max same-bucket batch size")
-    serve.add_argument("--max-wait", type=_SECONDS, default=120.0,
+    serve.add_argument("--max-wait", dest="max_wait_seconds", type=_SECONDS,
                        help="dynamic batching: max coalescing wait (s)")
-    serve.add_argument("--queue-limit", type=_COUNT, default=512,
+    serve.add_argument("--queue-limit", type=_COUNT,
                        help="admission control: shed past this queue depth")
-    serve.add_argument("--timeout", type=_POSITIVE, default=None,
+    serve.add_argument("--timeout", dest="timeout_seconds", type=_POSITIVE,
                        help="per-attempt queue timeout (s); off by default")
-    serve.add_argument("--retries", type=_TALLY, default=2,
+    serve.add_argument("--retries", dest="max_retries", type=_TALLY,
                        help="max retries after a timeout")
-    serve.add_argument("--backoff", type=_SECONDS, default=30.0,
+    serve.add_argument("--backoff", dest="retry_backoff_seconds",
+                       type=_SECONDS,
                        help="base retry backoff (s), doubled per attempt")
     serve.add_argument("--no-baseline", action="store_true",
                        help="skip the sequential warm-server comparison")
@@ -1091,12 +1030,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--precompute", action="store_true",
                        help="bulk-fill the store from the stream's chains "
                             "before serving (requires --store-dir)")
-    serve.add_argument("--buckets", default="fixed", metavar="SPEC",
+    serve.add_argument("--buckets", dest="bucket_spec", metavar="SPEC",
                        help="shape buckets: 'fixed' (AF3 flag default), "
                             "'adaptive' (fit to this stream), or CSV "
                             "edges like 256,512,1024 (docs/bucketing.md)")
     serve.add_argument("--compile-cache", choices=["none", "shared"],
-                       default="none",
                        help="XLA executable cache across GPU workers: "
                             "'shared' models one "
                             "jax_compilation_cache_dir all workers mount")
@@ -1130,40 +1068,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded fault-injection campaign against the "
              "serving gateway and check its invariants",
     )
-    chaos.add_argument("--platform", default="Server",
-                       choices=sorted(PLATFORMS))
-    chaos.add_argument("--requests", type=_COUNT, default=None,
-                       help="requests per campaign (default 120, or 40 "
-                            "with REPRO_BENCH_QUICK=1)")
-    chaos.add_argument("--rate", type=_POSITIVE, default=0.02,
+    chaos.add_argument("--platform", choices=sorted(PLATFORMS))
+    chaos.add_argument("--requests", dest="num_requests", type=_COUNT,
+                       help="requests per campaign (default 120; pass 40 "
+                            "for a quick run)")
+    chaos.add_argument("--rate", dest="arrival_rps", type=_POSITIVE,
                        help="Poisson arrival rate in requests/second")
-    chaos.add_argument("--gpu-workers", type=_COUNT, default=3)
-    chaos.add_argument("--msa-workers", type=_COUNT, default=3)
-    chaos.add_argument("--timeout", type=_POSITIVE, default=14400.0,
+    chaos.add_argument("--gpu-workers", dest="num_gpu_workers", type=_COUNT)
+    chaos.add_argument("--msa-workers", dest="num_msa_workers", type=_COUNT)
+    chaos.add_argument("--timeout", dest="timeout_seconds", type=_POSITIVE,
                        help="per-attempt queue timeout (s)")
-    chaos.add_argument("--retries", type=_TALLY, default=2)
-    chaos.add_argument("--crashes", type=_TALLY, default=3,
+    chaos.add_argument("--retries", dest="max_retries", type=_TALLY)
+    chaos.add_argument("--crashes", type=_TALLY,
                        help="worker crashes to schedule")
-    chaos.add_argument("--preemptions", type=_TALLY, default=2)
-    chaos.add_argument("--oom-spikes", type=_TALLY, default=2)
-    chaos.add_argument("--db-stalls", type=_TALLY, default=3)
-    chaos.add_argument("--db-corruptions", type=_TALLY, default=2)
-    chaos.add_argument("--slow-nodes", type=_TALLY, default=2)
-    chaos.add_argument("--preemption-notices", type=_TALLY, default=0,
+    chaos.add_argument("--preemptions", type=_TALLY)
+    chaos.add_argument("--oom-spikes", type=_TALLY)
+    chaos.add_argument("--db-stalls", type=_TALLY)
+    chaos.add_argument("--db-corruptions", type=_TALLY)
+    chaos.add_argument("--slow-nodes", type=_TALLY)
+    chaos.add_argument("--preemption-notices", type=_TALLY,
                        help="spot reclaim warnings (notice lead, then "
                             "outage) to schedule")
-    chaos.add_argument("--kinds", type=_fault_kinds, default=None,
+    chaos.add_argument("--kinds", type=_fault_kinds,
                        help="comma-separated fault kinds to keep "
                             "(e.g. worker_crash,db_read_stall); the "
                             "seeded plan is generated in full and then "
                             "filtered, isolating one kind for debugging")
-    chaos.add_argument("--restart", type=_POSITIVE, default=300.0,
+    chaos.add_argument("--restart", dest="restart_seconds", type=_POSITIVE,
                        help="crashed-worker restart delay (s)")
-    chaos.add_argument("--breaker-threshold", type=_TALLY, default=2,
+    chaos.add_argument("--breaker-threshold",
+                       dest="breaker_failure_threshold", type=_TALLY,
                        help="consecutive failures that eject a worker "
                             "(0 disables the circuit breaker)")
-    chaos.add_argument("--breaker-cooldown", type=_SECONDS, default=1800.0)
-    chaos.add_argument("--no-degraded-fallback", action="store_true",
+    chaos.add_argument("--breaker-cooldown",
+                       dest="breaker_cooldown_seconds", type=_SECONDS)
+    chaos.add_argument("--no-degraded-fallback", dest="degraded_fallback",
+                       action="store_false", default=None,
                        help="time out exhausted requests instead of "
                             "serving reduced-depth results")
     chaos.add_argument("--seeds", nargs="*", type=int, default=None,
@@ -1283,34 +1223,34 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_diff.set_defaults(func=cmd_campaign_differential)
 
     cluster_common = argparse.ArgumentParser(add_help=False)
-    cluster_common.add_argument("--jobs", type=_COUNT, default=60,
+    cluster_common.add_argument("--jobs", dest="num_jobs", type=_COUNT,
                                 help="jobs in the seeded PPI stream")
-    cluster_common.add_argument("--chains", type=_CHAINS, default=24,
+    cluster_common.add_argument("--chains", dest="num_chains",
+                                type=_CHAINS,
                                 help="size of the shared chain library")
-    cluster_common.add_argument("--rate", type=_POSITIVE, default=120.0,
+    cluster_common.add_argument("--rate", dest="arrival_rate_per_hour",
+                                type=_POSITIVE,
                                 help="Poisson arrival rate in jobs/hour")
-    cluster_common.add_argument("--max-attempts", type=_COUNT, default=6,
+    cluster_common.add_argument("--max-attempts", type=_COUNT,
                                 help="node assignments before a job fails")
-    cluster_common.add_argument("--no-migration", action="store_true",
+    cluster_common.add_argument("--no-migration", dest="migration",
+                                action="store_false", default=None,
                                 help="disable drain-time checkpoint/"
                                      "publish (lose work like a crash); "
                                      "use to measure what migration saves")
     cluster_common.add_argument("--preemption-notices", type=_TALLY,
-                                default=10,
                                 help="spot reclaim warnings to schedule")
-    cluster_common.add_argument("--crashes", type=_TALLY, default=3,
+    cluster_common.add_argument("--crashes", type=_TALLY,
                                 help="hard node crashes to schedule")
-    cluster_common.add_argument("--preemptions", type=_TALLY, default=2,
+    cluster_common.add_argument("--preemptions", type=_TALLY,
                                 help="zero-warning spot reclaims")
-    cluster_common.add_argument("--slow-nodes", type=_TALLY, default=2)
+    cluster_common.add_argument("--slow-nodes", type=_TALLY)
     cluster_common.add_argument("--store-corruptions", type=_TALLY,
-                                default=3,
                                 help="feature-store entries to rot")
     cluster_common.add_argument("--format", choices=["text", "json"],
                                 default="text")
     cluster_common.add_argument("--compile-cache",
                                 choices=["none", "shared"],
-                                default="none",
                                 help="fleet-shared XLA executable cache: "
                                      "'shared' lets every node reuse the "
                                      "first compile per bucket x platform")
@@ -1327,7 +1267,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscaling policies to sweep (fixed, queue-depth, "
              "aggressive, conservative, cost-aware)",
     )
-    cluster_sim.set_defaults(func=cmd_cluster_sim, kinds=None)
+    cluster_sim.set_defaults(func=cmd_cluster_sim)
 
     cluster_chaos = sub.add_parser(
         "cluster-chaos", parents=[cluster_common],
@@ -1335,9 +1275,9 @@ def build_parser() -> argparse.ArgumentParser:
              "and audit no-job-lost / balanced-accounting / "
              "no-double-execution / determinism invariants",
     )
-    cluster_chaos.add_argument("--policy", default="queue-depth",
+    cluster_chaos.add_argument("--policy",
                                help="autoscaling policy under test")
-    cluster_chaos.add_argument("--kinds", type=_fault_kinds, default=None,
+    cluster_chaos.add_argument("--kinds", type=_fault_kinds,
                                help="comma-separated fault kinds to keep "
                                     "(plan generated in full, then "
                                     "filtered)")
@@ -1381,21 +1321,28 @@ def build_parser() -> argparse.ArgumentParser:
     buckets_fit.set_defaults(func=cmd_buckets_fit)
 
     observe_common = argparse.ArgumentParser(add_help=False)
-    observe_common.add_argument("--platform", default="Server",
-                                choices=sorted(PLATFORMS))
-    observe_common.add_argument("--requests", type=_COUNT, default=40,
+    observe_common.add_argument("--platform", choices=sorted(PLATFORMS))
+    observe_common.add_argument("--requests", dest="num_requests",
+                                type=_COUNT, default=40,
                                 help="number of requests in the stream")
-    observe_common.add_argument("--rate", type=_POSITIVE, default=0.02,
+    observe_common.add_argument("--rate", dest="arrival_rps",
+                                type=_POSITIVE,
                                 help="Poisson arrival rate in req/s")
-    observe_common.add_argument("--gpu-workers", type=_COUNT, default=3)
-    observe_common.add_argument("--msa-workers", type=_COUNT, default=3)
-    observe_common.add_argument("--max-batch", type=_COUNT, default=4)
-    observe_common.add_argument("--max-wait", type=_SECONDS, default=120.0)
-    observe_common.add_argument("--queue-limit", type=_COUNT, default=512)
-    observe_common.add_argument("--timeout", type=_POSITIVE, default=None,
+    observe_common.add_argument("--gpu-workers", dest="num_gpu_workers",
+                                type=_COUNT)
+    observe_common.add_argument("--msa-workers", dest="num_msa_workers",
+                                type=_COUNT)
+    observe_common.add_argument("--max-batch", type=_COUNT)
+    observe_common.add_argument("--max-wait", dest="max_wait_seconds",
+                                type=_SECONDS)
+    observe_common.add_argument("--queue-limit", type=_COUNT)
+    observe_common.add_argument("--timeout", dest="timeout_seconds",
+                                type=_POSITIVE,
                                 help="per-attempt queue timeout (s)")
-    observe_common.add_argument("--retries", type=_TALLY, default=2)
-    observe_common.add_argument("--backoff", type=_SECONDS, default=30.0)
+    observe_common.add_argument("--retries", dest="max_retries",
+                                type=_TALLY)
+    observe_common.add_argument("--backoff", dest="retry_backoff_seconds",
+                                type=_SECONDS)
     observe_common.add_argument("--chaos", action="store_true",
                                 help="inject the default chaos fault mix "
                                      "into the observed run")

@@ -1,6 +1,6 @@
 """Cluster chaos campaigns: seeded fault storms + invariant audit.
 
-The serving chaos harness (:mod:`repro.faults.chaos`) audits one
+The serving chaos harness (:mod:`repro.serving.chaos`) audits one
 machine; this one audits the fleet.  A campaign builds a seeded job
 stream, a seeded :class:`~repro.faults.plan.FaultPlan` mixing spot
 preemption notices with hard crashes and feature-store corruption, a
@@ -55,6 +55,7 @@ __all__ = [
     "check_cluster_invariants",
     "run_cluster_campaign",
     "run_cluster_suite",
+    "run_once",
 ]
 
 #: Worker-index space for cluster fault plans.  Plans target abstract
@@ -91,7 +92,7 @@ class ClusterChaosConfig:
     slow_nodes: int = 2
     store_corruptions: int = 3
     #: Optional fault-kind whitelist, as in
-    #: :class:`~repro.faults.chaos.ChaosConfig`.
+    #: :class:`~repro.serving.chaos.ChaosConfig`.
     kinds: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
@@ -140,14 +141,15 @@ def build_campaign(config: ClusterChaosConfig):
     return jobs, plan, cluster_config
 
 
-def _run_once(config: ClusterChaosConfig, probe=None):
-    """One full campaign run against a fresh throwaway store."""
+def run_once(config: ClusterChaosConfig):
+    """One full campaign run against a fresh throwaway store:
+    ``(scheduler, report, plan)``."""
     jobs, plan, cluster_config = build_campaign(config)
     root = tempfile.mkdtemp(prefix="repro-cluster-chaos-")
     try:
         store = FeatureStore(root)
         scheduler = ClusterScheduler(
-            cluster_config, store=store, fault_plan=plan, probe=probe
+            cluster_config, store=store, fault_plan=plan
         )
         report = scheduler.run(jobs)
     finally:
@@ -256,7 +258,7 @@ def run_cluster_campaign(
 ) -> ChaosResult:
     """Run one seeded cluster campaign and audit its invariants."""
     return audit_campaign(
-        config or ClusterChaosConfig(), _run_once, CLUSTER_INVARIANTS,
+        config or ClusterChaosConfig(), run_once, CLUSTER_INVARIANTS,
         check_determinism,
     )
 

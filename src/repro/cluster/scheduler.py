@@ -26,7 +26,6 @@ from ..faults.plan import FaultEvent, FaultKind, FaultPlan, GPU_DOMAIN
 from ..faults.recovery import (
     CheckpointStore, FaultStats, MsaCheckpoint, finished_scan_shards,
 )
-from ..observability.instrument import NULL_CLUSTER_PROBE, ClusterProbe
 from ..serving.cache import chain_store_payload
 from ..store.feature_store import FeatureStore
 from .autoscaler import Autoscaler, AutoscalePolicy, ClusterView, PoolView, get_policy
@@ -114,13 +113,11 @@ class ClusterScheduler:
         config: Optional[ClusterConfig] = None,
         store: Optional[FeatureStore] = None,
         fault_plan: Optional[FaultPlan] = None,
-        probe: Optional[ClusterProbe] = None,
         policy: Optional[AutoscalePolicy] = None,
     ) -> None:
         self.config = config or ClusterConfig()
         self.store = store
         self.fault_plan = fault_plan
-        self.probe = probe or NULL_CLUSTER_PROBE
         self.policy = policy or get_policy(self.config.policy)
 
     # -- the simulation --------------------------------------------------
@@ -157,8 +154,6 @@ class ClusterScheduler:
         self.chains_published = 0
         self.scale_in_terminations = 0
 
-        self.probe.attach([p.name for p in cfg.pools])
-
         for pool in cfg.pools:
             for _ in range(pool.initial_nodes):
                 self._boot_node(pool, at=0.0)
@@ -192,7 +187,6 @@ class ClusterScheduler:
         )
         self.nodes.append(node)
         self._live.append(node)
-        self.probe.node_booted(node, at)
         self._events.push(
             _EV_NODE_READY, at + pool.provision_seconds,
             (node.node_id, "boot"),
@@ -208,20 +202,17 @@ class ClusterScheduler:
             node.health.up = True
             node.health.restarts += 1
             self.fault_stats.restarts += 1
-        self.probe.node_ready(node, self._now, mode)
         self._dispatch()
 
-    def _terminate_node(self, node: Node, reason: str) -> None:
+    def _terminate_node(self, node: Node) -> None:
         node.state = NodeState.TERMINATED
         node.terminated_at = self._now
         self._live.remove(node)
-        self.probe.node_terminated(node, self._now, reason)
 
     # -- job flow --------------------------------------------------------
 
     def _arrival(self, job: ClusterJob) -> None:
         self.queue.push(job)
-        self.probe.job_queued(job, self._now)
         self._dispatch()
 
     def _accepting_nodes(self) -> List[Node]:
@@ -257,7 +248,6 @@ class ClusterScheduler:
         health.busy = True
         health.job_started = self._now
         node.job = job
-        self.probe.job_started(job, node, self._now)
         # Resolve chain states against the shared store: published
         # features (this job's earlier run, or any other job's) turn a
         # scan into a metadata read.
@@ -303,9 +293,6 @@ class ClusterScheduler:
         job.scan_seconds_billed += planned
         self._pool_busy[node.pool.name] += planned
         node.health.job_expected_end = self._now + planned
-        self.probe.chain_started(
-            job, node, work.key, self._now, planned, resumed
-        )
         self._events.push(
             _EV_CHAIN_DONE, self._now + planned,
             (node.node_id, work.key, node.health.job_token),
@@ -323,7 +310,6 @@ class ClusterScheduler:
             return
         work.status = ChainStatus.LOCAL
         job.chains_scanned += 1
-        self.probe.chain_finished(job, node, key, self._now)
         self._advance(node)
 
     def _publish_local_chains(self, node: Node, job: ClusterJob) -> None:
@@ -336,9 +322,6 @@ class ClusterScheduler:
             work.status = ChainStatus.DURABLE
             self.ledger.mark_durable(work.key)
             self.chains_published += 1
-        self.probe.chains_published(
-            job, node, len(locals_), self._now
-        )
 
     def _start_inference(self, node: Node, job: ClusterJob) -> None:
         result = node.engine.submit(job.sample, msa_depth=job.msa_depth)
@@ -349,10 +332,6 @@ class ClusterScheduler:
         job.gpu_seconds_billed += seconds
         self._pool_busy[node.pool.name] += seconds
         node.health.job_expected_end = self._now + seconds
-        self.probe.infer_started(
-            job, node, self._now, seconds,
-            cold=result.init_seconds + result.compile_seconds > 0,
-        )
         self._events.push(
             _EV_INFER_DONE, self._now + seconds,
             (node.node_id, node.health.job_token),
@@ -371,7 +350,6 @@ class ClusterScheduler:
         self.completed_jobs.append(job)
         self._outstanding -= 1
         self.ledger.forget_job(job)
-        self.probe.job_completed(job, node, self._now)
         self._dispatch()
 
     # -- aborts, requeues, drains ----------------------------------------
@@ -410,14 +388,12 @@ class ClusterScheduler:
             self.failed_jobs.append(job)
             self._outstanding -= 1
             self.ledger.forget_job(job)
-            self.probe.job_failed(job, self._now, job.failure_reason)
             return
         if migrated:
             job.migrations += 1
         else:
             job.crash_requeues += 1
         self.queue.push(job, requeue=True)
-        self.probe.job_requeued(job, self._now, migrated)
 
     def _drain_final(self, node_id: int) -> None:
         """The notice lead expired: save what we can, then terminate."""
@@ -457,7 +433,7 @@ class ClusterScheduler:
             self._requeue(job, migrated=True)
         node.health.preemptions += 1
         self.fault_stats.preemptions += 1
-        self._terminate_node(node, "preempted")
+        self._terminate_node(node)
         self._dispatch()
 
     def _crash_node(self, node: Node, event: FaultEvent) -> bool:
@@ -480,7 +456,6 @@ class ClusterScheduler:
             self.fault_stats.msa_crashes += 1
         if node.engine.warm:
             node.engine.reset()   # warm-up + XLA compile owed again
-        self.probe.node_crashed(node, self._now)
         self._events.push(
             _EV_NODE_READY, self._now + self.config.restart_seconds,
             (node.node_id, "restart"),
@@ -516,7 +491,6 @@ class ClusterScheduler:
         self.fault_stats.preemption_notices += 1
         node.state = NodeState.DRAINING
         node.drain_deadline = self._now + lead
-        self.probe.node_draining(node, self._now, node.drain_deadline)
         self._events.push(
             _EV_DRAIN_FINAL, node.drain_deadline, node.node_id
         )
@@ -535,7 +509,7 @@ class ClusterScheduler:
             self._requeue(job, migrated=False)
         node.health.preemptions += 1
         self.fault_stats.preemptions += 1
-        self._terminate_node(node, "reclaimed-without-notice")
+        self._terminate_node(node)
         self._dispatch()
         return True
 
@@ -555,9 +529,6 @@ class ClusterScheduler:
                 if work.key == key and work.status == ChainStatus.DURABLE:
                     work.status = ChainStatus.PENDING
                     work.store_hit = False
-        self.probe.fault_instant(
-            "store_corruption", None, self._now, key=key
-        )
         return True
 
     def _jobs_in_msa_scope(self) -> List[ClusterJob]:
@@ -577,11 +548,6 @@ class ClusterScheduler:
             return False
         node.health.slow_until = self._now + event.seconds
         node.health.slow_factor = event.magnitude
-        self.probe.fault_instant(
-            "slow_node", node.node_id, self._now,
-            factor=round(event.magnitude, 6),
-            seconds=round(event.seconds, 6),
-        )
         return True
 
     # -- autoscaling -----------------------------------------------------
@@ -615,7 +581,6 @@ class ClusterScheduler:
             if delta > 0:
                 for _ in range(delta):
                     self._boot_node(spec, at=self._now)
-                self.probe.autoscale(self._now, spec.name, delta)
             elif delta < 0:
                 idle = sorted(
                     (
@@ -625,9 +590,8 @@ class ClusterScheduler:
                     key=lambda n: -n.node_id,   # newest first
                 )
                 for node in idle[:-delta]:
-                    self._terminate_node(node, "scaled-in")
+                    self._terminate_node(node)
                     self.scale_in_terminations += 1
-                self.probe.autoscale(self._now, spec.name, delta)
         if self._outstanding > 0:
             self._events.push(
                 _EV_AUTOSCALE,

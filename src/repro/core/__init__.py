@@ -14,7 +14,7 @@ from .report import (
     render_table,
 )
 from .results import ResultSet, RunRecord, coefficient_of_variation
-from .runner import BenchmarkRunner, DEFAULT_THREAD_SWEEP, SweepConfig
+from .runner import BenchmarkRunner, DEFAULT_THREAD_SWEEP
 from .suite import AfSysBench
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "PipelineResult",
     "ResultSet",
     "RunRecord",
-    "SweepConfig",
     "coefficient_of_variation",
     "optimal_thread_count",
     "render_bar_chart",

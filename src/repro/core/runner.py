@@ -31,14 +31,6 @@ DEFAULT_THREAD_SWEEP: Tuple[int, ...] = (1, 2, 4, 6, 8)
 MEASUREMENT_NOISE = 0.02
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepConfig:
-    """What to run."""
-
-    thread_counts: Tuple[int, ...] = DEFAULT_THREAD_SWEEP
-    allow_unified_memory: bool = True
-
-
 class BenchmarkRunner:
     """Runs the sweep and caches per-(platform) pipelines.
 
@@ -53,11 +45,9 @@ class BenchmarkRunner:
         samples: Optional[Dict[str, InputSample]] = None,
         msa_config: Optional[MsaEngineConfig] = None,
         model_config: Optional[ModelConfig] = None,
-        sweep: Optional[SweepConfig] = None,
     ) -> None:
         self.platforms = list(platforms or [SERVER, DESKTOP])
         self.samples = samples or builtin_samples()
-        self.sweep = sweep or SweepConfig()
         self.msa_engine = MsaEngine(msa_config)
         self.model_config = model_config or ModelConfig.af3()
         self._pipelines: Dict[str, Af3Pipeline] = {}
@@ -78,19 +68,13 @@ class BenchmarkRunner:
         Desktop-upgrade fallback on OOM."""
         pipeline = self.pipeline_for(platform)
         try:
-            result = pipeline.run(
-                sample,
-                threads=threads,
-                allow_unified_memory=self.sweep.allow_unified_memory,
-            )
+            result = pipeline.run(sample, threads=threads)
         except OutOfMemoryError:
             # Swap the Desktop for its 128 GiB upgrade when a sample's
             # MSA would OOM (exactly what the paper did for 6QNR).
             if platform.name == DESKTOP.name:
                 result = self.pipeline_for(DESKTOP_128G).run(
-                    sample,
-                    threads=threads,
-                    allow_unified_memory=self.sweep.allow_unified_memory,
+                    sample, threads=threads
                 )
             else:
                 return RunRecord(
@@ -148,7 +132,7 @@ class BenchmarkRunner:
         """The full AFSysBench sweep."""
         results = ResultSet()
         names = list(sample_names or self.samples.keys())
-        threads_list = list(thread_counts or self.sweep.thread_counts)
+        threads_list = list(thread_counts or DEFAULT_THREAD_SWEEP)
         for name in names:
             sample = self.samples[name]
             for platform in self.platforms:

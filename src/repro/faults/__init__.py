@@ -3,14 +3,14 @@
 ``plan`` defines seeded fault schedules (:class:`FaultPlan`), ``recovery``
 the machinery that survives them (worker health, circuit breakers, MSA
 scan checkpoints), ``audit`` the seeded chaos audit harness the serving
-and cluster campaigns share, and ``chaos`` the serving campaign that
-runs seeded fault schedules against the gateway and checks its
-invariants (it imports the serving package only when a campaign runs,
-so the import graph stays acyclic).
+and cluster campaigns share, and ``kill`` the simulated process kill
+the batch campaigns resume from.  The campaigns themselves sit next to
+the simulators they audit (:mod:`repro.serving.chaos`,
+:mod:`repro.cluster.chaos`), so this package imports nothing above
+:mod:`repro.msa`.
 """
 
 from .audit import ChaosResult
-from .chaos import ChaosConfig, run_campaign, run_suite
 from .kill import KillSwitch, SimulatedKill
 from .plan import (
     FaultEvent,
@@ -33,7 +33,6 @@ from .recovery import (
 
 __all__ = [
     "BreakerState",
-    "ChaosConfig",
     "ChaosResult",
     "CheckpointStore",
     "CircuitBreaker",
@@ -50,7 +49,5 @@ __all__ = [
     "finished_scan_shards",
     "merge_plans",
     "restrict_kinds",
-    "run_campaign",
-    "run_suite",
 ]
 

@@ -66,9 +66,7 @@ from .export import (
     to_chrome_trace,
 )
 from .instrument import (
-    NULL_CLUSTER_PROBE,
     NULL_PROBE,
-    ClusterProbe,
     GatewayProbe,
     SpanProbe,
 )
@@ -77,9 +75,7 @@ from .spans import REQUEST_TRACK, Span, SpanRecorder
 __all__ = [
     "CAMPAIGN_METRICS",
     "CLUSTER_METRICS",
-    "ClusterProbe",
     "GatewayProbe",
-    "NULL_CLUSTER_PROBE",
     "NULL_PROBE",
     "REQUEST_TRACK",
     "SERVING_METRICS",

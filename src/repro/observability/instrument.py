@@ -23,7 +23,7 @@ imports the probe, never the other way around.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .spans import REQUEST_TRACK, Span, SpanRecorder
 
@@ -477,84 +477,3 @@ class SpanProbe(GatewayProbe):
         for span in self.recorder.open_spans():
             self.recorder.finish(span, now, "unfinished")
 
-
-class ClusterProbe:
-    """No-op observability hooks the cluster scheduler calls.
-
-    Same contract as :class:`GatewayProbe`, one level up: methods
-    observe node/job lifecycle transitions and never steer them, so a
-    scheduler run is byte-identical with or without a probe attached.
-    ``node`` and ``job`` arrive duck-typed (``node_id``, ``pool``,
-    ``job_id``, ``priority`` ...) to keep the import graph acyclic —
-    the cluster imports the probe, never the other way around.
-    """
-
-    def attach(self, pool_names: List[str]) -> None:
-        """A run is starting; reset any per-run state."""
-
-    # -- node lifecycle --------------------------------------------------
-
-    def node_booted(self, node, now: float) -> None:
-        """A node began provisioning (READY after its boot delay)."""
-
-    def node_ready(self, node, now: float, mode: str) -> None:
-        """A node entered service (``mode``: boot or restart)."""
-
-    def node_draining(self, node, now: float, deadline: float) -> None:
-        """A spot notice landed; the node drains until ``deadline``."""
-
-    def node_crashed(self, node, now: float) -> None:
-        """The node went down hard (restarts in place later)."""
-
-    def node_terminated(self, node, now: float, reason: str) -> None:
-        """The node left the fleet for good (preempted / scaled-in)."""
-
-    # -- job lifecycle ---------------------------------------------------
-
-    def job_queued(self, job, now: float) -> None:
-        """The job arrived (or re-arrived) in the priority queue."""
-
-    def job_started(self, job, node, now: float) -> None:
-        """The job was assigned to a node (one attempt)."""
-
-    def chain_started(
-        self, job, node, key: str, now: float,
-        planned: float, resumed: int,
-    ) -> None:
-        """A per-chain MSA scan began (``resumed`` shards skipped)."""
-
-    def chain_finished(self, job, node, key: str, now: float) -> None:
-        """The chain's scan completed on the node (LOCAL features)."""
-
-    def chains_published(
-        self, job, node, count: int, now: float
-    ) -> None:
-        """``count`` local chains were published to the shared store."""
-
-    def infer_started(
-        self, job, node, now: float, seconds: float, cold: bool
-    ) -> None:
-        """The GPU inference began (``cold``: warm-up/compile paid)."""
-
-    def job_completed(self, job, node, now: float) -> None:
-        """The job finished its inference (terminal, success)."""
-
-    def job_requeued(self, job, now: float, migrated: bool) -> None:
-        """The job went back to the queue (drain-migrated or crashed)."""
-
-    def job_failed(self, job, now: float, reason: str) -> None:
-        """The job exhausted its retry budget (terminal, failure)."""
-
-    # -- control plane ---------------------------------------------------
-
-    def autoscale(self, now: float, pool: str, delta: int) -> None:
-        """The autoscaler applied a non-zero delta to a pool."""
-
-    def fault_instant(
-        self, name: str, node_id: Optional[int], now: float, **attrs
-    ) -> None:
-        """A momentary fault strike (store corruption, slow node)."""
-
-
-#: The shared disabled probe (the cluster scheduler's default).
-NULL_CLUSTER_PROBE = ClusterProbe()

@@ -1,4 +1,4 @@
-"""Chaos campaigns: seeded fault schedules + invariant checking.
+"""Serving chaos campaigns: seeded fault schedules + invariant checking.
 
 A campaign builds a seeded request stream and a seeded
 :class:`~repro.faults.plan.FaultPlan`, runs them through the serving
@@ -17,6 +17,10 @@ system must keep under failure:
 * **determinism** — the same seed yields a byte-identical report,
   faults and all.
 
+The campaign sits next to the gateway it audits, as
+:mod:`repro.cluster.chaos` sits next to its scheduler, and carries the
+gateway's own :class:`~repro.serving.gateway.GatewayConfig`: the
+recovery policy under test is :data:`CHAOS_GATEWAY`, written once.
 Campaigns are exactly as reproducible as fault-free runs: the golden
 chaos test pins one seeded campaign's entire summary.  The harness
 itself is shared with the fleet audit (:mod:`repro.faults.audit`).
@@ -28,7 +32,7 @@ import dataclasses
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .audit import (
+from ..faults.audit import (
     ChaosResult,
     audit_campaign,
     audit_suite,
@@ -36,6 +40,27 @@ from .audit import (
     monotone_time,
     seeded_plan,
     validate_fault_mix,
+)
+from ..hardware.platform import get_platform
+from ..sequences.builtin import builtin_samples
+from .gateway import GatewayConfig, ServingGateway
+from .queueing import PoissonArrivals, RequestState, build_request_stream
+
+#: The gateway a serving campaign runs: a small pool behind a tight
+#: queue, plus the recovery policy under test (restarts, the circuit
+#: breaker and the degraded fallback).  Fields left out keep the
+#: GatewayConfig defaults.
+CHAOS_GATEWAY = GatewayConfig(
+    num_gpu_workers=3,
+    num_msa_workers=3,
+    queue_limit=64,
+    timeout_seconds=14400.0,
+    retry_backoff_seconds=60.0,
+    restart_seconds=300.0,
+    breaker_failure_threshold=2,
+    breaker_cooldown_seconds=1800.0,
+    degraded_fallback=True,
+    degraded_msa_depth=16,
 )
 
 
@@ -47,14 +72,7 @@ class ChaosConfig:
     platform: str = "Server"
     num_requests: int = 120
     arrival_rps: float = 0.02
-    num_gpu_workers: int = 3
-    num_msa_workers: int = 3
-    max_batch: int = 4
-    max_wait_seconds: float = 120.0
-    queue_limit: int = 64
-    timeout_seconds: Optional[float] = 14400.0
-    max_retries: int = 2
-    retry_backoff_seconds: float = 60.0
+    gateway: GatewayConfig = CHAOS_GATEWAY
     # -- fault mix (counts over the campaign horizon) ------------------
     crashes: int = 3
     preemptions: int = 2
@@ -69,12 +87,6 @@ class ChaosConfig:
     #: (preserving every seeded draw) and then filtered, so one kind
     #: can be replayed in isolation to debug a mixed-kind failure.
     kinds: Optional[Tuple[str, ...]] = None
-    # -- recovery policy ----------------------------------------------
-    restart_seconds: float = 300.0
-    breaker_failure_threshold: int = 2
-    breaker_cooldown_seconds: float = 1800.0
-    degraded_fallback: bool = True
-    degraded_msa_depth: int = 16
 
     def __post_init__(self) -> None:
         if self.num_requests < 1:
@@ -103,8 +115,19 @@ class ChaosConfig:
         )
 
 
-def _build(config: ChaosConfig, probe=None):
-    """The (gateway, stream, plan) triple a campaign config describes.
+def campaign_stream(config: ChaosConfig):
+    """The seeded request stream a campaign config describes: the
+    builtin samples at ``arrival_rps`` Poisson arrivals."""
+    return build_request_stream(
+        list(builtin_samples().values()),
+        n=config.num_requests,
+        arrivals=PoissonArrivals(config.arrival_rps, seed=config.seed),
+        seed=config.seed,
+    )
+
+
+def build_campaign(config: ChaosConfig, probe=None):
+    """The ``(gateway, stream, plan)`` triple a campaign config describes.
 
     ``probe`` is an optional :class:`~repro.observability.GatewayProbe`
     forwarded to the gateway, so chaos runs can record span timelines
@@ -112,43 +135,14 @@ def _build(config: ChaosConfig, probe=None):
     without a feature store, so ``store_corruptions`` events are
     audited noops.
     """
-    from ..hardware.platform import get_platform
-    from ..sequences.builtin import builtin_samples
-    from ..serving import (
-        GatewayConfig,
-        PoissonArrivals,
-        ServingGateway,
-        build_request_stream,
-    )
-
-    platform = get_platform(config.platform)
-    stream = build_request_stream(
-        list(builtin_samples().values()),
-        n=config.num_requests,
-        arrivals=PoissonArrivals(config.arrival_rps, seed=config.seed),
-        seed=config.seed,
-    )
+    stream = campaign_stream(config)
     plan = seeded_plan(
         config, stream[-1].arrival_seconds,
-        config.num_gpu_workers, config.num_msa_workers,
-    )
-    gateway_config = GatewayConfig(
-        num_gpu_workers=config.num_gpu_workers,
-        num_msa_workers=config.num_msa_workers,
-        max_batch=config.max_batch,
-        max_wait_seconds=config.max_wait_seconds,
-        queue_limit=config.queue_limit,
-        timeout_seconds=config.timeout_seconds,
-        max_retries=config.max_retries,
-        retry_backoff_seconds=config.retry_backoff_seconds,
-        restart_seconds=config.restart_seconds,
-        breaker_failure_threshold=config.breaker_failure_threshold,
-        breaker_cooldown_seconds=config.breaker_cooldown_seconds,
-        degraded_fallback=config.degraded_fallback,
-        degraded_msa_depth=config.degraded_msa_depth,
+        config.gateway.num_gpu_workers, config.gateway.num_msa_workers,
     )
     gateway = ServingGateway(
-        platform, gateway_config, fault_plan=plan, probe=probe
+        get_platform(config.platform), config.gateway,
+        fault_plan=plan, probe=probe,
     )
     return gateway, stream, plan
 
@@ -157,8 +151,6 @@ def requests_accounted(gateway, report) -> Iterator[str]:
     """No request lost: every request ends terminal, every
     non-completion and every degraded answer carries a reason, and the
     terminal counts add up to the submitted count."""
-    from ..serving.queueing import RequestState
-
     for request in report.requests:
         if not request.state.terminal:
             yield (
@@ -254,7 +246,7 @@ def check_invariants(gateway, report) -> List[str]:
 
 def _run_once(config: ChaosConfig):
     """One campaign run: ``(gateway, report, plan)``."""
-    gateway, stream, plan = _build(config)
+    gateway, stream, plan = build_campaign(config)
     return gateway, gateway.run(stream), plan
 
 

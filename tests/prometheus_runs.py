@@ -50,13 +50,12 @@ def observe_chaos_cli() -> str:
 
 
 def serving_all_sections() -> str:
-    from repro.faults import ChaosConfig
-    from repro.faults.chaos import _build
     from repro.observability import SERVING_METRICS, prometheus_metrics
     from repro.serving import ServingGateway
+    from repro.serving.chaos import ChaosConfig, build_campaign
     from repro.store import FeatureStore
 
-    gateway, stream, plan = _build(
+    gateway, stream, plan = build_campaign(
         ChaosConfig(seed=13, num_requests=40, store_corruptions=2)
     )
     config = dataclasses.replace(
@@ -74,10 +73,10 @@ def serving_all_sections() -> str:
 
 def cluster() -> str:
     from repro.cluster import ClusterChaosConfig
-    from repro.cluster.chaos import _run_once
+    from repro.cluster.chaos import run_once
     from repro.observability import CLUSTER_METRICS, prometheus_metrics
 
-    _scheduler, report, _plan = _run_once(
+    _scheduler, report, _plan = run_once(
         ClusterChaosConfig(num_jobs=24, compile_cache="shared")
     )
     return prometheus_metrics(report.summary(), CLUSTER_METRICS)

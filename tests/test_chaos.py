@@ -13,16 +13,12 @@ import pathlib
 import pytest
 
 from repro.faults import (
-    ChaosConfig,
     FaultEvent,
     FaultKind,
     FaultPlan,
     GPU_DOMAIN,
     MSA_DOMAIN,
-    run_campaign,
-    run_suite,
 )
-from repro.faults.chaos import check_invariants
 from repro.hardware.platform import SERVER
 from repro.msa.cost import MsaCost
 from repro.sequences import Assembly, Chain, MoleculeType
@@ -35,6 +31,12 @@ from repro.serving import (
     ServingRequest,
     chain_content_key,
     serving_trace,
+)
+from repro.serving.chaos import (
+    ChaosConfig,
+    check_invariants,
+    run_campaign,
+    run_suite,
 )
 
 CHAOS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "chaos_summary.json"
@@ -444,10 +446,12 @@ class TestCampaigns:
     def test_every_request_reaches_a_terminal_state(self):
         heavy = dataclasses.replace(
             self.QUICK, seed=7, arrival_rps=0.05,
-            num_gpu_workers=2, num_msa_workers=2,
+            gateway=dataclasses.replace(
+                self.QUICK.gateway, num_gpu_workers=2, num_msa_workers=2,
+                timeout_seconds=7200.0,
+            ),
             crashes=6, preemptions=3, oom_spikes=4,
             db_stalls=5, db_corruptions=4, slow_nodes=3,
-            timeout_seconds=7200.0,
         )
         result = run_campaign(heavy, check_determinism=False)
         assert result.violations == []

@@ -1,5 +1,6 @@
 """CLI tests (fast paths; sweep covered by a tiny invocation)."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -214,6 +215,188 @@ class TestBucketCommands:
         assert payload["bucket_waste"]["buckets"] == [
             512, 1024, 1536, 2048
         ]
+
+
+class _Built(Exception):
+    """Stops a command once it has built the config under test."""
+
+
+#: Every command that builds a gateway, as the argv that runs it small.
+_GATEWAY_COMMANDS = {
+    "serve-sim": ["serve-sim", "--requests", "4", "--no-baseline"],
+    "observe": ["observe", "export-metrics", "--requests", "4"],
+    "observe-chaos": ["observe", "export-metrics", "--requests", "4",
+                      "--chaos"],
+    "chaos": ["chaos", "--requests", "4", "--no-determinism-check"],
+}
+_CLUSTER_COMMANDS = {
+    "cluster-sim": ["cluster-sim", "--policies", "fixed"],
+    "cluster-chaos": ["cluster-chaos", "--no-determinism-check"],
+}
+
+
+def _flag_cases(commands, names, flags):
+    """One case per (command, flag): ``(argv, flag, value, field,
+    expected)``, where a ``None`` value is a switch."""
+    return [
+        pytest.param(commands[name], *flag, id=f"{name}{flag[0]}")
+        for name in names for flag in flags
+    ]
+
+
+#: (flag, value, GatewayConfig field, parsed value).
+_WORKER_FLAGS = [
+    ("--gpu-workers", "5", "num_gpu_workers", 5),
+    ("--msa-workers", "6", "num_msa_workers", 6),
+    ("--timeout", "17", "timeout_seconds", 17.0),
+    ("--retries", "5", "max_retries", 5),
+]
+_BATCHING_FLAGS = [
+    ("--max-batch", "7", "max_batch", 7),
+    ("--max-wait", "11", "max_wait_seconds", 11.0),
+    ("--queue-limit", "13", "queue_limit", 13),
+    ("--backoff", "19", "retry_backoff_seconds", 19.0),
+]
+_SERVE_FLAGS = [
+    ("--compile-cache", "shared", "compile_cache", "shared"),
+    ("--buckets", "256,5120", "buckets", (256, 5120)),
+]
+_RECOVERY_FLAGS = [
+    ("--restart", "23", "restart_seconds", 23.0),
+    ("--breaker-threshold", "4", "breaker_failure_threshold", 4),
+    ("--breaker-cooldown", "29", "breaker_cooldown_seconds", 29.0),
+    ("--no-degraded-fallback", None, "degraded_fallback", False),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value,field,expected", [
+    *_flag_cases(_GATEWAY_COMMANDS, _GATEWAY_COMMANDS, _WORKER_FLAGS),
+    *_flag_cases(_GATEWAY_COMMANDS, ["serve-sim", "observe",
+                                     "observe-chaos"], _BATCHING_FLAGS),
+    *_flag_cases(_GATEWAY_COMMANDS, ["serve-sim"], _SERVE_FLAGS),
+    *_flag_cases(_GATEWAY_COMMANDS, ["chaos"], _RECOVERY_FLAGS),
+])
+def test_gateway_flag_reaches_the_gateway(
+    monkeypatch, argv, flag, value, field, expected
+):
+    """A non-default gateway flag lands in the GatewayConfig the
+    command builds, on every command that takes it."""
+    from repro.serving import ServingGateway
+
+    def capture(self, platform, config=None, *args, **kwargs):
+        raise _Built(config)
+
+    monkeypatch.setattr(ServingGateway, "__init__", capture)
+    with pytest.raises(_Built) as built:
+        main([*argv, flag] + ([value] if value is not None else []))
+    assert getattr(built.value.args[0], field) == expected
+
+
+#: (flag, value, ChaosConfig field, parsed value).
+_STREAM_FLAGS = [
+    ("--platform", "Desktop", "platform", "Desktop"),
+    ("--requests", "9", "num_requests", 9),
+    ("--rate", "0.5", "arrival_rps", 0.5),
+]
+_FAULT_FLAGS = [
+    ("--crashes", "1", "crashes", 1),
+    ("--preemptions", "1", "preemptions", 1),
+    ("--oom-spikes", "1", "oom_spikes", 1),
+    ("--db-stalls", "1", "db_stalls", 1),
+    ("--db-corruptions", "1", "db_corruptions", 1),
+    ("--slow-nodes", "1", "slow_nodes", 1),
+    ("--preemption-notices", "1", "preemption_notices", 1),
+    ("--kinds", "worker_crash", "kinds", ("worker_crash",)),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value,field,expected", [
+    *_flag_cases(_GATEWAY_COMMANDS, ["observe-chaos", "chaos"],
+                 _STREAM_FLAGS),
+    *_flag_cases(_GATEWAY_COMMANDS, ["chaos"], _FAULT_FLAGS),
+])
+def test_chaos_flag_reaches_the_campaign_config(
+    monkeypatch, argv, flag, value, field, expected
+):
+    """A non-default campaign flag lands in the ChaosConfig the
+    command runs."""
+    import repro.serving.chaos
+
+    def capture(config, probe=None):
+        raise _Built(config)
+
+    monkeypatch.setattr(repro.serving.chaos, "build_campaign", capture)
+    with pytest.raises(_Built) as built:
+        main([*argv, flag] + ([value] if value is not None else []))
+    assert getattr(built.value.args[0], field) == expected
+
+
+#: (flag, value, ClusterChaosConfig field, parsed value).
+_CLUSTER_FLAGS = [
+    ("--jobs", "7", "num_jobs", 7),
+    ("--chains", "9", "num_chains", 9),
+    ("--rate", "33", "arrival_rate_per_hour", 33.0),
+    ("--max-attempts", "3", "max_attempts", 3),
+    ("--no-migration", None, "migration", False),
+    ("--preemption-notices", "4", "preemption_notices", 4),
+    ("--crashes", "5", "crashes", 5),
+    ("--preemptions", "6", "preemptions", 6),
+    ("--slow-nodes", "7", "slow_nodes", 7),
+    ("--store-corruptions", "8", "store_corruptions", 8),
+    ("--compile-cache", "shared", "compile_cache", "shared"),
+]
+_CLUSTER_CHAOS_FLAGS = [
+    ("--policy", "cost-aware", "policy", "cost-aware"),
+    ("--kinds", "worker_crash", "kinds", ("worker_crash",)),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value,field,expected", [
+    *_flag_cases(_CLUSTER_COMMANDS, _CLUSTER_COMMANDS, _CLUSTER_FLAGS),
+    *_flag_cases(_CLUSTER_COMMANDS, ["cluster-chaos"],
+                 _CLUSTER_CHAOS_FLAGS),
+])
+def test_cluster_flag_reaches_the_campaign_config(
+    monkeypatch, argv, flag, value, field, expected
+):
+    """A non-default cluster flag lands in the ClusterChaosConfig the
+    command runs."""
+    import repro.cluster.chaos
+
+    def capture(config):
+        raise _Built(config)
+
+    monkeypatch.setattr(repro.cluster.chaos, "build_campaign", capture)
+    with pytest.raises(_Built) as built:
+        main([*argv, flag] + ([value] if value is not None else []))
+    assert getattr(built.value.args[0], field) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve-sim"], ["observe", "export-metrics"], ["chaos"],
+    ["cluster-sim"], ["cluster-chaos"],
+], ids=lambda argv: argv[0])
+def test_config_flags_keep_the_dataclass_default(argv):
+    """A flag that sets a config field defaults to None ("keep the base
+    config's value"), so no argparse default repeats a dataclass one.
+    observe's --requests is its own stream size (40, not the
+    campaign's 120), and the global --seed serves every command."""
+    from repro.cluster import ClusterChaosConfig
+    from repro.serving import GatewayConfig
+    from repro.serving.chaos import ChaosConfig
+
+    configs = {
+        "serve-sim": (GatewayConfig,),
+        "observe": (GatewayConfig, ChaosConfig),
+        "chaos": (GatewayConfig, ChaosConfig),
+        "cluster-sim": (ClusterChaosConfig,),
+        "cluster-chaos": (ClusterChaosConfig,),
+    }[argv[0]]
+    own = {"seed", "num_requests"} if argv[0] == "observe" else {"seed"}
+    args = vars(build_parser().parse_args(argv))
+    fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
+    flagged = {name: args[name] for name in fields & args.keys() - own}
+    assert flagged and all(v is None for v in flagged.values()), flagged
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,7 +35,6 @@ from repro.cluster import (
 )
 from repro.cluster.chaos import build_campaign
 from repro.cluster.jobs import ChainStatus
-from repro.observability import ClusterProbe
 from repro.serving.scenarios import ppi_chain_library, ppi_pair_samples
 from repro.store import FeatureStore
 
@@ -296,40 +295,43 @@ class TestMigrationLedger:
         assert ledger.double_billed_shards == 0
 
 
-class _AssignmentProbe(ClusterProbe):
-    """Records (job_id, pool_name) for every dispatch."""
-
-    def __init__(self):
-        self.assignments = []
-
-    def job_started(self, job, node, now):
-        self.assignments.append((job.job_id, node.pool.name))
-
-
 class TestDispatchPreference:
-    def _run(self, jobs):
-        probe = _AssignmentProbe()
-        scheduler = ClusterScheduler(ClusterConfig(), probe=probe)
-        scheduler.run(jobs)
-        return probe.assignments
+    @pytest.fixture
+    def run(self, monkeypatch):
+        """Run jobs on a fresh scheduler; returns its (job_id, pool
+        name) assignments in dispatch order."""
+        assignments = []
+        assign = ClusterScheduler._assign
 
-    def test_high_priority_takes_on_demand_first(self):
+        def recording_assign(scheduler, job, node):
+            assignments.append((job.job_id, node.pool.name))
+            assign(scheduler, job, node)
+
+        monkeypatch.setattr(ClusterScheduler, "_assign", recording_assign)
+
+        def run(jobs):
+            ClusterScheduler(ClusterConfig()).run(jobs)
+            return assignments
+
+        return run
+
+    def test_high_priority_takes_on_demand_first(self, run):
         # Arrive after every pool has provisioned (240 s worst case).
         job = make_job(0, priority=0, arrival=300.0)
-        assignments = self._run([job])
+        assignments = run([job])
         assert assignments == [(0, "h100-ondemand")]
 
-    def test_normal_priority_fills_cheapest_nodes_first(self):
+    def test_normal_priority_fills_cheapest_nodes_first(self, run):
         job = make_job(0, priority=1, arrival=300.0)
-        assignments = self._run([job])
+        assignments = run([job])
         assert assignments == [(0, "rtx4080-spot")]
 
-    def test_mixed_arrivals_split_by_class(self):
+    def test_mixed_arrivals_split_by_class(self, run):
         jobs = [
             make_job(0, priority=2, arrival=300.0),
             make_job(1, priority=0, arrival=300.0),
         ]
-        got = dict(self._run(jobs))
+        got = dict(run(jobs))
         assert got[1] == "h100-ondemand"
         assert got[0] == "rtx4080-spot"
 

@@ -16,7 +16,7 @@ from repro.cluster import (
     run_cluster_campaign,
     run_cluster_suite,
 )
-from repro.cluster.chaos import _run_once
+from repro.cluster.chaos import run_once
 from repro.faults import FaultKind
 
 AUDIT_SEEDS = tuple(range(20))
@@ -118,7 +118,7 @@ class TestCheckerIsNotVacuous:
     """Corrupt a finished run's state; the auditor must object."""
 
     def _finished(self):
-        return _run_once(ClusterChaosConfig(seed=0))
+        return run_once(ClusterChaosConfig(seed=0))
 
     def test_flags_job_loss(self):
         scheduler, report, _ = self._finished()

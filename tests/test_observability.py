@@ -19,7 +19,6 @@ from collections import Counter
 import pytest
 
 from repro.cli import main
-from repro.faults.chaos import ChaosConfig, _build
 from repro.hardware.platform import SERVER
 from repro.observability import (
     NULL_PROBE,
@@ -44,6 +43,7 @@ from repro.serving import (
     ServingGateway,
     build_request_stream,
 )
+from repro.serving.chaos import ChaosConfig, build_campaign
 from repro.serving.queueing import RequestState
 from repro.sequences.builtin import builtin_samples
 
@@ -80,7 +80,7 @@ def stressed_run(probe=None, degraded_fallback=True):
 
 def chaos_run(probe=None):
     """The chaos harness's default fault mix (crashes, stalls, ...)."""
-    gateway, stream, _plan = _build(
+    gateway, stream, _plan = build_campaign(
         ChaosConfig(seed=13, num_requests=40), probe=probe
     )
     return gateway.run(stream), stream

@@ -23,7 +23,6 @@ import pathlib
 import pytest
 
 from repro.faults import FaultPlan
-from repro.faults.chaos import check_invariants
 from repro.hardware.platform import get_platform
 from repro.sequences.builtin import builtin_samples
 from repro.serving import (
@@ -36,6 +35,7 @@ from repro.serving import (
     ppi_screen_stream,
     serving_trace,
 )
+from repro.serving.chaos import check_invariants
 from repro.store import FeatureStore, precompute_msas
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ppi_screen_summary.json"
