@@ -41,6 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..faults.kill import KillSwitch, SimulatedKill
 from ..model.memory_planner import AttentionSchedule
 from ..parallel import ExecutionPlan, run_sharded
+from ..store.feature_store import DEFAULT_BYTE_BUDGET
 from .dag import STAGES, StageTask, build_graph
 from .manifest import TargetSpec
 from .state import CampaignState
@@ -79,7 +80,7 @@ class CampaignConfig:
     )
     max_tokens: int = 0          # 0 = no admission limit
     store_dir: Optional[str] = None
-    store_budget_mb: float = 64.0
+    store_budget_mb: float = DEFAULT_BYTE_BUDGET / (1024 * 1024)
     #: Inference attention schedule for every target (an
     #: :data:`~repro.model.memory_planner.ATTENTION_SCHEDULES` name;
     #: tiled plans a block per target).  Persisted because it changes

@@ -6,8 +6,10 @@ A campaign directory is the whole truth about a campaign::
     <dir>/tasks/<target>.<stage>.json  # one finished stage output each
 
 Every task file is written atomically (temp file + ``os.replace``, the
-:class:`~repro.store.FeatureStore` discipline), so a kill can lose at
-most in-flight work — never corrupt a finished checkpoint.  Resuming
+:class:`~repro.store.FeatureStore` discipline) and durably (the temp
+file is fsynced before the rename and the directory after it), so a
+kill or a power cut can lose at most in-flight work — never corrupt or
+drop a finished checkpoint.  Resuming
 is therefore nothing but re-scanning the directory: whatever is on
 disk is done, everything else is pending.  This is the durable sibling
 of :class:`repro.faults.recovery.CheckpointStore` (which checkpoints
@@ -42,8 +44,9 @@ class CampaignStateError(RuntimeError):
 
 
 def atomic_write_json(path: pathlib.Path, doc) -> None:
-    """Write ``doc`` as indented JSON through :func:`atomic_write_text`."""
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as indented JSON through a durable
+    :func:`atomic_write_text` (file and directory fsynced)."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n", durable=True)
 
 
 class CampaignState:

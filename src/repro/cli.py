@@ -19,6 +19,7 @@ import json
 import math
 import pathlib
 import sys
+from collections import OrderedDict
 from typing import List, Optional
 
 from .core.pipeline import Af3Pipeline
@@ -40,16 +41,23 @@ from .sequences.sample import InputSample, classify_complexity
 GIB = 1024 ** 3
 
 
-def _at_least(cast, low, strict: bool = False):
+def _at_least(cast, low, strict: bool = False, most=None):
     """An argparse ``type=`` that parses with ``cast`` and rejects
-    values below ``low`` (or equal to it when ``strict``), so a bad
-    flag exits 2 with a one-line usage error instead of a traceback."""
+    values that are not finite, below ``low`` (or equal to it when
+    ``strict``) or above ``most``, so a bad flag exits 2 with a
+    one-line usage error instead of a traceback."""
 
     def parse(text: str):
         value = cast(text)
-        if not (value > low if strict else value >= low):   # NaN fails
+        in_range = (value > low if strict else value >= low) and (
+            most is None or value <= most
+        )
+        if not (in_range and (cast is int or math.isfinite(value))):
+            bound = f"{'>' if strict else '>='} {low}"
+            if most is not None:
+                bound += f" and <= {most}"
             raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}"
+                f"must be a finite number {bound}, got {text}"
             )
         return value
 
@@ -60,21 +68,22 @@ def _at_least(cast, low, strict: bool = False):
 _COUNT = _at_least(int, 1)                  # workers, requests, batches
 _TALLY = _at_least(int, 0)                  # retries and fault counts
 _CHAINS = _at_least(int, 2)                 # a PPI screen pairs chains
-_POSITIVE = _at_least(float, 0, strict=True)   # rates, budgets, timeouts
+_INDENT = _at_least(int, 0, most=16)        # JSON pretty-print width
+_POSITIVE = _at_least(float, 0, strict=True)   # rates and timeouts
 _SECONDS = _at_least(float, 0)              # waits and backoffs
 
 
-def _store_budget_mb(text: str) -> float:
-    """A ``--store-budget-mb`` that is a whole number of bytes >= 1."""
+def _mebibytes(text: str) -> float:
+    """A size in MiB that is a finite whole number of bytes >= 1."""
     value = float(text)
-    if not (math.isfinite(value) and int(value * 1024 * 1024) >= 1):
+    if not (math.isfinite(value * 1024 * 1024) and value * 1024 * 1024 >= 1):
         raise argparse.ArgumentTypeError(
-            f"must be a finite budget of at least one byte, got {text}"
+            f"must be a finite size of at least one byte, got {text}"
         )
     return value
 
 
-_store_budget_mb.__name__ = "float"   # argparse's "invalid float value"
+_mebibytes.__name__ = "float"   # argparse's "invalid float value"
 
 
 def _store_dir(text: str) -> str:
@@ -101,6 +110,49 @@ def _fault_kinds(text: str):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return kinds or None
+
+
+def _bucket_edges(text: str):
+    """``--buckets`` CSV -> sorted edge tuple."""
+    from .buckets import parse_bucket_spec
+
+    try:
+        return parse_bucket_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _bucket_spec(text: str):
+    """``serve-sim --buckets``: ``fixed``, ``adaptive`` or CSV edges."""
+    return text if text in ("fixed", "adaptive") else _bucket_edges(text)
+
+
+def _builtin_sample(name: str) -> InputSample:
+    """A builtin sample, by case-insensitive name."""
+    samples = builtin_samples()
+    for key, sample in samples.items():
+        if key.lower() == name.lower():
+            return sample
+    raise argparse.ArgumentTypeError(
+        f"unknown sample {name!r}; available: {', '.join(samples)}"
+    )
+
+
+def _json_sample(path: str) -> InputSample:
+    """The sample an AF3 JSON input file describes."""
+    try:
+        assembly = load_json(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+    return InputSample(
+        name=assembly.name,
+        assembly=assembly,
+        complexity=classify_complexity(
+            assembly.total_residues, assembly.chain_count,
+            mixed=len({c.molecule_type for c in assembly}) > 1,
+        ),
+        target_characteristic="user-supplied input",
+    )
 
 
 def _with_flags(base, args: argparse.Namespace):
@@ -137,6 +189,11 @@ def _chaos_config(args: argparse.Namespace, gateway_base):
     )
 
 
+#: The CLI's synthetic-database sizing, small enough for a shell; a
+#: command's ``--seed`` (and ``--num-background``) land on it.
+CLI_MSA = MsaEngineConfig(num_background=40, homologs_per_query=6)
+
+
 @functools.lru_cache(maxsize=8)
 def _small_engine(
     seed: int = 0, plan: Optional[ExecutionPlan] = None
@@ -144,38 +201,22 @@ def _small_engine(
     # Cached so repeated CLI invocations in one process (tests, the
     # REPL) reuse each sample's functional search results; engines are
     # keyed by (seed, plan) and MsaEngine itself caches per sample.
-    return MsaEngine(
-        MsaEngineConfig(num_background=40, homologs_per_query=6, seed=seed),
-        plan=plan,
-    )
+    return MsaEngine(dataclasses.replace(CLI_MSA, seed=seed), plan=plan)
 
 
-def _resolve_sample(args: argparse.Namespace) -> InputSample:
-    if getattr(args, "json", None):
-        assembly = load_json(args.json)
-        return InputSample(
-            name=assembly.name,
-            assembly=assembly,
-            complexity=classify_complexity(
-                assembly.total_residues, assembly.chain_count,
-                mixed=len({c.molecule_type for c in assembly}) > 1,
-            ),
-            target_characteristic="user-supplied input",
-        )
-    samples = builtin_samples()
-    name = args.sample
-    for key, sample in samples.items():
-        if key.lower() == name.lower():
-            return sample
-    raise SystemExit(
-        f"unknown sample {name!r}; available: {', '.join(samples)}"
-    )
+def _plan(args: argparse.Namespace) -> ExecutionPlan:
+    """The ExecutionPlan of ``--workers`` and ``--backend`` (a flag left
+    at None keeps the plan's default)."""
+    return ExecutionPlan(**{
+        name: getattr(args, name) for name in ("workers", "backend")
+        if getattr(args, name, None) is not None
+    })
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    sample = _resolve_sample(args)
+    sample = args.json or args.sample
     platform = get_platform(args.platform)
-    plan = ExecutionPlan(workers=getattr(args, "workers", 1))
+    plan = _plan(args)
     budget_mb = args.memory_budget_mb
     if budget_mb is not None and args.attention != "tiled":
         print("--memory-budget-mb requires --attention tiled",
@@ -244,13 +285,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     runner = BenchmarkRunner(
-        platforms=[get_platform(p) for p in args.platforms],
-        msa_config=MsaEngineConfig(
-            num_background=40, homologs_per_query=6, seed=args.seed
-        ),
+        platforms=[get_platform(p) for p in args.platforms or ()],
+        msa_config=_with_flags(CLI_MSA, args),
     )
     results = runner.run_sweep(
-        sample_names=args.samples or None, thread_counts=args.threads
+        sample_names=[s.name for s in args.samples or ()],
+        thread_counts=args.threads,
     )
     if args.format == "json":
         print(results.to_json())
@@ -295,7 +335,7 @@ def cmd_artifact(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     from .core.estimator import estimate
 
-    sample = _resolve_sample(args)
+    sample = args.json or args.sample
     try:
         report = estimate(
             sample.assembly, threads=args.threads,
@@ -310,31 +350,33 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _open_store(args: argparse.Namespace):
     """The FeatureStore the flags describe, or None without --store-dir."""
-    if not getattr(args, "store_dir", None):
+    if not args.store_dir:
         return None
     from .store import FeatureStore
 
+    if args.store_budget_mb is None:
+        return FeatureStore(args.store_dir)
     return FeatureStore(
         args.store_dir,
         byte_budget=int(args.store_budget_mb * 1024 * 1024),
     )
 
 
-def _resolve_buckets(spec: str, lengths):
-    """Turn a ``--buckets`` value into an edge tuple.
+def _resolve_buckets(spec, lengths):
+    """Turn a parsed ``--buckets`` value into an edge tuple.
 
     ``fixed`` keeps the AF3 flag default, ``adaptive`` fits edges to
     the stream about to be served (the online analogue of ``repro
-    buckets fit``), anything else parses as CSV edges.
+    buckets fit``); CSV edges arrive already parsed.
     """
-    from .buckets import fit_buckets, parse_bucket_spec
+    from .buckets import fit_buckets
     from .core.server import DEFAULT_BUCKETS
 
     if spec == "fixed":
         return DEFAULT_BUCKETS
     if spec == "adaptive":
         return fit_buckets(list(lengths), max_buckets=len(DEFAULT_BUCKETS))
-    return parse_bucket_spec(spec)
+    return spec
 
 
 def cmd_serve_sim(args: argparse.Namespace) -> int:
@@ -361,6 +403,12 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     config = _gateway_config(args, GatewayConfig(), stream)
+    largest = max(r.num_tokens for r in stream)
+    if args.bucket_spec is not None and largest > config.buckets[-1]:
+        args.parser.error(
+            f"argument --buckets: largest bucket {config.buckets[-1]} is "
+            f"below the largest request ({largest} tokens)"
+        )
     store = _open_store(args)
     if store is not None and args.precompute:
         from .store import precompute_msas
@@ -406,7 +454,7 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
 def cmd_msa_precompute(args: argparse.Namespace) -> int:
     from .sequences.sample import ComplexityClass
     from .serving import ppi_chain_library
-    from .store import FeatureStore, precompute_msas
+    from .store import precompute_msas
 
     if args.scenario == "ppi-screen":
         from .sequences.chain import Assembly
@@ -424,12 +472,7 @@ def cmd_msa_precompute(args: argparse.Namespace) -> int:
         ]
     else:
         samples = list(builtin_samples().values())
-    store = FeatureStore(
-        args.store_dir,
-        byte_budget=int(args.store_budget_mb * 1024 * 1024),
-    )
-    plan = ExecutionPlan(workers=args.workers, backend=args.backend)
-    report = precompute_msas(samples, store, plan=plan)
+    report = precompute_msas(samples, _open_store(args), plan=_plan(args))
     if args.format == "json":
         print(json.dumps(report.summary(), indent=2))
     else:
@@ -446,34 +489,14 @@ def _campaign_targets(args: argparse.Namespace):
     return seeded_manifest(args.targets, seed=args.seed)
 
 
-def _campaign_config(args: argparse.Namespace):
-    from .campaign import CampaignConfig
-
-    buckets = None
-    if getattr(args, "buckets", None):
-        from .buckets import parse_bucket_spec
-
-        buckets = parse_bucket_spec(args.buckets)
-    return CampaignConfig(
-        platform=args.platform,
-        threads=args.threads,
-        seed=args.seed,
-        max_tokens=args.max_tokens,
-        store_dir=args.store_dir,
-        store_budget_mb=args.store_budget_mb,
-        attention=args.attention,
-        buckets=buckets,
-    )
-
-
 def _campaign_run(args: argparse.Namespace, resume: bool) -> int:
-    from .campaign import CampaignKilled, run_campaign
+    from .campaign import CampaignConfig, CampaignKilled, run_campaign
 
-    plan = ExecutionPlan(workers=args.workers, backend=args.backend)
+    plan = _plan(args)
     kwargs = {}
     if not resume:
         kwargs["targets"] = _campaign_targets(args)
-        kwargs["config"] = _campaign_config(args)
+        kwargs["config"] = _with_flags(CampaignConfig(), args)
     try:
         report = run_campaign(
             args.dir, plan=plan,
@@ -582,14 +605,14 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_differential(args: argparse.Namespace) -> int:
-    from .campaign import kill_resume_differential
+    from .campaign import CampaignConfig, kill_resume_differential
 
     result = kill_resume_differential(
         args.dir,
         _campaign_targets(args),
-        config=_campaign_config(args),
+        config=_with_flags(CampaignConfig(), args),
         kill_after=args.kill_after,
-        plan=ExecutionPlan(workers=args.workers, backend=args.backend),
+        plan=_plan(args),
     )
     print(result.render())
     return 0 if result.passed else 4
@@ -627,8 +650,6 @@ def _print_chaos_suite(command: str, results, fmt: str) -> int:
 
 
 def cmd_cluster_sim(args: argparse.Namespace) -> int:
-    from collections import OrderedDict
-
     from .cluster import ClusterChaosConfig, render_pareto_table, pareto_rows
     from .cluster.chaos import run_once
 
@@ -673,8 +694,6 @@ def _bucket_fit_lengths(args: argparse.Namespace):
     """Token lengths for ``repro buckets fit``: a seeded mix, the
     paper cohort, or a file (campaign manifest, JSON length array, or
     JSON trace rows with ``num_tokens``/``tokens``/``length``)."""
-    import pathlib
-
     from .buckets import paper_cohort_lengths, realistic_mix, trace_lengths
 
     source = args.source
@@ -709,8 +728,6 @@ def _bucket_fit_lengths(args: argparse.Namespace):
 
 
 def cmd_buckets_fit(args: argparse.Namespace) -> int:
-    from collections import OrderedDict
-
     from .buckets import (
         compare_bucketings,
         fit_buckets,
@@ -834,18 +851,11 @@ def cmd_observe_explain(args: argparse.Namespace) -> int:
 
 def cmd_scale(args: argparse.Namespace) -> int:
     """Thread/worker scaling curves: simulated, measured, or both."""
-    import os
-    import pathlib
-
     texts = {}
     if not args.measured_only:
         from .experiments import fig4_msa_threads, fig6_inference_threads
 
-        runner = BenchmarkRunner(
-            msa_config=MsaEngineConfig(
-                num_background=40, homologs_per_query=6, seed=args.seed
-            )
-        )
+        runner = BenchmarkRunner(msa_config=_with_flags(CLI_MSA, args))
         texts["scale_simulated_fig4.txt"] = fig4_msa_threads.render(runner)
         texts["scale_simulated_fig6.txt"] = (
             fig6_inference_threads.render(runner)
@@ -858,7 +868,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         )
     if args.out:
         out_dir = pathlib.Path(args.out)
-        os.makedirs(out_dir, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             (out_dir / name).write_text(text + "\n")
         print(f"wrote {', '.join(sorted(texts))} to {out_dir}/")
@@ -872,14 +882,10 @@ def cmd_observe_export_scan_trace(args: argparse.Namespace) -> int:
     from .observability import chrome_trace_json
     from .parallel import scan_timeline
 
-    sample = _resolve_sample(args)
+    sample = args.json or args.sample
     engine = MsaEngine(
-        MsaEngineConfig(
-            num_background=args.num_background,
-            homologs_per_query=6,
-            seed=args.seed,
-        ),
-        plan=ExecutionPlan(workers=args.workers, backend=args.backend),
+        _with_flags(CLI_MSA, args),
+        plan=_plan(args),
     )
     result = engine.run(sample)
     outcomes, labels = [], []
@@ -919,7 +925,16 @@ def cmd_samples(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag group several subcommands share through ``parents=``, so
+    each flag is declared once and every subcommand gets that action."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .cluster.autoscaler import POLICIES
+    from .store import DEFAULT_BYTE_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="afsysbench",
         description="AF3 workload characterization benchmark suite "
@@ -929,37 +944,127 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for the synthetic databases")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate one end-to-end AF3 run")
-    run.add_argument("--sample", default="2PV7")
-    run.add_argument("--json", help="AF3 JSON input file instead of --sample")
-    run.add_argument("--platform", default="Server",
-                     choices=sorted(PLATFORMS), help="platform preset")
-    run.add_argument("--threads", type=_COUNT, default=8)
-    run.add_argument("--workers", type=_COUNT, default=1,
-                     help="real worker processes for the functional "
-                          "MSA database scans (results are "
-                          "byte-identical for any count)")
-    run.add_argument("--attention", choices=ATTENTION_SCHEDULES,
-                     default="chunked",
-                     help="inference attention schedule: chunked "
-                          "(production default), resident (full O(N^3) "
-                          "logits, strict admission), or tiled (the "
-                          "memory planner picks a block; see "
-                          "docs/memory_planner.md)")
-    run.add_argument("--memory-budget-mb", type=float, default=None,
+    # -- flags shared by several subcommands, each declared once --------
+    text_or_json = _parent()
+    text_or_json.add_argument("--format", choices=["text", "json"],
+                              default="text")
+    platform = _parent()
+    platform.add_argument("--platform", default="Server",
+                          choices=sorted(PLATFORMS), help="platform preset")
+    config_platform = _parent()     # None: keep the config's platform
+    config_platform.add_argument("--platform", choices=sorted(PLATFORMS),
+                                 help="platform preset")
+    threads = _parent()
+    threads.add_argument("--threads", type=_COUNT, default=8)
+    attention = _parent()
+    attention.add_argument("--attention", choices=ATTENTION_SCHEDULES,
+                           default="chunked",
+                           help="inference attention schedule: chunked "
+                                "(production default), resident (full "
+                                "O(N^3) logits, strict admission), or tiled "
+                                "(blocked by the memory planner; see "
+                                "docs/memory_planner.md)")
+    json_input = _parent()
+    json_input.add_argument("--json", type=_json_sample,
+                            help="AF3 JSON input file instead of --sample")
+    sample = _parent(json_input)
+    sample.add_argument("--sample", type=_builtin_sample, default="2PV7")
+    workers = _parent()             # None keeps the ExecutionPlan default
+    workers.add_argument("--workers", type=_COUNT,
+                         help="real worker processes (default 1; results "
+                              "are byte-identical for any count)")
+    sharded = _parent(workers)
+    sharded.add_argument("--backend",
+                         choices=["auto", "serial", "thread", "process"])
+    store_budget = _parent()
+    store_budget.add_argument(
+        "--store-budget-mb", type=_mebibytes,
+        help=f"feature-store LRU byte budget in MiB (default "
+             f"{DEFAULT_BYTE_BUDGET // (1024 * 1024)})",
+    )
+    store = _parent(store_budget)
+    store.add_argument("--store-dir", type=_store_dir,
+                       help="enable the disk feature store at this path")
+    chains = _parent()
+    chains.add_argument("--chains", type=_CHAINS, default=100,
+                        help="ppi-screen: size of the chain library")
+    compile_cache = _parent()
+    compile_cache.add_argument("--compile-cache", choices=["none", "shared"],
+                               help="XLA executable cache: 'shared' lets "
+                                    "every GPU worker or fleet node reuse "
+                                    "the first compile per bucket x "
+                                    "platform")
+    gateway_workers = _parent()
+    gateway_workers.add_argument("--gpu-workers", dest="num_gpu_workers",
+                                 type=_COUNT)
+    gateway_workers.add_argument("--msa-workers", dest="num_msa_workers",
+                                 type=_COUNT)
+    gateway_workers.add_argument("--timeout", dest="timeout_seconds",
+                                 type=_POSITIVE,
+                                 help="per-attempt queue timeout (s)")
+    gateway_workers.add_argument("--retries", dest="max_retries",
+                                 type=_TALLY,
+                                 help="max retries after a timeout")
+    arrivals = _parent()            # ChaosConfig.arrival_rps
+    arrivals.add_argument("--rate", dest="arrival_rps", type=_POSITIVE,
+                          help="Poisson arrival rate in requests/second")
+    batching = _parent()
+    batching.add_argument("--max-batch", type=_COUNT,
+                          help="dynamic batching: max same-bucket batch size")
+    batching.add_argument("--max-wait", dest="max_wait_seconds",
+                          type=_SECONDS,
+                          help="dynamic batching: max coalescing wait (s)")
+    batching.add_argument("--queue-limit", type=_COUNT,
+                          help="admission control: shed past this queue "
+                               "depth")
+    batching.add_argument("--backoff", dest="retry_backoff_seconds",
+                          type=_SECONDS,
+                          help="base retry backoff (s), doubled per attempt")
+    faults = _parent()
+    faults.add_argument("--crashes", type=_TALLY,
+                        help="worker or node crashes to schedule")
+    faults.add_argument("--preemptions", type=_TALLY,
+                        help="zero-warning spot reclaims")
+    faults.add_argument("--preemption-notices", type=_TALLY,
+                        help="spot reclaim warnings (notice lead, then "
+                             "outage) to schedule")
+    faults.add_argument("--slow-nodes", type=_TALLY)
+    suite = _parent()
+    suite.add_argument("--kinds", type=_fault_kinds,
+                       help="comma-separated fault kinds to keep (e.g. "
+                            "worker_crash,db_read_stall); the seeded plan "
+                            "is generated in full and then filtered, "
+                            "isolating one kind for debugging")
+    suite.add_argument("--seeds", nargs="*", type=int,
+                       help="run one campaign per seed (default: the "
+                            "global --seed)")
+    suite.add_argument("--no-determinism-check", action="store_true",
+                       help="skip the byte-identical rerun of each "
+                            "campaign")
+    export_out = _parent()
+    export_out.add_argument("--out", default="-",
+                            help="output file ('-' for stdout)")
+    export = _parent(export_out)
+    export.add_argument("--indent", type=_INDENT,
+                        help="pretty-print with this indent (default: "
+                             "compact golden form)")
+
+    run = sub.add_parser(
+        "run", parents=[sample, platform, threads, workers, attention,
+                        text_or_json],
+        help="simulate one end-to-end AF3 run",
+    )
+    run.add_argument("--memory-budget-mb", type=_mebibytes,
                      help="schedulable-workspace budget (MiB) for the "
                           "tiled planner; default plans against the "
                           "platform's device memory")
-    run.add_argument("--format", choices=["text", "json"], default="text")
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="samples x platforms x threads")
-    sweep.add_argument("--samples", nargs="*", default=None)
-    sweep.add_argument("--platforms", nargs="*",
-                       default=["Server", "Desktop"])
-    sweep.add_argument("--threads", nargs="*", type=_COUNT,
-                       default=[1, 2, 4, 6, 8])
-    sweep.add_argument("--format", choices=["text", "json"], default="text")
+    sweep = sub.add_parser("sweep", parents=[text_or_json],
+                           help="samples x platforms x threads")
+    sweep.add_argument("--samples", nargs="*", type=_builtin_sample)
+    sweep.add_argument("--platforms", nargs="*", choices=sorted(PLATFORMS))
+    sweep.add_argument("--threads", nargs="*", type=_COUNT)
     sweep.set_defaults(func=cmd_sweep)
 
     artifact = sub.add_parser(
@@ -972,16 +1077,10 @@ def build_parser() -> argparse.ArgumentParser:
     artifact.set_defaults(func=cmd_artifact)
 
     estimate = sub.add_parser(
-        "estimate", help="static memory pre-check for an input (Section VI)"
+        "estimate", parents=[json_input, threads, attention],
+        help="static memory pre-check for an input (Section VI)",
     )
-    estimate.add_argument("--sample", default="6QNR")
-    estimate.add_argument("--json", help="AF3 JSON input file")
-    estimate.add_argument("--threads", type=_COUNT, default=8)
-    estimate.add_argument("--attention", choices=ATTENTION_SCHEDULES,
-                          default="chunked",
-                          help="attention schedule the GPU demand is "
-                               "computed for (tiled needs "
-                               "--attention-block)")
+    estimate.add_argument("--sample", type=_builtin_sample, default="6QNR")
     estimate.add_argument("--attention-block", type=_COUNT, default=None,
                           help="tile block for --attention tiled (and "
                                "only for it)")
@@ -989,111 +1088,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-sim",
+        parents=[platform, gateway_workers, batching, text_or_json, chains,
+                 store, compile_cache],
         help="simulate the multi-worker serving gateway on a seeded "
              "request stream (Section VI at scale)",
     )
-    serve.add_argument("--platform", default="Server",
-                       choices=sorted(PLATFORMS))
     serve.add_argument("--requests", type=_COUNT, default=200,
                        help="number of requests in the stream")
     serve.add_argument("--rate", type=_POSITIVE, default=0.02,
                        help="Poisson arrival rate in requests/second")
-    serve.add_argument("--gpu-workers", dest="num_gpu_workers", type=_COUNT)
-    serve.add_argument("--msa-workers", dest="num_msa_workers", type=_COUNT)
-    serve.add_argument("--max-batch", type=_COUNT,
-                       help="dynamic batching: max same-bucket batch size")
-    serve.add_argument("--max-wait", dest="max_wait_seconds", type=_SECONDS,
-                       help="dynamic batching: max coalescing wait (s)")
-    serve.add_argument("--queue-limit", type=_COUNT,
-                       help="admission control: shed past this queue depth")
-    serve.add_argument("--timeout", dest="timeout_seconds", type=_POSITIVE,
-                       help="per-attempt queue timeout (s); off by default")
-    serve.add_argument("--retries", dest="max_retries", type=_TALLY,
-                       help="max retries after a timeout")
-    serve.add_argument("--backoff", dest="retry_backoff_seconds",
-                       type=_SECONDS,
-                       help="base retry backoff (s), doubled per attempt")
     serve.add_argument("--no-baseline", action="store_true",
                        help="skip the sequential warm-server comparison")
-    serve.add_argument("--format", choices=["text", "json"], default="text")
     serve.add_argument("--scenario", choices=["default", "ppi-screen"],
                        default="default",
                        help="request mix: builtin samples, or the seeded "
                             "all-vs-all PPI screening workload")
-    serve.add_argument("--chains", type=_CHAINS, default=100,
-                       help="ppi-screen: size of the chain library")
-    serve.add_argument("--store-dir", type=_store_dir, default=None,
-                       help="enable the disk feature store at this path")
-    serve.add_argument("--store-budget-mb", type=_store_budget_mb,
-                       default=64.0,
-                       help="feature-store LRU byte budget in MiB")
     serve.add_argument("--precompute", action="store_true",
                        help="bulk-fill the store from the stream's chains "
                             "before serving (requires --store-dir)")
     serve.add_argument("--buckets", dest="bucket_spec", metavar="SPEC",
+                       type=_bucket_spec,
                        help="shape buckets: 'fixed' (AF3 flag default), "
                             "'adaptive' (fit to this stream), or CSV "
                             "edges like 256,512,1024 (docs/bucketing.md)")
-    serve.add_argument("--compile-cache", choices=["none", "shared"],
-                       help="XLA executable cache across GPU workers: "
-                            "'shared' models one "
-                            "jax_compilation_cache_dir all workers mount")
-    serve.set_defaults(func=cmd_serve_sim)
+    serve.set_defaults(func=cmd_serve_sim, parser=serve)
 
     precompute = sub.add_parser(
-        "msa-precompute",
+        "msa-precompute", parents=[store_budget, chains, sharded,
+                                   text_or_json],
         help="bulk-fill a disk feature store with per-chain MSA "
              "features before an inference wave (checkpointed: "
              "already-stored chains are skipped on restart)",
     )
     precompute.add_argument("--store-dir", type=_store_dir, required=True,
                             help="feature-store directory to fill")
-    precompute.add_argument("--store-budget-mb", type=_store_budget_mb,
-                            default=64.0)
     precompute.add_argument("--scenario",
                             choices=["default", "ppi-screen"],
                             default="ppi-screen")
-    precompute.add_argument("--chains", type=_CHAINS, default=100,
-                            help="ppi-screen: size of the chain library")
-    precompute.add_argument("--workers", type=_COUNT, default=1,
-                            help="key-range shards computed in parallel")
-    precompute.add_argument("--backend", default="auto",
-                            choices=["auto", "serial", "thread", "process"])
-    precompute.add_argument("--format", choices=["text", "json"],
-                            default="text")
     precompute.set_defaults(func=cmd_msa_precompute)
 
     chaos = sub.add_parser(
         "chaos",
+        parents=[config_platform, arrivals, gateway_workers, faults, suite,
+                 text_or_json],
         help="run a seeded fault-injection campaign against the "
              "serving gateway and check its invariants",
     )
-    chaos.add_argument("--platform", choices=sorted(PLATFORMS))
     chaos.add_argument("--requests", dest="num_requests", type=_COUNT,
                        help="requests per campaign (default 120; pass 40 "
                             "for a quick run)")
-    chaos.add_argument("--rate", dest="arrival_rps", type=_POSITIVE,
-                       help="Poisson arrival rate in requests/second")
-    chaos.add_argument("--gpu-workers", dest="num_gpu_workers", type=_COUNT)
-    chaos.add_argument("--msa-workers", dest="num_msa_workers", type=_COUNT)
-    chaos.add_argument("--timeout", dest="timeout_seconds", type=_POSITIVE,
-                       help="per-attempt queue timeout (s)")
-    chaos.add_argument("--retries", dest="max_retries", type=_TALLY)
-    chaos.add_argument("--crashes", type=_TALLY,
-                       help="worker crashes to schedule")
-    chaos.add_argument("--preemptions", type=_TALLY)
     chaos.add_argument("--oom-spikes", type=_TALLY)
     chaos.add_argument("--db-stalls", type=_TALLY)
     chaos.add_argument("--db-corruptions", type=_TALLY)
-    chaos.add_argument("--slow-nodes", type=_TALLY)
-    chaos.add_argument("--preemption-notices", type=_TALLY,
-                       help="spot reclaim warnings (notice lead, then "
-                            "outage) to schedule")
-    chaos.add_argument("--kinds", type=_fault_kinds,
-                       help="comma-separated fault kinds to keep "
-                            "(e.g. worker_crash,db_read_stall); the "
-                            "seeded plan is generated in full and then "
-                            "filtered, isolating one kind for debugging")
     chaos.add_argument("--restart", dest="restart_seconds", type=_POSITIVE,
                        help="crashed-worker restart delay (s)")
     chaos.add_argument("--breaker-threshold",
@@ -1106,14 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_false", default=None,
                        help="time out exhausted requests instead of "
                             "serving reduced-depth results")
-    chaos.add_argument("--seeds", nargs="*", type=int, default=None,
-                       help="run one campaign per seed (default: the "
-                            "global --seed)")
-    chaos.add_argument("--no-determinism-check", action="store_true",
-                       help="skip the byte-identical rerun of each "
-                            "campaign")
-    chaos.add_argument("--format", choices=["text", "json"],
-                       default="text")
     chaos.set_defaults(func=cmd_chaos)
 
     campaign = sub.add_parser(
@@ -1126,46 +1164,31 @@ def build_parser() -> argparse.ArgumentParser:
         dest="campaign_command", required=True
     )
 
-    campaign_exec = argparse.ArgumentParser(add_help=False)
-    campaign_exec.add_argument("--dir", required=True,
-                               help="campaign state directory")
-    campaign_exec.add_argument("--workers", type=_COUNT, default=1,
-                               help="real shard workers per stage wave "
-                                    "(results are byte-identical for "
-                                    "any count)")
-    campaign_exec.add_argument("--backend", default="auto",
-                               choices=["auto", "serial", "thread",
-                                        "process"])
-    campaign_exec.add_argument("--format", choices=["text", "json"],
-                               default="text")
+    campaign_dir = _parent()
+    campaign_dir.add_argument("--dir", required=True,
+                              help="campaign state directory")
+    campaign_exec = _parent(campaign_dir, sharded, text_or_json)
 
-    campaign_cohort = argparse.ArgumentParser(add_help=False)
+    # CampaignConfig fields: None keeps the dataclass default.
+    campaign_cohort = _parent(config_platform, store)
     campaign_cohort.add_argument("--manifest", default=None,
                                  help="CSV/JSON target manifest "
                                       "(see docs/campaign.md)")
     campaign_cohort.add_argument("--targets", type=_COUNT, default=12,
                                  help="seeded cohort size when no "
                                       "--manifest is given")
-    campaign_cohort.add_argument("--platform", default="Server",
-                                 choices=sorted(PLATFORMS))
-    campaign_cohort.add_argument("--threads", type=_COUNT, default=8)
-    campaign_cohort.add_argument("--max-tokens", type=_TALLY, default=0,
+    campaign_cohort.add_argument("--threads", type=_COUNT)
+    campaign_cohort.add_argument("--max-tokens", type=_TALLY,
                                  help="admission limit; targets over it "
                                       "fail preprocess (0 disables)")
-    campaign_cohort.add_argument("--store-dir", type=_store_dir,
-                                 default=None,
-                                 help="shared feature store for MSA "
-                                      "chain read-through")
-    campaign_cohort.add_argument("--store-budget-mb",
-                                 type=_store_budget_mb, default=64.0)
     campaign_cohort.add_argument("--attention",
                                  choices=ATTENTION_SCHEDULES,
-                                 default="chunked",
                                  help="inference attention schedule for "
                                       "the whole cohort (tiled = memory-"
                                       "planner admission; persisted with "
                                       "the campaign)")
-    campaign_cohort.add_argument("--buckets", default=None, metavar="CSV",
+    campaign_cohort.add_argument("--buckets", type=_bucket_edges,
+                                 metavar="CSV",
                                  help="shape-bucket edges for the "
                                       "inference stage (repro buckets "
                                       "fit output); targets execute at "
@@ -1189,16 +1212,13 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_resume.set_defaults(func=cmd_campaign_resume)
 
     campaign_report = campaign_sub.add_parser(
-        "report",
+        "report", parents=[campaign_dir, export_out],
         help="aggregate the cohort report from a campaign directory",
     )
-    campaign_report.add_argument("--dir", required=True)
     campaign_report.add_argument("--format",
                                  choices=["markdown", "json",
                                           "prometheus"],
                                  default="markdown")
-    campaign_report.add_argument("--out", default=None,
-                                 help="write to a file instead of stdout")
     campaign_report.add_argument("--trace", default=None,
                                  help="also write the simulated campaign "
                                       "timeline as a Chrome/Perfetto "
@@ -1206,11 +1226,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_report.set_defaults(func=cmd_campaign_report)
 
     campaign_status = campaign_sub.add_parser(
-        "status",
+        "status", parents=[campaign_dir],
         help="per-stage done/failed/blocked/pending counts (read-only, "
              "safe against a live campaign)",
     )
-    campaign_status.add_argument("--dir", required=True)
     campaign_status.set_defaults(func=cmd_campaign_status)
 
     campaign_diff = campaign_sub.add_parser(
@@ -1222,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_diff.add_argument("--kill-after", type=_COUNT, default=5)
     campaign_diff.set_defaults(func=cmd_campaign_differential)
 
-    cluster_common = argparse.ArgumentParser(add_help=False)
+    cluster_common = _parent(faults, text_or_json, compile_cache)
     cluster_common.add_argument("--jobs", dest="num_jobs", type=_COUNT,
                                 help="jobs in the seeded PPI stream")
     cluster_common.add_argument("--chains", dest="num_chains",
@@ -1238,22 +1257,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="disable drain-time checkpoint/"
                                      "publish (lose work like a crash); "
                                      "use to measure what migration saves")
-    cluster_common.add_argument("--preemption-notices", type=_TALLY,
-                                help="spot reclaim warnings to schedule")
-    cluster_common.add_argument("--crashes", type=_TALLY,
-                                help="hard node crashes to schedule")
-    cluster_common.add_argument("--preemptions", type=_TALLY,
-                                help="zero-warning spot reclaims")
-    cluster_common.add_argument("--slow-nodes", type=_TALLY)
     cluster_common.add_argument("--store-corruptions", type=_TALLY,
                                 help="feature-store entries to rot")
-    cluster_common.add_argument("--format", choices=["text", "json"],
-                                default="text")
-    cluster_common.add_argument("--compile-cache",
-                                choices=["none", "shared"],
-                                help="fleet-shared XLA executable cache: "
-                                     "'shared' lets every node reuse the "
-                                     "first compile per bucket x platform")
 
     cluster_sim = sub.add_parser(
         "cluster-sim", parents=[cluster_common],
@@ -1262,32 +1267,20 @@ def build_parser() -> argparse.ArgumentParser:
              "cost/throughput/p99 Pareto table",
     )
     cluster_sim.add_argument(
-        "--policies", nargs="*",
+        "--policies", nargs="*", choices=list(POLICIES),
         default=["fixed", "queue-depth", "cost-aware"],
-        help="autoscaling policies to sweep (fixed, queue-depth, "
-             "aggressive, conservative, cost-aware)",
+        help="autoscaling policies to sweep",
     )
     cluster_sim.set_defaults(func=cmd_cluster_sim)
 
     cluster_chaos = sub.add_parser(
-        "cluster-chaos", parents=[cluster_common],
+        "cluster-chaos", parents=[cluster_common, suite],
         help="run seeded fault campaigns against the cluster scheduler "
              "and audit no-job-lost / balanced-accounting / "
              "no-double-execution / determinism invariants",
     )
-    cluster_chaos.add_argument("--policy",
+    cluster_chaos.add_argument("--policy", choices=list(POLICIES),
                                help="autoscaling policy under test")
-    cluster_chaos.add_argument("--kinds", type=_fault_kinds,
-                               help="comma-separated fault kinds to keep "
-                                    "(plan generated in full, then "
-                                    "filtered)")
-    cluster_chaos.add_argument("--seeds", nargs="*", type=int,
-                               default=None,
-                               help="one campaign per seed (default: "
-                                    "the global --seed)")
-    cluster_chaos.add_argument("--no-determinism-check",
-                               action="store_true",
-                               help="skip the byte-identical rerun")
     cluster_chaos.set_defaults(func=cmd_cluster_chaos)
 
     buckets_p = sub.add_parser(
@@ -1300,7 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="buckets_command", required=True
     )
     buckets_fit = buckets_sub.add_parser(
-        "fit",
+        "fit", parents=[text_or_json],
         help="emit an optimized bucket list (DP over the empirical "
              "CDF) plus a waste comparison vs pow2/fixed",
     )
@@ -1316,33 +1309,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="edge budget (compiles scale with it)")
     buckets_fit.add_argument("--min-width", type=_COUNT, default=1,
                              help="minimum spacing between edges")
-    buckets_fit.add_argument("--format", choices=["text", "json"],
-                             default="text")
     buckets_fit.set_defaults(func=cmd_buckets_fit)
 
-    observe_common = argparse.ArgumentParser(add_help=False)
-    observe_common.add_argument("--platform", choices=sorted(PLATFORMS))
+    observe_common = _parent(config_platform, arrivals, gateway_workers,
+                             batching)
     observe_common.add_argument("--requests", dest="num_requests",
                                 type=_COUNT, default=40,
                                 help="number of requests in the stream")
-    observe_common.add_argument("--rate", dest="arrival_rps",
-                                type=_POSITIVE,
-                                help="Poisson arrival rate in req/s")
-    observe_common.add_argument("--gpu-workers", dest="num_gpu_workers",
-                                type=_COUNT)
-    observe_common.add_argument("--msa-workers", dest="num_msa_workers",
-                                type=_COUNT)
-    observe_common.add_argument("--max-batch", type=_COUNT)
-    observe_common.add_argument("--max-wait", dest="max_wait_seconds",
-                                type=_SECONDS)
-    observe_common.add_argument("--queue-limit", type=_COUNT)
-    observe_common.add_argument("--timeout", dest="timeout_seconds",
-                                type=_POSITIVE,
-                                help="per-attempt queue timeout (s)")
-    observe_common.add_argument("--retries", dest="max_retries",
-                                type=_TALLY)
-    observe_common.add_argument("--backoff", dest="retry_backoff_seconds",
-                                type=_SECONDS)
     observe_common.add_argument("--chaos", action="store_true",
                                 help="inject the default chaos fault mix "
                                      "into the observed run")
@@ -1356,23 +1329,16 @@ def build_parser() -> argparse.ArgumentParser:
                                          required=True)
 
     export_trace = observe_sub.add_parser(
-        "export-trace", parents=[observe_common],
+        "export-trace", parents=[observe_common, export],
         help="Chrome/Perfetto trace-event JSON (open in "
              "https://ui.perfetto.dev or chrome://tracing)",
     )
-    export_trace.add_argument("--out", default="-",
-                              help="output file ('-' for stdout)")
-    export_trace.add_argument("--indent", type=int, default=None,
-                              help="pretty-print with this indent "
-                                   "(default: compact golden form)")
     export_trace.set_defaults(func=cmd_observe_export_trace)
 
     export_metrics = observe_sub.add_parser(
-        "export-metrics", parents=[observe_common],
+        "export-metrics", parents=[observe_common, export_out],
         help="Prometheus text exposition of the run's summary",
     )
-    export_metrics.add_argument("--out", default="-",
-                                help="output file ('-' for stdout)")
     export_metrics.set_defaults(func=cmd_observe_export_metrics)
 
     explain_p = observe_sub.add_parser(
@@ -1401,20 +1367,16 @@ def build_parser() -> argparse.ArgumentParser:
     scale.set_defaults(func=cmd_scale)
 
     export_scan = observe_sub.add_parser(
-        "export-scan-trace",
+        "export-scan-trace", parents=[sample, export],
         help="Chrome/Perfetto trace of a real parallel MSA database "
              "scan (measured worker tracks, not simulated)",
     )
-    export_scan.add_argument("--sample", default="2PV7")
-    export_scan.add_argument("--json", help="AF3 JSON input file")
     export_scan.add_argument("--workers", type=_COUNT, default=4)
     export_scan.add_argument("--backend", default="process",
                              choices=["process", "thread", "serial"])
-    export_scan.add_argument("--num-background", type=_TALLY, default=40,
-                             help="synthetic database background size")
-    export_scan.add_argument("--out", default="-",
-                             help="output file ('-' for stdout)")
-    export_scan.add_argument("--indent", type=_TALLY, default=None)
+    export_scan.add_argument("--num-background", type=_TALLY,
+                             help="synthetic database background size "
+                                  f"(default {CLI_MSA.num_background})")
     export_scan.set_defaults(func=cmd_observe_export_scan_trace)
 
     samples = sub.add_parser("samples", help="list builtin inputs")

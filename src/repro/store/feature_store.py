@@ -74,16 +74,26 @@ def payload_checksum(payload) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def atomic_write_text(path: pathlib.Path, text: str) -> None:
+def atomic_write_text(
+    path: pathlib.Path, text: str, durable: bool = False
+) -> None:
     """Write ``text`` through a uniquely named sibling ``.tmp`` file and
     ``os.replace`` it into place, so a reader sees the old file or the
     new one, never a half-written one, and concurrent writers of one
-    path never touch each other's temp file."""
+    path never touch each other's temp file.
+
+    ``durable`` also fsyncs the temp file before the rename and the
+    directory after it, so the new file survives a power cut.  The
+    store's own writes leave it off (a lost put is a checksum miss).
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as handle:
             handle.write(text)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -91,6 +101,12 @@ def atomic_write_text(path: pathlib.Path, text: str) -> None:
         except OSError:
             pass
         raise
+    if durable:
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def _is_key(key) -> bool:

@@ -11,6 +11,8 @@ regardless of real worker counts.
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -44,6 +46,41 @@ class TestKillSwitch:
     def test_rejects_nonpositive_quota(self):
         with pytest.raises(ValueError):
             KillSwitch(after=0)
+
+
+class TestDurableWrites:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """Record the file type of every ``os.fsync`` target."""
+        calls = []
+        real = os.fsync
+
+        def record(fd):
+            mode = os.fstat(fd).st_mode
+            calls.append("dir" if stat.S_ISDIR(mode) else "file")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        return calls
+
+    def test_campaign_saves_fsync_the_file_and_its_directory(
+        self, tmp_path, fsyncs
+    ):
+        state = CampaignState(tmp_path / "c")
+        state.initialize(seeded_manifest(1, seed=0),
+                         CampaignConfig().config_doc())
+        assert fsyncs == ["file", "dir"]
+        state.save_output({"task": "t0.msa"}, already_done=set())
+        assert fsyncs == ["file", "dir"] * 2
+        assert state.load_outputs() == {"t0.msa": {"task": "t0.msa"}}
+
+    def test_feature_store_puts_never_fsync(self, tmp_path, fsyncs):
+        from repro.store import FeatureStore
+
+        store = FeatureStore(tmp_path / "fs")
+        store.put("0" * 32, {"rows": 1})
+        store.sync()
+        assert fsyncs == []
 
 
 class TestKillResume:

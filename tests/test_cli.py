@@ -1,5 +1,6 @@
 """CLI tests (fast paths; sweep covered by a tiny invocation)."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -19,7 +20,7 @@ class TestParser:
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.sample == "2PV7"
+        assert args.sample.name == "2PV7"   # resolved at parse time
         assert args.platform == "Server"
         assert args.threads == 8
 
@@ -372,30 +373,222 @@ def test_cluster_flag_reaches_the_campaign_config(
     assert getattr(built.value.args[0], field) == expected
 
 
+_CAMPAIGN_COMMANDS = {
+    "campaign-run": ["campaign", "run", "--dir", "unused"],
+    "campaign-differential": ["campaign", "differential", "--dir", "unused"],
+}
+#: (flag, value, CampaignConfig field, parsed value).
+_CAMPAIGN_FLAGS = [
+    ("--platform", "Desktop", "platform", "Desktop"),
+    ("--threads", "3", "threads", 3),
+    ("--max-tokens", "900", "max_tokens", 900),
+    ("--store-dir", "unused-store", "store_dir", "unused-store"),
+    ("--store-budget-mb", "8", "store_budget_mb", 8.0),
+    ("--attention", "tiled", "attention", "tiled"),
+    ("--buckets", "512,256", "buckets", (256, 512)),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value,field,expected", _flag_cases(
+    _CAMPAIGN_COMMANDS, _CAMPAIGN_COMMANDS, _CAMPAIGN_FLAGS
+))
+def test_campaign_flag_reaches_the_campaign_config(
+    monkeypatch, argv, flag, value, field, expected
+):
+    """A non-default campaign flag lands in the CampaignConfig that
+    run_campaign or kill_resume_differential receives."""
+    import repro.campaign
+
+    def capture(*args, config=None, **kwargs):
+        raise _Built(config)
+
+    monkeypatch.setattr(repro.campaign, "run_campaign", capture)
+    monkeypatch.setattr(repro.campaign, "kill_resume_differential", capture)
+    with pytest.raises(_Built) as built:
+        main([*argv, flag, value])
+    assert getattr(built.value.args[0], field) == expected
+
+
+@pytest.mark.parametrize("flag,values,expected", [
+    ("--samples", ["promo", "2pv7"], {"samples": ["promo", "2PV7"]}),
+    ("--platforms", ["Desktop"], {"platforms": ["Desktop"]}),
+    ("--threads", ["3", "5"], {"threads": [3, 5]}),
+], ids=["samples", "platforms", "threads"])
+def test_sweep_flag_reaches_the_runner(monkeypatch, flag, values, expected):
+    """A sweep flag lands in the runner (platforms) or run_sweep
+    (samples, case-insensitive, and thread counts); without it the
+    runner's own defaults hold."""
+    from repro.core.runner import BenchmarkRunner
+
+    def capture(self, sample_names=None, thread_counts=None):
+        raise _Built({
+            "samples": sample_names,
+            "platforms": [p.name for p in self.platforms],
+            "threads": thread_counts,
+        })
+
+    monkeypatch.setattr(BenchmarkRunner, "run_sweep", capture)
+    with pytest.raises(_Built) as built:
+        main(["sweep", flag, *values])
+    assert expected.items() <= built.value.args[0].items()
+    with pytest.raises(_Built) as built:
+        main(["sweep"])
+    assert built.value.args[0] == {
+        "samples": [], "platforms": ["Server", "Desktop"], "threads": None,
+    }
+
+
+def _leaf_parsers(parser, path=()):
+    """``(path, parser)`` for every leaf subcommand under ``parser``."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_each_flag_is_declared_once():
+    """No two subcommands declare the same flag separately: a flag with
+    one spelling, dest, type, default, choices and requiredness is one
+    action object, shared through an argparse parent parser."""
+    declared = {}
+    for _path, leaf in _leaf_parsers(build_parser()):
+        for action in leaf._actions:
+            if action.option_strings and action.dest != "help":
+                key = (tuple(action.option_strings), action.dest,
+                       action.type, repr(action.default),
+                       repr(action.choices), action.nargs, action.required,
+                       type(action))
+                declared.setdefault(key, set()).add(id(action))
+    repeats = {key[0]: len(ids) for key, ids in declared.items()
+               if len(ids) > 1}
+    assert repeats == {}
+
+
+#: Every leaf subcommand's option strings (besides -h/--help).
+_LEAF_OPTIONS = {
+    "run": "--attention --format --json --memory-budget-mb --platform "
+           "--sample --threads --workers",
+    "sweep": "--format --platforms --samples --threads",
+    "artifact": "--out",
+    "estimate": "--attention --attention-block --json --sample --threads",
+    "serve-sim": "--backoff --buckets --chains --compile-cache --format "
+                 "--gpu-workers --max-batch --max-wait --msa-workers "
+                 "--no-baseline --platform --precompute --queue-limit "
+                 "--rate --requests --retries --scenario --store-budget-mb "
+                 "--store-dir --timeout",
+    "msa-precompute": "--backend --chains --format --scenario "
+                      "--store-budget-mb --store-dir --workers",
+    "chaos": "--breaker-cooldown --breaker-threshold --crashes "
+             "--db-corruptions --db-stalls --format --gpu-workers --kinds "
+             "--msa-workers --no-degraded-fallback --no-determinism-check "
+             "--oom-spikes --platform --preemption-notices --preemptions "
+             "--rate --requests --restart --retries --seeds --slow-nodes "
+             "--timeout",
+    "campaign run": "--attention --backend --buckets --dir --format "
+                    "--kill-after --manifest --max-tokens --platform "
+                    "--store-budget-mb --store-dir --targets --threads "
+                    "--workers",
+    "campaign resume": "--backend --dir --format --workers",
+    "campaign report": "--dir --format --out --trace",
+    "campaign status": "--dir",
+    "campaign differential": "--attention --backend --buckets --dir "
+                             "--format --kill-after --manifest --max-tokens "
+                             "--platform --store-budget-mb --store-dir "
+                             "--targets --threads --workers",
+    "cluster-sim": "--chains --compile-cache --crashes --format --jobs "
+                   "--max-attempts --no-migration --policies "
+                   "--preemption-notices --preemptions --rate --slow-nodes "
+                   "--store-corruptions",
+    "cluster-chaos": "--chains --compile-cache --crashes --format --jobs "
+                     "--kinds --max-attempts --no-determinism-check "
+                     "--no-migration --policy --preemption-notices "
+                     "--preemptions --rate --seeds --slow-nodes "
+                     "--store-corruptions",
+    "buckets fit": "--format --max-buckets --min-width --requests --source",
+    "observe export-trace": "--backoff --chaos --gpu-workers --indent "
+                            "--max-batch --max-wait --msa-workers --out "
+                            "--platform --queue-limit --rate --requests "
+                            "--retries --timeout",
+    "observe export-metrics": "--backoff --chaos --gpu-workers --max-batch "
+                              "--max-wait --msa-workers --out --platform "
+                              "--queue-limit --rate --requests --retries "
+                              "--timeout",
+    "observe explain": "--backoff --chaos --gpu-workers --max-batch "
+                       "--max-wait --msa-workers --platform --queue-limit "
+                       "--rate --requests --retries --timeout",
+    "observe export-scan-trace": "--backend --indent --json "
+                                 "--num-background --out --sample "
+                                 "--workers",
+    "scale": "--measured --measured-only --out --workers",
+    "samples": "",
+}
+
+
+def test_leaf_subcommands_keep_their_flags():
+    """Sharing declarations moves no flag onto or off a subcommand."""
+    options = {
+        path: " ".join(sorted(
+            option for action in leaf._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ))
+        for path, leaf in _leaf_parsers(build_parser())
+    }
+    assert options == _LEAF_OPTIONS
+
+
 @pytest.mark.parametrize("argv", [
-    ["serve-sim"], ["observe", "export-metrics"], ["chaos"],
-    ["cluster-sim"], ["cluster-chaos"],
-], ids=lambda argv: argv[0])
+    pytest.param(argv, id=name) for name, argv in (
+        ("serve-sim", ["serve-sim"]),
+        ("observe", ["observe", "export-metrics"]),
+        ("chaos", ["chaos"]),
+        ("cluster-sim", ["cluster-sim"]),
+        ("cluster-chaos", ["cluster-chaos"]),
+        ("campaign-run", ["campaign", "run", "--dir", "x"]),
+        ("campaign-differential", ["campaign", "differential", "--dir", "x"]),
+        ("sweep", ["sweep"]),
+        ("msa-precompute", ["msa-precompute", "--store-dir", "x"]),
+        ("run", ["run"]),
+        ("export-scan-trace", ["observe", "export-scan-trace"]),
+    )
+])
 def test_config_flags_keep_the_dataclass_default(argv):
     """A flag that sets a config field defaults to None ("keep the base
     config's value"), so no argparse default repeats a dataclass one.
     observe's --requests is its own stream size (40, not the
-    campaign's 120), and the global --seed serves every command."""
+    campaign's 120), and the global --seed serves every command.
+    sweep's flags are BenchmarkRunner's and run_sweep's arguments, and
+    --workers and --backend are ExecutionPlan fields."""
+    from repro.campaign import CampaignConfig
     from repro.cluster import ClusterChaosConfig
+    from repro.msa.engine import MsaEngineConfig
     from repro.serving import GatewayConfig
     from repro.serving.chaos import ChaosConfig
 
-    configs = {
-        "serve-sim": (GatewayConfig,),
-        "observe": (GatewayConfig, ChaosConfig),
-        "chaos": (GatewayConfig, ChaosConfig),
-        "cluster-sim": (ClusterChaosConfig,),
-        "cluster-chaos": (ClusterChaosConfig,),
-    }[argv[0]]
+    def fields(*classes):
+        return {f.name for cls in classes for f in dataclasses.fields(cls)}
+
+    plan = {"workers", "backend"}   # the ExecutionPlan fields with flags
+
+    names = {
+        "serve-sim": fields(GatewayConfig),
+        "observe export-metrics": fields(GatewayConfig, ChaosConfig),
+        "chaos": fields(GatewayConfig, ChaosConfig),
+        "cluster-sim": fields(ClusterChaosConfig),
+        "cluster-chaos": fields(ClusterChaosConfig),
+        "campaign run": fields(CampaignConfig) | plan,
+        "campaign differential": fields(CampaignConfig) | plan,
+        "msa-precompute": plan,
+        "run": {"workers"},
+        "sweep": {"samples", "platforms", "threads"},
+        "observe export-scan-trace": fields(MsaEngineConfig),
+    }[" ".join(a for a in argv[:2] if not a.startswith("-"))]
     own = {"seed", "num_requests"} if argv[0] == "observe" else {"seed"}
     args = vars(build_parser().parse_args(argv))
-    fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
-    flagged = {name: args[name] for name in fields & args.keys() - own}
+    flagged = {name: args[name] for name in names & args.keys() - own}
     assert flagged and all(v is None for v in flagged.values()), flagged
 
 
@@ -433,6 +626,14 @@ def test_config_flags_keep_the_dataclass_default(argv):
     ["msa-precompute", "--store-dir", __file__],
     ["serve-sim", "--store-dir", __file__],
     ["campaign", "run", "--dir", "unused", "--store-dir", __file__],
+    # Not finite, or finite only until scaled to bytes.
+    ["run", "--attention", "tiled", "--memory-budget-mb", "inf"],
+    ["run", "--attention", "tiled", "--memory-budget-mb", "nan"],
+    ["run", "--attention", "tiled", "--memory-budget-mb", "-5"],
+    ["cluster-sim", "--rate", "inf"],
+    ["serve-sim", "--store-budget-mb", "1e305"],
+    ["observe", "export-trace", "--indent", "-1"],
+    ["observe", "export-scan-trace", "--indent", "1000000000"],
 ])
 def test_bad_numeric_flag_exits_2_without_traceback(argv):
     """Bad values stop at the argparse boundary: exit 2, one error
@@ -446,6 +647,38 @@ def test_bad_numeric_flag_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"error: argument {argv[-2]}:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--json", "{tmp}/missing.json"],
+    ["estimate", "--json", "{tmp}/missing.json"],
+    ["run", "--json", "{tmp}/bad.json"],
+    ["sweep", "--platforms", "Foo"],
+    ["sweep", "--samples", "NOPE"],
+    ["run", "--sample", "NOPE"],
+    ["campaign", "run", "--dir", "unused", "--buckets", "abc"],
+    ["campaign", "run", "--dir", "unused", "--buckets", "0,5"],
+    ["serve-sim", "--buckets", "abc"],
+    ["cluster-sim", "--policies", "nope"],
+    ["cluster-chaos", "--policy", "nope"],
+    # Parses, but cannot hold the stream's largest request (1395 tokens).
+    ["serve-sim", "--requests", "20", "--no-baseline", "--buckets", "256"],
+], ids=lambda argv: " ".join(argv[-2:]).replace("{tmp}/", ""))
+def test_bad_named_value_exits_2_with_one_error_line(
+    argv, tmp_path, capsys
+):
+    """A name or file that does not resolve is a usage error too."""
+    (tmp_path / "bad.json").write_text("{bad")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert f"error: argument {argv[-2]}:" in errors[0]
+    if argv[-1] == "256":
+        assert "1395 tokens" in errors[0]
 
 
 @pytest.mark.parametrize("subcommand", ["status", "resume", "report"])

@@ -11,13 +11,17 @@ than no docs.  This module:
   tracked ``.md`` file must point at a file that exists;
 * checks the **Prometheus** columns of ``docs/metrics_reference.md``
   against the metric families the renderer emits for the pinned
-  expositions, in both directions.
+  expositions, in both directions;
+* parses every ``repro`` / ``python -m repro`` command line quoted in
+  a shell block of ``docs/*.md`` or ``README.md`` with the real
+  argument parser, so a renamed or dropped flag breaks here.
 
 CI runs this as its own ``docs`` job.
 """
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -39,6 +43,8 @@ EXECUTABLE_DOCS = [
 ]
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_SHELL_FENCE = re.compile(r"^```(?:bash|sh|shell|console)\n(.*?)^```",
+                          re.DOTALL | re.MULTILINE)
 # [text](target) — skips images (![..]) via the lookbehind.
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 
@@ -76,6 +82,30 @@ class TestDocExamples:
     def test_python_block_executes(self, doc, index, block):
         namespace = {"__name__": f"doctest_{doc}_{index}"}
         exec(compile(block, f"{doc}[python #{index}]", "exec"), namespace)
+
+
+def _cli_command_lines():
+    """``(doc name, argv)`` for each CLI invocation in a shell block."""
+    lines = []
+    for doc in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+        for block in _SHELL_FENCE.findall(doc.read_text()):
+            for line in block.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                for prefix in (["repro"], ["python", "-m", "repro"]):
+                    if words[:len(prefix)] == prefix:
+                        lines.append((doc.name, words[len(prefix):]))
+    return lines
+
+
+class TestCliExamples:
+    @pytest.mark.parametrize(
+        "doc,argv", _cli_command_lines(),
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_quoted_command_parses(self, doc, argv):
+        from repro.cli import build_parser
+
+        build_parser().parse_args(argv)
 
 
 class TestIntraRepoLinks:
