@@ -10,6 +10,11 @@ ratios, which makes a committed baseline meaningful on any host.  Each
 entry also carries its own canary, timed right before and right after
 the entry, so a host whose speed drifts during the session (a shared
 machine) normalises every entry by the speed it actually ran at.
+
+A sample calls its function back to back until it has run for at least
+:data:`MIN_SAMPLE_SECONDS` and records the mean time per call, so a
+1 ms kernel and the 3 ms canary are each timed over a tenth of a second
+rather than one call, which a scheduler hiccup can double.
 """
 
 from __future__ import annotations
@@ -22,12 +27,19 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads.  The canary's small matmuls
+# otherwise hand work to a second BLAS thread, and on a shared 2-core
+# host whose other core is busy a call then took 50-100 ms instead of
+# 2.5 ms for the first second of a session.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.core.runner import BenchmarkRunner
-from repro.msa.engine import MsaEngine, MsaEngineConfig
-from repro.sequences.builtin import builtin_samples
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.core.runner import BenchmarkRunner  # noqa: E402
+from repro.msa.engine import MsaEngine, MsaEngineConfig  # noqa: E402
+from repro.sequences.builtin import builtin_samples  # noqa: E402
 
 BENCH_MSA_CONFIG = MsaEngineConfig(
     num_background=24, homologs_per_query=4, seed=7
@@ -68,6 +80,9 @@ def _canary_workload() -> None:
 
 #: Canary samples timed right before and again right after each entry.
 ENTRY_CANARY_SAMPLES = 3
+#: Shortest wall time of one sample: a sample repeats its function
+#: until this much time has passed and reports seconds per call.
+MIN_SAMPLE_SECONDS = 0.1
 
 
 @dataclasses.dataclass
@@ -94,18 +109,27 @@ class BenchRecorder:
 
     @staticmethod
     def _samples(repeats: int, fn: Callable[[], object]) -> List[float]:
+        """``repeats`` samples of seconds per call of ``fn``, each over
+        at least :data:`MIN_SAMPLE_SECONDS` of back-to-back calls."""
         times = []
         for _ in range(max(1, repeats)):
+            calls = 0
             t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
+            while True:
+                fn()
+                calls += 1
+                elapsed = time.perf_counter() - t0
+                if elapsed >= MIN_SAMPLE_SECONDS:
+                    break
+            times.append(elapsed / calls)
         return times
 
     def record(
         self, group: str, name: str, fn: Callable[[], object],
         repeats: int = 5,
     ) -> float:
-        """Time ``fn`` median-of-``repeats`` and store it under
+        """Time ``fn`` median-of-``repeats`` samples (each at least
+        :data:`MIN_SAMPLE_SECONDS` long) and store it under
         ``BENCH_<group>.json`` / ``name``, with the canary timed right
         around it.  Returns the median."""
         before = self._samples(ENTRY_CANARY_SAMPLES, _canary_workload)
