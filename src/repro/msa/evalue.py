@@ -7,14 +7,19 @@ parameters by the method of moments, and report
 ``E = db_size * P(score >= s)``.
 
 Calibration is deterministic (seeded) so the same profile always yields
-the same thresholds.
+the same thresholds, and :func:`calibrate` computes each fit once per
+process: a search runs one query against several databases, and every
+one of those searches calibrates the same profile with the same seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
-from typing import List
+import threading
+from collections import OrderedDict
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,6 +35,11 @@ EULER_GAMMA = 0.5772156649015329
 #: hundreds; 40 keeps calibration cheap while pinning the location
 #: parameter to well under a bit of error for our smoothed profiles.
 DEFAULT_CALIBRATION_SAMPLES = 40
+
+#: Bound of the :func:`calibrate` memo.  An entry is one key tuple and
+#: one :class:`GumbelParams` (well under 1 KB); a ``repro run`` target
+#: adds one per chain plus one per jackhmmer re-estimation.
+CALIBRATION_MEMO_ENTRIES = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,6 +109,29 @@ def _fit_gumbel(scores: np.ndarray) -> GumbelParams:
     return GumbelParams(mu=mu, lam=lam)
 
 
+#: ``_calibration_key -> GumbelParams``, oldest first.
+_CALIBRATION_MEMO: "OrderedDict[Tuple, GumbelParams]" = OrderedDict()
+_CALIBRATION_MEMO_LOCK = threading.Lock()
+
+
+def _calibration_key(profile: ProfileHMM, samples: int, seed: int) -> Tuple:
+    """Everything :func:`calibrate` reads, as plain values.
+
+    The profile enters only through its molecule type, its transition
+    scores and the shape and sha256 of its match scores, so the key
+    holds no profile (nor any function) and two profiles with equal
+    scores share one fit.  Transition scores are hashed as bytes, so
+    ``-0.0`` and ``0.0`` stay distinct.
+    """
+    scores = np.ascontiguousarray(profile.match_scores, dtype=np.float64)
+    digest = hashlib.sha256(scores.tobytes())
+    digest.update(
+        np.array(dataclasses.astuple(profile.transitions)).tobytes()
+    )
+    return (profile.molecule_type, samples, seed, scores.shape,
+            digest.hexdigest())
+
+
 def calibrate(
     profile: ProfileHMM,
     samples: int = DEFAULT_CALIBRATION_SAMPLES,
@@ -109,9 +142,23 @@ def calibrate(
     Every panel sequence has the same length, so the panel is a single
     full bucket for the batched Viterbi kernel and is scored in one
     call.  :func:`reference_calibrate` is its per-sequence oracle.
+
+    The fit is a pure function of :func:`_calibration_key`, so the
+    frozen result is memoised per process (at most
+    :data:`CALIBRATION_MEMO_ENTRIES`, evicting the oldest).
     """
+    key = _calibration_key(profile, samples, seed)
+    with _CALIBRATION_MEMO_LOCK:
+        gumbel = _CALIBRATION_MEMO.get(key)
+    if gumbel is not None:
+        return gumbel
     panel = _calibration_panel(profile, samples, seed)
-    return _fit_gumbel(viterbi_panel_scores(profile, panel))
+    gumbel = _fit_gumbel(viterbi_panel_scores(profile, panel))
+    with _CALIBRATION_MEMO_LOCK:
+        _CALIBRATION_MEMO[key] = gumbel
+        while len(_CALIBRATION_MEMO) > CALIBRATION_MEMO_ENTRIES:
+            _CALIBRATION_MEMO.popitem(last=False)
+    return gumbel
 
 
 def reference_calibrate(

@@ -26,11 +26,12 @@ widths) is bit-identical to the scalar kernel's, not merely close:
 * ``max`` reductions are exact in any evaluation order, so masked
   window maxima equal the scalar per-row maxima;
 * the one rounding-sensitive reduction — Forward's row-wise
-  ``log2-sum-exp`` — sums, per lane, the *same contiguous band slice*
-  numpy's pairwise summation saw in the scalar kernel (the in-band
-  cells of a row are contiguous and always finite), gathered into a
-  contiguous block per slice length so the pairwise tree is
-  unchanged.
+  ``log2-sum-exp`` — sums, per lane and row, the *same contiguous
+  band slice* numpy's pairwise summation saw in the scalar kernel
+  (the in-band cells of a row are contiguous and always finite),
+  gathered into a contiguous block per slice length so the pairwise
+  tree is unchanged; it runs once per :data:`FORWARD_FOLD_ROWS` rows
+  and folds the row totals into the score in row order.
 
 The differential suite (``tests/test_kernels_batched.py``) enforces
 the contract with ``==``, never ``approx``.
@@ -200,40 +201,56 @@ def _ladd_into(
     return out
 
 
-def _forward_row_totals(
-    m_row: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    highs: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Per-lane ``log2-sum-exp`` over each lane's contiguous band slice.
+#: Profile rows whose M windows Forward holds before folding their
+#: ``log2-sum-exp`` totals into the score in one pass.  A block costs
+#: ``K * widest * B`` floats; holding every row of a profile instead
+#: raised perfbench ``target-run``'s peak RSS by about 7%.
+FORWARD_FOLD_ROWS = 32
 
-    ``m_row`` is ``(columns, lanes)``.  Reproduces ``hi +
-    log2(exp2(finite - hi).sum())`` bit for bit: ``finite`` in the
-    scalar kernel is the boolean-compacted in-band row, a contiguous
-    length-``k`` array, and numpy's pairwise summation tree depends
-    only on that length.  A single lane sums its slice as the same 1-D
-    array; otherwise lanes with equal ``k`` gather their slices into
-    the rows of one contiguous ``(G, k)`` block and sum along its last
-    axis, which runs the very same per-row pairwise reduction.  Lanes
-    without in-band cells get ``NEG_INF``.
+
+def _fold_forward_rows(
+    block: np.ndarray,
+    rel_starts: np.ndarray,
+    counts: np.ndarray,
+    total_score: np.ndarray,
+) -> None:
+    """Fold a block of rows' per-lane ``log2-sum-exp`` into the score.
+
+    ``block[r]`` is row ``r``'s M window ``(columns, lanes)``; lane
+    ``b``'s band on that row is the ``counts[r, b]`` columns from
+    ``rel_starts[r, b]``.  Reproduces the scalar kernel's ``hi +
+    log2(exp2(finite - hi).sum())`` bit for bit: ``finite`` there is
+    the boolean-compacted in-band row, a contiguous length-``k``
+    array, and numpy's pairwise summation tree depends only on that
+    length.  Every ``(row, lane)`` of the block with the same ``k``
+    gathers its slice into one row of a contiguous ``(n, k)`` array
+    and sums along the last axis, which runs the very same per-row
+    reduction; the row max over that slice is the max over the scalar
+    kernel's finite values, since in-band cells are always finite.
+
+    The totals then fold into ``total_score`` in row order.  A lane
+    without in-band cells on a row folds ``NEG_INF``, which leaves its
+    score unchanged bit for bit: ``1 + 2**-60`` rounds to 1, and
+    ``NEG_INF`` folded into ``NEG_INF`` rounds back to ``NEG_INF``.
     """
-    if m_row.shape[1] == 1:  # the lane has cells: the window is its band
-        start, count = int(starts[0]), int(counts[0])
-        block = m_row[start:start + count, 0]
-        out[0] = highs[0] + np.log2(np.exp2(block - highs[0]).sum())
-        return out
-    out.fill(NEG_INF)
+    totals = np.full(counts.shape, NEG_INF)
     for count in np.unique(counts).tolist():
         if count == 0:
             continue
-        lanes = np.flatnonzero(counts == count)
-        block = m_row[starts[lanes, None] + np.arange(count), lanes[:, None]]
-        hi = highs[lanes]
-        sums = np.exp2(block - hi[:, None]).sum(axis=1)
-        out[lanes] = hi + np.log2(sums)
-    return out
+        rows, lanes = np.nonzero(counts == count)
+        cols = rel_starts[rows, lanes][:, None] + np.arange(count)
+        slices = block[rows[:, None], cols, lanes[:, None]]
+        hi = slices.max(axis=1)
+        np.subtract(slices, hi[:, None], out=slices)
+        sums = np.exp2(slices, out=slices).sum(axis=1)
+        totals[rows, lanes] = hi + np.log2(sums)
+    score, acc = total_score, np.empty_like(total_score)
+    scratch = np.empty_like(total_score)
+    for row_totals in totals:
+        _ladd_into(score, row_totals, out=acc, scratch=scratch)
+        score, acc = acc, score
+    if score is not total_score:
+        np.copyto(total_score, score)
 
 
 def _banded_dp_batch(
@@ -308,14 +325,20 @@ def _banded_dp_batch(
     best = np.zeros(size)
     row_best = np.empty(size)
     total_score = np.full(size, NEG_INF)
-    highs = np.empty(size)
-    row_totals = np.empty(size)
-    lane_acc = np.empty(size)
-    lane_scratch = np.empty(size)
+    # Forward's M windows of the current block of rows, (row, column,
+    # lane); folded every FORWARD_FOLD_ROWS rows and after the last.
+    fold_rows = FORWARD_FOLD_ROWS if forward else 0
+    block = np.empty((fold_rows, widest, size))
+
+    def fold(first: int, end: int) -> None:
+        _fold_forward_rows(block[:end - first], rel_starts[first:end],
+                           counts[first:end], total_score)
 
     for i, (lo, hi, whole) in enumerate(
         zip(los.tolist(), his.tolist(), unmasked.tolist())
     ):
+        if fold_rows and i and i % fold_rows == 0:
+            fold(i - fold_rows, i)
         cur, prev = state[i & 1], state[(i & 1) ^ 1]
         # This buffer still holds row i - 2's window: clear the part of
         # it the new window will not overwrite.
@@ -382,20 +405,13 @@ def _banded_dp_batch(
             np.copyto(cur[1:, win], NEG_INF, where=mask)
 
         if forward:
-            # In-band cells are always finite and off-band cells are
-            # exactly NEG_INF, so the window max IS the scalar
-            # kernel's max over its compacted finite values.
-            np.maximum.reduce(m_row, axis=0, out=highs)
-            _forward_row_totals(m_row, rel_starts[i], counts[i],
-                                highs, out=row_totals)
-            _ladd_into(total_score, row_totals, out=lane_acc,
-                       scratch=lane_scratch)
-            np.copyto(total_score, lane_acc, where=present[i])
+            block[i % fold_rows, :width] = m_row
         else:
             np.maximum.reduce(m_row, axis=0, out=row_best)
             np.maximum(best, row_best, out=best)
 
     if forward:
+        fold((length - 1) // fold_rows * fold_rows, length)
         scores = np.where(total_score <= NEG_INF / 2, 0.0, total_score)
     else:
         scores = best

@@ -11,8 +11,9 @@ scores are directly comparable bit scores.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -51,23 +52,37 @@ class Transitions:
         return cls(**{k: math.log2(v) for k, v in probs.items()})
 
 
+#: Code of a byte that is neither a residue nor the wildcard.
+_INVALID_CODE = -2
+
+
+@functools.lru_cache(maxsize=None)
+def _code_table(molecule_type: MoleculeType) -> np.ndarray:
+    """``(256,)`` residue code of every byte: alphabet index, -1 for the
+    wildcard, :data:`_INVALID_CODE` for anything else."""
+    table = np.full(256, _INVALID_CODE, dtype=np.int64)
+    for i, res in enumerate(alphabet_for(molecule_type)):
+        table[ord(res)] = i
+    table[ord(unknown_symbol_for(molecule_type))] = -1
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
 def encode_sequence(sequence: str, molecule_type: MoleculeType) -> np.ndarray:
-    """Encode residues as int indices; wildcards map to -1."""
-    alphabet = alphabet_for(molecule_type)
-    index: Dict[str, int] = {res: i for i, res in enumerate(alphabet)}
-    unknown = unknown_symbol_for(molecule_type)
-    out = np.empty(len(sequence), dtype=np.int64)
-    for i, ch in enumerate(sequence):
-        if ch == unknown:
-            out[i] = -1
-        else:
-            try:
-                out[i] = index[ch]
-            except KeyError:
-                raise ValueError(
-                    f"residue {ch!r} not in {molecule_type.value} alphabet"
-                ) from None
-    return out
+    """Encode residues as int indices; wildcards map to -1.
+
+    One table lookup over the sequence's bytes; the first residue that
+    is not in the alphabet (non-ASCII included) raises ``ValueError``.
+    """
+    raw = sequence.encode("ascii", errors="replace")
+    codes = _code_table(molecule_type)[np.frombuffer(raw, dtype=np.uint8)]
+    bad = np.flatnonzero(codes == _INVALID_CODE)
+    if bad.size:
+        raise ValueError(
+            f"residue {sequence[bad[0]]!r} not in "
+            f"{molecule_type.value} alphabet"
+        )
+    return codes
 
 
 class ProfileHMM:

@@ -13,8 +13,12 @@ Everything is seeded; the same seed always yields the same sequences.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import random
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .alphabets import MoleculeType, alphabet_for, background_for
 
@@ -23,19 +27,52 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+@functools.lru_cache(maxsize=None)
+def _background_table(
+    molecule_type: MoleculeType,
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """``(edges, total, residue bytes)`` of ``random.choices`` over the
+    background: ``edges`` is the cumulative weight list without its
+    last entry, the ``hi = n - 1`` bound ``choices`` bisects under."""
+    background = background_for(molecule_type)
+    cum_weights = list(itertools.accumulate(background.values()))
+    residues = np.frombuffer("".join(background).encode("ascii"),
+                             dtype=np.uint8)
+    edges = np.array(cum_weights[:-1])
+    edges.flags.writeable = False  # shared by every caller
+    return edges, cum_weights[-1] + 0.0, residues
+
+
 def random_sequence(
     length: int,
     molecule_type: MoleculeType = MoleculeType.PROTEIN,
     seed: int = 0,
 ) -> str:
-    """Background-distributed random sequence of the given length."""
+    """Background-distributed random sequence of the given length.
+
+    Equal, residue for residue, to ``"".join(random.Random(seed)
+    .choices(residues, weights, k=length))``, vectorised: ``choices``
+    draws one ``random()`` per residue and bisects it into the
+    cumulative weights.  Each ``random()`` is built from two 32-bit
+    Mersenne Twister words, ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``;
+    ``getrandbits(64 * length)`` returns the same word stream, first
+    word least significant, so every draw is recomputed exactly and
+    ``searchsorted(..., side="right")`` is the bisection.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
-    rng = _rng(seed)
-    background = background_for(molecule_type)
-    residues = list(background)
-    weights = [background[r] for r in residues]
-    return "".join(rng.choices(residues, weights=weights, k=length))
+    if length == 0:
+        return ""
+    edges, total, residues = _background_table(molecule_type)
+    words = np.frombuffer(
+        _rng(seed).getrandbits(64 * length).to_bytes(8 * length, "little"),
+        dtype="<u4",
+    ).reshape(length, 2)
+    draws = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (
+        1.0 / 9007199254740992.0
+    )
+    picks = np.searchsorted(edges, draws * total, side="right")
+    return residues[picks].tobytes().decode("ascii")
 
 
 def insert_poly_run(

@@ -635,18 +635,31 @@ def test_config_flags_keep_the_dataclass_default(argv):
     ["observe", "export-trace", "--indent", "-1"],
     ["observe", "export-scan-trace", "--indent", "1000000000"],
 ])
-def test_bad_numeric_flag_exits_2_without_traceback(argv):
+def test_bad_numeric_flag_exits_2_without_traceback(argv, capsys):
     """Bad values stop at the argparse boundary: exit 2, one error
-    line naming the flag, never a Python traceback."""
+    line naming the flag.  Any other exception escaping ``main`` fails
+    the test, so no case can end in a traceback."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert f"error: argument {argv[-2]}:" in errors[0]
+
+
+def test_bad_numeric_flag_in_a_fresh_interpreter_prints_no_traceback():
+    """``python -m repro`` itself: the usage error is the whole of
+    standard error, with no traceback from the interpreter."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
+        [sys.executable, "-m", "repro", "serve-sim", "--rate", "nan"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f"error: argument {argv[-2]}:" in proc.stderr
+    assert "error: argument --rate:" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,18 +1,22 @@
 """E-value statistics tests."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.msa import evalue
 from repro.msa.evalue import (
+    CALIBRATION_MEMO_ENTRIES,
     EULER_GAMMA,
     GumbelParams,
     calibrate,
     reference_calibrate,
 )
-from repro.msa.profile_hmm import ProfileHMM, encode_sequence
+from repro.msa.profile_hmm import ProfileHMM, Transitions, encode_sequence
 from repro.msa.dp import calc_band_9
 from repro.sequences.alphabets import MoleculeType
 from repro.sequences.generator import mutate_sequence, random_sequence
@@ -113,12 +117,14 @@ def _profile(mtype: MoleculeType, length: int, seed: int) -> ProfileHMM:
 
 class TestCalibrationOracle:
     """The batched panel fit equals the per-sequence scalar loop: ``==``
-    on the whole :class:`GumbelParams`, never ``approx``."""
+    on the whole :class:`GumbelParams`, never ``approx``.  Each case
+    empties the memo first, so the kernel fits rather than recalls."""
 
     @pytest.mark.parametrize("mtype", [MoleculeType.PROTEIN, MoleculeType.RNA])
     @pytest.mark.parametrize("length,samples", [(3, 4), (3, 40), (300, 4),
                                                 (300, 40)])
     def test_extremes(self, mtype, length, samples):
+        evalue._CALIBRATION_MEMO.clear()  # fit, not recall
         prof = _profile(mtype, length, seed=length + samples)
         assert calibrate(prof, samples=samples, seed=11) == (
             reference_calibrate(prof, samples=samples, seed=11)
@@ -132,7 +138,125 @@ class TestCalibrationOracle:
         seed=st.integers(0, 10_000),
     )
     def test_batched_equals_scalar(self, mtype, length, samples, seed):
+        evalue._CALIBRATION_MEMO.clear()
         prof = _profile(mtype, length, seed=seed)
         assert calibrate(prof, samples=samples, seed=seed) == (
             reference_calibrate(prof, samples=samples, seed=seed)
         )
+
+
+@pytest.fixture
+def cleared_memo():
+    """The calibration memo, emptied before and after the test."""
+    evalue._CALIBRATION_MEMO.clear()
+    yield evalue._CALIBRATION_MEMO
+    evalue._CALIBRATION_MEMO.clear()
+
+
+def _counting_panel_scorer(monkeypatch):
+    """Count the panel scorings :func:`calibrate` runs (its misses)."""
+    calls = []
+    scorer = evalue.viterbi_panel_scores
+
+    def counted(profile, panel):
+        calls.append(profile.name)
+        return scorer(profile, panel)
+
+    monkeypatch.setattr(evalue, "viterbi_panel_scores", counted)
+    return calls
+
+
+class TestCalibrationMemo:
+    """:func:`calibrate` fits each (profile, panel) once per process."""
+
+    @pytest.mark.parametrize("mtype", [MoleculeType.PROTEIN, MoleculeType.RNA])
+    def test_cleared_memo_equals_oracle(self, cleared_memo, mtype):
+        prof = _profile(mtype, 57, seed=4)
+        fresh = calibrate(prof, seed=9)
+        assert fresh == reference_calibrate(prof, seed=9)
+        assert len(cleared_memo) == 1
+        assert calibrate(prof, seed=9) is fresh
+
+    def test_equal_scores_share_one_fit(self, cleared_memo, monkeypatch):
+        calls = _counting_panel_scorer(monkeypatch)
+        query = random_sequence(80, seed=2)
+        for name in ("uniref90", "mgnify", "small_bfd"):
+            calibrate(ProfileHMM.from_query(query, MoleculeType.PROTEIN,
+                                            name=name))
+        assert calls == ["uniref90"]
+
+    def test_every_input_is_in_the_key(self, cleared_memo, monkeypatch):
+        calls = _counting_panel_scorer(monkeypatch)
+        base = _profile(MoleculeType.PROTEIN, 40, seed=1)
+        scores = base.match_scores.copy()
+        scores[7, 3] = np.nextafter(scores[7, 3], np.inf)
+        slower = dataclasses.replace(
+            base.transitions, ii=base.transitions.ii - 0.5
+        )
+        rna = _profile(MoleculeType.RNA, 40, seed=1)
+        rna_as_dna = ProfileHMM(rna.match_scores, MoleculeType.DNA)
+        variants = [
+            (base, 40, 0),
+            (base, 40, 1),                     # seed
+            (base, 39, 0),                     # samples
+            (ProfileHMM(base.match_scores, MoleculeType.PROTEIN,
+                        slower), 40, 0),       # transitions
+            (ProfileHMM(scores, MoleculeType.PROTEIN), 40, 0),  # one score
+            (rna, 40, 0),
+            (rna_as_dna, 40, 0),               # molecule type
+        ]
+        fits = [calibrate(prof, samples=n, seed=seed)
+                for prof, n, seed in variants]
+        assert len(calls) == len(variants)
+        assert len(cleared_memo) == len(variants)
+        for (prof, n, seed), fit in zip(variants, fits):
+            assert fit == reference_calibrate(prof, samples=n, seed=seed)
+        # Asking again is a hit for every one of them.
+        for prof, n, seed in variants:
+            calibrate(prof, samples=n, seed=seed)
+        assert len(calls) == len(variants)
+
+    def test_transition_sign_of_zero_is_in_the_key(self, cleared_memo):
+        base = Transitions.default()
+        pos = ProfileHMM(np.zeros((5, 20)), MoleculeType.PROTEIN,
+                         dataclasses.replace(base, mm=0.0))
+        neg = ProfileHMM(np.zeros((5, 20)), MoleculeType.PROTEIN,
+                         dataclasses.replace(base, mm=-0.0))
+        assert (evalue._calibration_key(pos, 40, 0)
+                != evalue._calibration_key(neg, 40, 0))
+
+    def test_memo_is_capped_oldest_first(self, cleared_memo, monkeypatch):
+        calls = _counting_panel_scorer(monkeypatch)
+        prof = _profile(MoleculeType.RNA, 3, seed=0)
+        for seed in range(CALIBRATION_MEMO_ENTRIES + 5):
+            calibrate(prof, samples=4, seed=seed)
+            assert len(cleared_memo) <= CALIBRATION_MEMO_ENTRIES
+        assert len(cleared_memo) == CALIBRATION_MEMO_ENTRIES
+        misses = len(calls)
+        calibrate(prof, samples=4, seed=CALIBRATION_MEMO_ENTRIES + 4)
+        assert len(calls) == misses          # newest: still held
+        calibrate(prof, samples=4, seed=0)
+        assert len(calls) == misses + 1      # oldest: evicted
+
+    def test_memo_holds_only_plain_values(self, cleared_memo):
+        calibrate(_profile(MoleculeType.PROTEIN, 30, seed=3), seed=2)
+        ((key, fit),) = cleared_memo.items()
+        assert isinstance(fit, GumbelParams)
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for leaf in leaves(key):
+            assert not isinstance(leaf, ProfileHMM)
+            assert not callable(leaf)
+            assert isinstance(leaf, (str, int, MoleculeType))
+
+    def test_rejected_samples_are_not_memoised(self, cleared_memo):
+        prof = ProfileHMM.from_query("MKT", MoleculeType.PROTEIN)
+        with pytest.raises(ValueError):
+            calibrate(prof, samples=3)
+        assert not cleared_memo

@@ -62,7 +62,7 @@ from repro.msa.kernels import (
     scan_waste_summary,
     window_bounds,
 )
-from repro.msa.kernels.batched import _band_bounds
+from repro.msa.kernels.batched import FORWARD_FOLD_ROWS, _band_bounds
 from repro.msa.nhmmer import (
     FINAL_EVALUE,
     MSV_EVALUE,
@@ -273,6 +273,57 @@ class TestKernelBitIdentity:
                 for kernel in (calc_band_9, calc_band_10):
                     with pytest.raises(ValueError):
                         kernel(profile, enc[0], band=band)
+
+
+def assert_forward_matches_scalar(profile, encs, band):
+    for batch in batch_targets(encs):
+        fwd = calc_band_10_batch(profile, batch, band=band)
+        for row, idx in enumerate(batch.indices):
+            scalar = calc_band_10(profile, encs[idx], band=band)
+            assert fwd.scores[row] == scalar.score
+            assert fwd.cells[row] == scalar.cells
+
+
+#: Profile lengths around the Forward fold block: one short of a block,
+#: one block, one row into the next, and a partial third block.
+FOLD_LENGTHS = [FORWARD_FOLD_ROWS - 1, FORWARD_FOLD_ROWS,
+                FORWARD_FOLD_ROWS + 1, 2 * FORWARD_FOLD_ROWS + 1]
+
+
+class TestForwardBlockFold:
+    """Forward folds its row totals once per block of
+    ``FORWARD_FOLD_ROWS`` rows; scores stay ``==`` the scalar kernel's
+    at every block boundary and for every lane count."""
+
+    @given(
+        qlen=st.sampled_from(FOLD_LENGTHS),
+        lengths=st.lists(
+            st.integers(min_value=0, max_value=160), min_size=1, max_size=40
+        ),
+        band=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_block_boundaries_and_length_mixes(
+        self, qlen, lengths, band, seed
+    ):
+        profile = make_profile(qlen, seed=seed)
+        assert_forward_matches_scalar(
+            profile, encode_random(lengths, seed=seed + 1), band
+        )
+
+    @pytest.mark.parametrize("qlen", FOLD_LENGTHS)
+    @pytest.mark.parametrize("lengths", [
+        pytest.param([0, 0, 0], id="all-zero-length"),
+        pytest.param([0, 37, 0, 80], id="empty-lanes-in-every-row"),
+        pytest.param([53], id="one-lane"),
+        pytest.param([20 + 3 * k for k in range(40)], id="forty-lanes"),
+    ])
+    def test_fixed_cases(self, qlen, lengths):
+        profile = make_profile(qlen, seed=qlen)
+        assert_forward_matches_scalar(
+            profile, encode_random(lengths, seed=len(lengths)), band=16
+        )
 
 
 @pytest.mark.parametrize("length", [1, 3, 7, 12, 49, 242])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.msa.profile_hmm import (
     ProfileHMM,
@@ -9,8 +11,31 @@ from repro.msa.profile_hmm import (
     consensus,
     encode_sequence,
 )
-from repro.sequences.alphabets import MoleculeType
+from repro.sequences.alphabets import (
+    MoleculeType,
+    alphabet_for,
+    unknown_symbol_for,
+)
 from repro.sequences.generator import random_sequence
+
+MOLECULES = [MoleculeType.PROTEIN, MoleculeType.DNA, MoleculeType.RNA]
+
+
+def reference_encode(sequence, molecule_type):
+    """The per-residue loop :func:`encode_sequence` vectorises."""
+    index = {res: i for i, res in enumerate(alphabet_for(molecule_type))}
+    unknown = unknown_symbol_for(molecule_type)
+    out = []
+    for ch in sequence:
+        if ch == unknown:
+            out.append(-1)
+        elif ch in index:
+            out.append(index[ch])
+        else:
+            raise ValueError(
+                f"residue {ch!r} not in {molecule_type.value} alphabet"
+            )
+    return out
 
 
 class TestEncodeSequence:
@@ -26,6 +51,35 @@ class TestEncodeSequence:
     def test_invalid_residue(self):
         with pytest.raises(ValueError):
             encode_sequence("AZ1", MoleculeType.PROTEIN)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        molecule_type=st.sampled_from(MOLECULES),
+        data=st.data(),
+    )
+    def test_equals_the_per_residue_loop(self, molecule_type, data):
+        symbols = alphabet_for(molecule_type) + (
+            unknown_symbol_for(molecule_type),
+        )
+        sequence = data.draw(st.text(alphabet=st.sampled_from(symbols),
+                                     max_size=300))
+        enc = encode_sequence(sequence, molecule_type)
+        assert enc.dtype == np.int64
+        assert enc.tolist() == reference_encode(sequence, molecule_type)
+
+    @settings(max_examples=150, deadline=None)
+    @given(molecule_type=st.sampled_from(MOLECULES), sequence=st.text())
+    def test_first_bad_residue_is_reported(self, molecule_type, sequence):
+        try:
+            expected = reference_encode(sequence, molecule_type)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                encode_sequence(sequence, molecule_type)
+            assert str(raised.value) == str(error)
+        else:
+            assert encode_sequence(sequence, molecule_type).tolist() == (
+                expected
+            )
 
 
 class TestTransitions:
