@@ -10,8 +10,9 @@ Acceptance harness for the batched kernel cascade
   (:func:`~repro.msa.kernels.scan_shard`) and one batched cascade over
   every shard (:func:`~repro.msa.kernels.scan_shard_group`, the
   production grouping), and records the three medians plus per-kernel
-  batched microbenchmarks (a 64-target bucket, a single target and
-  six mixed-length Forward lanes) into
+  batched microbenchmarks (a 64-target bucket, a single target, six
+  mixed-length Forward lanes and one chain's hits through the aligner)
+  into
   ``benchmarks/out/BENCH_kernels_batched.json`` for the regression
   gate.  Only the shard scan is timed: the Gumbel calibration and the
   trace emission a full search adds are outside both entries;
@@ -35,8 +36,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.msa.aligner import assemble_msa
 from repro.msa.database import PROTEIN_SEARCH_DBS, build_database
-from repro.msa.jackhmmer import reference_scan_protein_shard
+from repro.msa.jackhmmer import Hit, reference_scan_protein_shard
 from repro.msa.kernels import (
     batch_targets,
     calc_band_9_batch,
@@ -192,6 +194,29 @@ def test_record_batched_forward_mixed(bench_recorder, kernel_case):
         "kernels_batched", "calc_band_10_batch_mixed",
         lambda: calc_band_10_batch(profile, batch, band=64),
         repeats=REPEATS,
+    )
+
+
+def test_record_assemble_msa_chain(bench_recorder, kernel_case):
+    """MSA assembly of one chain: the query and its 17 accepted hits.
+
+    A ``repro run`` search accepts 17-18 hits per chain, each within a
+    few residues of the query's length (14 chains in 10 serial
+    ``target-run`` ops at seed 0, 241 hits), and ``assemble_msa``
+    aligns them all in one :func:`~repro.msa.aligner.align_many` call.
+    """
+    query, _ = kernel_case
+    from repro.sequences.alphabets import MoleculeType
+
+    mtype = MoleculeType.PROTEIN
+    hits = [
+        Hit(f"h{seed}", mutate_sequence(query, mtype, 0.7, seed=seed),
+            50.0, 52.0, 1e-6)
+        for seed in range(17)
+    ]
+    bench_recorder.record(
+        "kernels_batched", "assemble_msa_chain",
+        lambda: assemble_msa("q", query, mtype, hits), repeats=REPEATS,
     )
 
 

@@ -29,9 +29,10 @@ widths) is bit-identical to the scalar kernel's, not merely close:
   ``log2-sum-exp`` — sums, per lane and row, the *same contiguous
   band slice* numpy's pairwise summation saw in the scalar kernel
   (the in-band cells of a row are contiguous and always finite),
-  gathered into a contiguous block per slice length so the pairwise
-  tree is unchanged; it runs once per :data:`FORWARD_FOLD_ROWS` rows
-  and folds the row totals into the score in row order.
+  each slice one ``reduceat`` segment led by a cell that adds exactly
+  ``0.0``, so the pairwise tree is unchanged; it runs once per
+  :data:`FORWARD_FOLD_ROWS` rows and folds the row totals into the
+  score in row order.
 
 The differential suite (``tests/test_kernels_batched.py``) enforces
 the contract with ``==``, never ``approx``.
@@ -78,24 +79,26 @@ def msv_filter_batch(
     table, index = emission_gather(profile, batch)
     length = profile.length
     size, padded = batch.encoded.shape
-    best = np.zeros(size)
-    row_best = np.empty(size)
     emit = np.empty((size, padded))
     running = np.zeros((size, padded))
     shifted = np.empty((size, padded))
-    scratch = np.empty((size, padded))
+    # Elementwise max of every row's running state; a max is exact in
+    # any order, so its lane max after the sweep is the best row max.
+    peak = np.zeros((size, padded))
+    flat_running, flat_shifted = running.reshape(-1), shifted.reshape(-1)
     for i in range(length):
         # Every index is in range, so "clip" never clips; it only spares
         # the temporary "raise" mode would buffer ``out`` through.
         np.take(table[i], index, out=emit, mode="clip")
+        # The diagonal shift as one contiguous pass over all lanes; it
+        # carries each lane's last column into the next lane's first,
+        # which the column-0 reset then overwrites.
+        np.maximum(flat_running[:-1], 0.0, out=flat_shifted[1:])
         shifted[:, 0] = 0.0
-        np.maximum(running[:, :-1], 0.0, out=shifted[:, 1:])
-        np.add(emit, shifted, out=scratch)
-        running, scratch = scratch, running
-        running.max(axis=1, out=row_best)
-        np.maximum(best, row_best, out=best)
+        np.add(emit, shifted, out=running)
+        np.maximum(peak, running, out=peak)
     return BatchKernelResult(
-        scores=best,
+        scores=peak.max(axis=1),
         cells=length * batch.seq_lens,
         band_widths=np.zeros(size, dtype=np.int64),
     )
@@ -216,34 +219,43 @@ def _fold_forward_rows(
 ) -> None:
     """Fold a block of rows' per-lane ``log2-sum-exp`` into the score.
 
-    ``block[r]`` is row ``r``'s M window ``(columns, lanes)``; lane
-    ``b``'s band on that row is the ``counts[r, b]`` columns from
-    ``rel_starts[r, b]``.  Reproduces the scalar kernel's ``hi +
-    log2(exp2(finite - hi).sum())`` bit for bit: ``finite`` there is
-    the boolean-compacted in-band row, a contiguous length-``k``
-    array, and numpy's pairwise summation tree depends only on that
-    length.  Every ``(row, lane)`` of the block with the same ``k``
-    gathers its slice into one row of a contiguous ``(n, k)`` array
-    and sums along the last axis, which runs the very same per-row
-    reduction; the row max over that slice is the max over the scalar
-    kernel's finite values, since in-band cells are always finite.
+    ``block[r]`` is row ``r``'s M window ``(1 + columns, lanes)``
+    behind a column 0 pinned to ``NEG_INF``; lane ``b``'s band on that
+    row is the ``counts[r, b]`` columns after ``rel_starts[r, b]``.
+    Reproduces the scalar kernel's ``hi + log2(exp2(finite -
+    hi).sum())`` bit for bit: ``finite`` there is the boolean-compacted
+    in-band row, a contiguous length-``k`` array.
+
+    Every ``(row, lane)`` with cells becomes one segment of a single
+    flat gather: the ``NEG_INF`` cell just before its band (column 0,
+    or a window cell the row's mask pinned), then the band.  The lead
+    cell never wins ``maximum.reduceat``, since in-band cells are
+    finite, and ``exp2(NEG_INF - hi)`` is exactly ``0.0``.  So
+    ``add.reduceat`` starts each segment from ``0.0`` and adds the
+    band through numpy's pairwise tree, which is how ``.sum()`` of a
+    length-``k`` array starts from the identity and adds the same
+    cells: the tests pin this with ``==`` at the tree's edges.
 
     The totals then fold into ``total_score`` in row order.  A lane
     without in-band cells on a row folds ``NEG_INF``, which leaves its
     score unchanged bit for bit: ``1 + 2**-60`` rounds to 1, and
     ``NEG_INF`` folded into ``NEG_INF`` rounds back to ``NEG_INF``.
     """
+    _, width, lanes = block.shape
+    rows, cols = np.nonzero(counts)
     totals = np.full(counts.shape, NEG_INF)
-    for count in np.unique(counts).tolist():
-        if count == 0:
-            continue
-        rows, lanes = np.nonzero(counts == count)
-        cols = rel_starts[rows, lanes][:, None] + np.arange(count)
-        slices = block[rows[:, None], cols, lanes[:, None]]
-        hi = slices.max(axis=1)
-        np.subtract(slices, hi[:, None], out=slices)
-        sums = np.exp2(slices, out=slices).sum(axis=1)
-        totals[rows, lanes] = hi + np.log2(sums)
+    if rows.size:
+        sizes = counts[rows, cols] + 1
+        firsts = np.cumsum(sizes) - sizes
+        leads = (rows * width + rel_starts[rows, cols]) * lanes + cols
+        # Cell c of a segment lies c columns, c * lanes floats, after
+        # its lead cell.
+        steps = np.arange(int(sizes.sum())) - np.repeat(firsts, sizes)
+        cells = block.reshape(-1).take(np.repeat(leads, sizes) + steps * lanes)
+        hi = np.maximum.reduceat(cells, firsts)
+        cells -= np.repeat(hi, sizes)
+        sums = np.add.reduceat(np.exp2(cells, out=cells), firsts)
+        totals[rows, cols] = hi + np.log2(sums)
     score, acc = total_score, np.empty_like(total_score)
     scratch = np.empty_like(total_score)
     for row_totals in totals:
@@ -327,8 +339,10 @@ def _banded_dp_batch(
     total_score = np.full(size, NEG_INF)
     # Forward's M windows of the current block of rows, (row, column,
     # lane); folded every FORWARD_FOLD_ROWS rows and after the last.
+    # Column 0 stays NEG_INF: the lead cell of bands starting at 0.
     fold_rows = FORWARD_FOLD_ROWS if forward else 0
-    block = np.empty((fold_rows, widest, size))
+    block = np.empty((fold_rows, 1 + widest, size))
+    block[:, 0] = NEG_INF
 
     def fold(first: int, end: int) -> None:
         _fold_forward_rows(block[:end - first], rel_starts[first:end],
@@ -405,7 +419,7 @@ def _banded_dp_batch(
             np.copyto(cur[1:, win], NEG_INF, where=mask)
 
         if forward:
-            block[i % fold_rows, :width] = m_row
+            block[i % fold_rows, 1:width + 1] = m_row
         else:
             np.maximum.reduce(m_row, axis=0, out=row_best)
             np.maximum(best, row_best, out=best)

@@ -38,29 +38,28 @@ def windowed_entropy(sequence: str, window: int = DEFAULT_WINDOW) -> List[float]
     """Entropy of each sliding window; shorter sequences get one window.
 
     Uses an incremental counter update so the scan is O(len) rather
-    than O(len * window).
+    than O(len * window).  A window's counts run 1..``window``, so each
+    term ``(c/window) * log2(c/window)`` is looked up in a table built
+    from that same expression, and summed in counter order.
     """
     n = len(sequence)
     if n == 0:
         return []
     if n <= window:
         return [shannon_entropy(sequence)]
+    terms = [0.0] + [
+        (c / window) * math.log2(c / window) for c in range(1, window + 1)
+    ]
+    term = terms.__getitem__
     counts = Counter(sequence[:window])
-    out: List[float] = []
-
-    def entropy_of(counter: Counter) -> float:
-        return -sum(
-            (c / window) * math.log2(c / window) for c in counter.values() if c
-        )
-
-    out.append(entropy_of(counts))
+    out: List[float] = [-sum(map(term, counts.values()))]
     for i in range(window, n):
         counts[sequence[i]] += 1
         left = sequence[i - window]
         counts[left] -= 1
         if not counts[left]:
             del counts[left]
-        out.append(entropy_of(counts))
+        out.append(-sum(map(term, counts.values())))
     return out
 
 
@@ -89,19 +88,23 @@ def low_complexity_mask(
     A residue is masked if any window covering it has entropy below the
     threshold.  Returns a list of booleans, True = low complexity.
     """
-    n = len(sequence)
-    mask = [False] * n
-    if n == 0:
-        return mask
-    entropies = windowed_entropy(sequence, window)
+    return _mask_low_windows(
+        len(sequence), window, windowed_entropy(sequence, window), threshold
+    )
+
+
+def _mask_low_windows(
+    n: int, window: int, entropies: List[float], threshold: float
+) -> List[bool]:
+    """:func:`low_complexity_mask` from the sequence's window entropies."""
     if n <= window:
-        if entropies[0] < threshold:
-            return [True] * n
-        return mask
+        # At most one window, covering every residue.
+        return [any(ent < threshold for ent in entropies)] * n
+    mask = [False] * n
+    run = [True] * window
     for start, ent in enumerate(entropies):
         if ent < threshold:
-            for i in range(start, min(start + window, n)):
-                mask[i] = True
+            mask[start:start + window] = run
     return mask
 
 
@@ -146,7 +149,9 @@ class ComplexityProfile:
 def profile_sequence(sequence: str, window: int = DEFAULT_WINDOW) -> ComplexityProfile:
     """Compute the :class:`ComplexityProfile` for a residue string."""
     entropies = windowed_entropy(sequence, window)
-    mask = low_complexity_mask(sequence, window)
+    mask = _mask_low_windows(
+        len(sequence), window, entropies, LOW_COMPLEXITY_ENTROPY
+    )
     run_char, run_len = longest_run(sequence)
     return ComplexityProfile(
         length=len(sequence),

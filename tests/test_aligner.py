@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.msa.aligner import (
+    ALIGN_CHUNK,
     Msa,
     PairwiseAlignment,
+    align_many,
     assemble_msa,
     global_align,
     reference_global_align,
@@ -139,6 +141,64 @@ class TestPrefixMaxEqualsReference:
         q = random_sequence(242, seed=3)
         t = mutate_sequence(q, MoleculeType.PROTEIN, 0.7, seed=4)
         assert global_align(q, t) == reference_global_align(q, t)
+
+
+@st.composite
+def _chains(draw):
+    """A query and 1-20 hits of length 1-300, so batches span chunk
+    boundaries: random words longer or shorter than the query, copies
+    of the query, slices of it with a random tail, and words over
+    letters the query never uses (every pair a mismatch)."""
+    query = draw(_words("ACDE", 1, 300))
+    hit = st.one_of(
+        _words("ACDE", 1, 300),
+        st.just(query),
+        st.tuples(
+            st.integers(min_value=0, max_value=len(query) - 1),
+            _words("ACDE", 0, 40),
+        ).map(lambda cut: query[cut[0]:] + cut[1]),
+        _words("KLMN", 1, 300),
+    )
+    return query, draw(st.lists(hit, min_size=1, max_size=20))
+
+
+class TestAlignManyEqualsReference:
+    """Each of ``align_many``'s results equals the per-cell loop (``==``)."""
+
+    @given(chain=_chains())
+    @settings(max_examples=40, deadline=None)
+    def test_chains_across_chunk_boundaries(self, chain):
+        query, targets = chain
+        assert align_many(query, targets) == [
+            reference_global_align(query, target) for target in targets
+        ]
+
+    @pytest.mark.parametrize("hits", [
+        1, ALIGN_CHUNK - 1, ALIGN_CHUNK, ALIGN_CHUNK + 1, 2 * ALIGN_CHUNK + 1,
+    ])
+    def test_identical_and_all_mismatch_hits(self, hits):
+        query = "ACDE" * 5
+        targets = [query if k % 2 else "KLMN" * (1 + k % 7)
+                   for k in range(hits)]
+        assert align_many(query, targets) == [
+            reference_global_align(query, target) for target in targets
+        ]
+
+    def test_homolog_chain_of_seventeen_hits(self):
+        q = random_sequence(219, seed=14)
+        targets = [mutate_sequence(q, MoleculeType.PROTEIN, 0.6, seed=s)
+                   for s in range(17)]
+        assert align_many(q, targets) == [
+            reference_global_align(q, t) for t in targets
+        ]
+
+    def test_no_targets(self):
+        assert align_many("MKT", []) == []
+
+    def test_empty_rejected(self):
+        for query, targets in (("", ["MK"]), ("MK", ["MK", ""])):
+            with pytest.raises(ValueError):
+                align_many(query, targets)
 
 
 class TestMsa:

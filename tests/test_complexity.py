@@ -1,10 +1,14 @@
 """Unit tests for sequence-complexity analysis (promo's poly-Q driver)."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sequences.complexity import (
+    LOW_COMPLEXITY_ENTROPY,
     ComplexityProfile,
     longest_run,
     low_complexity_mask,
@@ -107,3 +111,72 @@ class TestComplexityProfile:
                               "Q", 48, position=120)
         prof = profile_sequence(seq)
         assert 2.0 < prof.hit_inflation_factor < 3.2
+
+
+def loop_windowed_entropy(sequence, window):
+    """The per-window entropy loop the table lookup replaced."""
+    n = len(sequence)
+    if n == 0:
+        return []
+    if n <= window:
+        return [shannon_entropy(sequence)]
+    counts = Counter(sequence[:window])
+    out = []
+
+    def entropy_of(counter):
+        return -sum(
+            (c / window) * math.log2(c / window) for c in counter.values() if c
+        )
+
+    out.append(entropy_of(counts))
+    for i in range(window, n):
+        counts[sequence[i]] += 1
+        left = sequence[i - window]
+        counts[left] -= 1
+        if not counts[left]:
+            del counts[left]
+        out.append(entropy_of(counts))
+    return out
+
+
+def loop_mask(sequence, window, threshold=LOW_COMPLEXITY_ENTROPY):
+    """The per-residue mask loop, over freshly computed entropies."""
+    n = len(sequence)
+    mask = [False] * n
+    if n == 0:
+        return mask
+    entropies = loop_windowed_entropy(sequence, window)
+    if n <= window:
+        if entropies[0] < threshold:
+            return [True] * n
+        return mask
+    for start, ent in enumerate(entropies):
+        if ent < threshold:
+            for i in range(start, min(start + window, n)):
+                mask[i] = True
+    return mask
+
+
+class TestOnePassEqualsLoops:
+    """Entropies, mask and profile equal the former loops with ``==``."""
+
+    @given(
+        sequence=st.text(alphabet=st.sampled_from("ACDEFGHIKLMNPQRSTVWY"),
+                         max_size=200)
+        | st.text(alphabet=st.sampled_from("AQ"), max_size=200),
+        window=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_entropies_mask_and_profile(self, sequence, window):
+        entropies = loop_windowed_entropy(sequence, window)
+        mask = loop_mask(sequence, window)
+        assert windowed_entropy(sequence, window) == entropies
+        assert low_complexity_mask(sequence, window) == mask
+        assert profile_sequence(sequence, window) == ComplexityProfile(
+            length=len(sequence),
+            entropy=shannon_entropy(sequence),
+            min_window_entropy=min(entropies) if entropies else 0.0,
+            low_complexity_fraction=sum(mask) / len(mask) if mask else 0.0,
+            longest_run_residue=longest_run(sequence)[0],
+            longest_run_length=longest_run(sequence)[1],
+        )

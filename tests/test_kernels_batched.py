@@ -34,6 +34,7 @@ from repro.msa.database import (
 from repro.msa.dp import (
     NEG_INF,
     _band_mask,
+    _log2addexp,
     calc_band_9,
     calc_band_10,
     msv_filter,
@@ -62,7 +63,11 @@ from repro.msa.kernels import (
     scan_waste_summary,
     window_bounds,
 )
-from repro.msa.kernels.batched import FORWARD_FOLD_ROWS, _band_bounds
+from repro.msa.kernels.batched import (
+    FORWARD_FOLD_ROWS,
+    _band_bounds,
+    _fold_forward_rows,
+)
 from repro.msa.nhmmer import (
     FINAL_EVALUE,
     MSV_EVALUE,
@@ -323,6 +328,124 @@ class TestForwardBlockFold:
         profile = make_profile(qlen, seed=qlen)
         assert_forward_matches_scalar(
             profile, encode_random(lengths, seed=len(lengths)), band=16
+        )
+
+
+def reference_fold(block, rel_starts, counts, total_score):
+    """The scalar kernel's row total and fold, one (row, lane) at a time."""
+    scores = total_score.tolist()
+    for r, b in zip(*np.nonzero(counts)):
+        first = 1 + rel_starts[r, b]
+        finite = block[r, first:first + counts[r, b], b].copy()
+        hi = float(finite.max())
+        row_total = hi + float(np.log2(np.exp2(finite - hi).sum()))
+        scores[b] = float(
+            _log2addexp(np.array(scores[b]), np.array(row_total))
+        )
+    return np.array(scores)
+
+
+#: Band lengths around numpy's pairwise-summation edges: its unrolled
+#: 8-way loop starts at 8 and its blocks split above 128 cells.
+PAIRWISE_EDGES = [1, 2, 7, 8, 9, 127, 128, 129, 256, 257]
+
+
+class TestFoldSegments:
+    """``_fold_forward_rows``' flat ``reduceat`` segments equal the
+    scalar kernel's per-row ``.sum()`` and fold (``==``, sign too)."""
+
+    @pytest.mark.parametrize("rows", [1, FORWARD_FOLD_ROWS])
+    @pytest.mark.parametrize("length", PAIRWISE_EDGES)
+    def test_block_of_band_lengths(self, rows, length):
+        rng = np.random.default_rng(rows * 1000 + length)
+        lanes = 6
+        # Lane 0 has no in-band cell on any row; the others on some.
+        counts = np.where(
+            rng.random((rows, lanes)) < 0.8,
+            rng.integers(max(1, length - 2), length + 1, (rows, lanes)),
+            0,
+        )
+        counts[:, 0] = 0
+        counts[0, 1:] = length
+        # Ignored where a lane has no cells (the kernel's is negative).
+        rel_starts = np.where(
+            counts > 0, rng.integers(0, 4, (rows, lanes)), -7
+        )
+        ends = rel_starts + counts
+        width = int(ends.max()) + 3
+        # Past a row's window the kernel leaves stale cells: junk that
+        # any read would turn into inf.  In the window, off-band cells
+        # are NEG_INF, and in-band cells are finite, some exactly -0.0.
+        block = np.full((rows, 1 + width, lanes), 1e300)
+        for r in range(rows):
+            block[r, :1 + ends[r].max()] = NEG_INF
+            for b in range(lanes):
+                first = 1 + rel_starts[r, b]
+                band = rng.uniform(-40.0, 10.0, counts[r, b])
+                band[::5] = -0.0
+                block[r, first:first + counts[r, b], b] = band
+        for total in (np.full(lanes, NEG_INF),
+                      rng.uniform(-30.0, 5.0, lanes)):
+            expected = reference_fold(block, rel_starts, counts, total)
+            _fold_forward_rows(block, rel_starts, counts, total)
+            assert (total == expected).all()
+            assert (np.signbit(total) == np.signbit(expected)).all()
+
+    @pytest.mark.parametrize("length", PAIRWISE_EDGES)
+    def test_reduceat_from_zero_equals_sum(self, length):
+        # The numpy behaviour the fold rests on, alone.
+        cells = np.random.default_rng(length).uniform(0.0, 1.0, length)
+        led = np.concatenate([[0.0], cells, [0.0], cells[::-1]])
+        sums = np.add.reduceat(led, [0, length + 1])
+        assert sums[0] == cells.sum()
+        assert sums[1] == cells[::-1].copy().sum()
+
+    def test_no_cells_leaves_the_score(self):
+        counts = np.zeros((3, 4), dtype=np.int64)
+        total = np.array([NEG_INF, 0.0, -3.25, 12.5])
+        block = np.full((3, 5, 4), NEG_INF)
+        _fold_forward_rows(block, counts - 1, counts, total)
+        assert (total == [NEG_INF, 0.0, -3.25, 12.5]).all()
+        assert np.signbit(total).tolist() == [True, False, True, False]
+
+
+class TestMsvEdgeLanes:
+    """Batched MSV equals scalar ``msv_filter`` (``==`` and sign) on
+    zero-length lanes and on lanes whose running sum lands on 0.0."""
+
+    @staticmethod
+    def assert_msv_matches_scalar(profile, encs):
+        for batch in batch_targets(encs):
+            msv = msv_filter_batch(profile, batch)
+            for row, idx in enumerate(batch.indices):
+                scalar = msv_filter(profile, encs[idx])
+                assert msv.scores[row] == scalar.score
+                assert np.signbit(msv.scores[row]) == np.signbit(scalar.score)
+                assert msv.cells[row] == scalar.cells
+
+    @given(
+        qlen=st.integers(min_value=1, max_value=20),
+        lengths=st.lists(
+            st.integers(min_value=0, max_value=40), min_size=1, max_size=8
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_integer_scores_sum_to_zero(self, qlen, lengths, seed):
+        # Small integer scores, -0.0 among them, make running sums hit
+        # 0.0 exactly on most rows.
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (qlen, 20))
+        profile = ProfileHMM(scores, PROTEIN)
+        self.assert_msv_matches_scalar(
+            profile, encode_random(lengths, seed=seed)
+        )
+
+    @pytest.mark.parametrize("fill", [-1.0, -0.0, 0.0])
+    def test_no_positive_score(self, fill):
+        profile = ProfileHMM(np.full((9, 20), fill), PROTEIN)
+        self.assert_msv_matches_scalar(
+            profile, encode_random([0, 5, 0, 12, 16, 0], seed=3)
         )
 
 
