@@ -3,7 +3,8 @@
 This is the acceptance harness for the parallel execution engine:
 
 * records serial and parallel sharded-scan medians into
-  ``benchmarks/out/BENCH_scan.json`` for the regression gate;
+  ``benchmarks/out/BENCH_scan.json`` for the regression gate, plus one
+  chain's serial search over three databases in one cascade;
 * re-asserts byte-identity between every timed configuration (a
   benchmark that silently measured a different computation would be
   worse than none);
@@ -18,7 +19,11 @@ import os
 import pytest
 
 from repro.msa.database import PROTEIN_SEARCH_DBS, build_database
-from repro.msa.jackhmmer import JackhmmerSearch, SearchConfig
+from repro.msa.jackhmmer import (
+    JackhmmerSearch,
+    SearchConfig,
+    search_databases,
+)
 from repro.parallel import ExecutionPlan
 from repro.sequences.generator import random_sequence
 
@@ -71,6 +76,41 @@ def test_record_scan_timings(bench_recorder, scan_case):
     for name, result in results.items():
         assert result.hits == serial.hits, name
         assert result.stats == serial.stats, name
+
+
+@pytest.fixture(scope="module")
+def chain_case():
+    """One protein chain and its three databases at ``repro run``'s
+    search sizing, each encoded once outside every timed run."""
+    query = random_sequence(242, seed=2)
+    searches = []
+    for k, spec in enumerate(PROTEIN_SEARCH_DBS):
+        database = build_database(
+            spec, [query], num_background=40, homologs_per_query=6,
+            low_complexity_fraction=0.08, seed=2 + k,
+        )
+        database.encoded_records
+        searches.append(
+            JackhmmerSearch(database, SearchConfig(iterations=1), seed=2)
+        )
+    return query, searches
+
+
+def test_record_chain_scan(bench_recorder, chain_case):
+    """One chain against uniref90, mgnify and small_bfd: one profile,
+    one calibration and one serial cascade over all 48 shards."""
+    query, searches = chain_case
+    box = {}
+
+    def run():
+        box["r"] = search_databases(searches, "bench_chain", query)
+
+    bench_recorder.record("scan", "scan_chain_3db", run, repeats=REPEATS)
+    for search, merged in zip(searches, box["r"]):
+        alone = search.search("bench_chain", query)
+        assert merged.hits == alone.hits
+        assert merged.stats == alone.stats
+    assert all(result.hits for result in box["r"])
 
 
 @pytest.mark.skipif(

@@ -48,6 +48,11 @@ MATCH_SCORE = 2.0
 MISMATCH_SCORE = -1.0
 GAP_SCORE = -2.0
 
+#: Fixed-width codec of the aligned strings, one code point per
+#: ``uint32``, so :meth:`PairwiseAlignment.target_row` masks columns
+#: with numpy whatever the residue letters are.
+_CODEC = "utf-32-le"
+
 # Pointer codes for traceback.
 _DIAG, _UP, _LEFT = 0, 1, 2
 
@@ -82,8 +87,12 @@ class PairwiseAlignment:
         dropped — MSA rows are indexed by query positions, matching how
         AF3 builds its (M x N) MSA matrix.
         """
-        return "".join(
-            t for q, t in zip(self.aligned_query, self.aligned_target) if q != GAP
+        query, target = (
+            np.frombuffer(text.encode(_CODEC, "surrogatepass"), np.uint32)
+            for text in (self.aligned_query, self.aligned_target)
+        )
+        return target[query != ord(GAP)].tobytes().decode(
+            _CODEC, "surrogatepass"
         )
 
 

@@ -4,7 +4,11 @@ For a given input sample this module runs every required search —
 jackhmmer over the protein databases for each unique protein chain,
 nhmmer over the RNA databases for each RNA chain — assembles per-chain
 MSAs, builds the assembly feature set, and returns the merged workload
-trace plus the phase's peak-memory model.
+trace plus the phase's peak-memory model.  Each chain makes one
+:func:`~repro.msa.jackhmmer.search_databases` call over all of its
+databases, so one profile, one calibration and one sharded cascade per
+iteration serve all three; the phase still keeps one
+:class:`~repro.msa.jackhmmer.SearchResult` per database.
 
 The functional work here is platform- and thread-independent (what
 changes across platforms is how fast the traced work executes), so
@@ -15,6 +19,7 @@ platform/thread sweeps of the benchmark harness.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import zlib
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +39,12 @@ from .database import (
     total_on_disk_bytes,
 )
 from .features import AssemblyFeatures, build_assembly_features
-from .jackhmmer import JackhmmerSearch, SearchConfig, SearchResult
+from .jackhmmer import (
+    JackhmmerSearch,
+    SearchConfig,
+    SearchResult,
+    search_databases,
+)
 from .nhmmer import NhmmerSearch, chain_peak_memory_bytes
 
 #: Global work-scale calibration.  The synthetic-to-paper extrapolation
@@ -184,29 +194,25 @@ class MsaEngine:
         for chain in msa_chains:
             if chain.molecule_type == MoleculeType.PROTEIN:
                 specs, queries = cfg.protein_dbs, protein_queries
+                new_search = functools.partial(
+                    JackhmmerSearch,
+                    config=SearchConfig(band=cfg.band,
+                                        iterations=cfg.iterations),
+                )
             else:
                 specs, queries = cfg.rna_dbs, rna_queries
+                new_search = functools.partial(NhmmerSearch, band=cfg.band)
+            chain_searches = [
+                new_search(self._database_for(spec, sample, queries),
+                           seed=cfg.seed, plan=self.plan,
+                           scan_shards=cfg.scan_shards)
+                for spec in specs
+            ]
             all_hits = []
-            for spec in specs:
-                db = self._database_for(spec, sample, queries)
-                if chain.molecule_type == MoleculeType.PROTEIN:
-                    search = JackhmmerSearch(
-                        db,
-                        SearchConfig(band=cfg.band, iterations=cfg.iterations),
-                        seed=cfg.seed,
-                        plan=self.plan,
-                        scan_shards=cfg.scan_shards,
-                    ).search(f"{sample.name}_{chain.chain_id}", chain.sequence)
-                else:
-                    search = NhmmerSearch(
-                        db,
-                        band=cfg.band,
-                        seed=cfg.seed,
-                        plan=self.plan,
-                        scan_shards=cfg.scan_shards,
-                    ).search(
-                        f"{sample.name}_{chain.chain_id}", chain.sequence
-                    )
+            for spec, search in zip(specs, search_databases(
+                chain_searches, f"{sample.name}_{chain.chain_id}",
+                chain.sequence,
+            )):
                 searches.append(search)
                 trace = trace.merge(search.trace)
                 all_hits.extend(search.hits)

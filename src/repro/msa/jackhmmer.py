@@ -18,18 +18,25 @@ workload trace is emitted.  Low-complexity queries (promo's poly-Q)
 organically match the database's low-complexity junk at the MSV stage,
 inflating the number of candidates that must be scored and filtered —
 the exact mechanism behind the paper's Observation 2.
+
+A chain is searched against all of its databases at once:
+:func:`search_databases` builds the query's profile and calibration
+once, and :func:`scan_databases` runs one sharded cascade per
+iteration over every database that shares them.
+:meth:`JackhmmerSearch.search` and
+:meth:`repro.msa.nhmmer.NhmmerSearch.search` are the one-database case.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..parallel.executor import ExecutionOutcome, run_sharded
+from ..parallel.executor import ExecutionOutcome, TaskTiming, run_sharded
 from ..parallel.plan import ExecutionPlan
 from ..parallel.shard import merge_sharded, shard_bounds
 from ..sequences.alphabets import MoleculeType
-from ..sequences.complexity import profile_sequence
+from ..sequences.complexity import ComplexityProfile, profile_sequence
 from ..trace import AccessPattern, OpRecord, WorkloadTrace
 from .database import BufferedDatabaseReader, SCAN_SHARDS, SequenceDatabase
 from .dp import calc_band_9, calc_band_10, msv_filter
@@ -153,9 +160,10 @@ class SearchResult:
     stats: SearchStats
     trace: WorkloadTrace
     gumbel: GumbelParams
-    #: Measured shard schedule of each iteration's database scan (only
-    #: timings vary run to run; the functional fields above are
-    #: byte-identical for every backend and worker count).
+    #: Measured shard schedule of each iteration's database scan, this
+    #: database's share of it when scanned with others (only timings
+    #: vary run to run; the functional fields above are byte-identical
+    #: for every backend and worker count).
     scan_outcomes: List[ExecutionOutcome] = dataclasses.field(
         default_factory=list
     )
@@ -197,45 +205,99 @@ def shard_payloads(
     ]
 
 
-def scan_database(
-    search, scan: Callable, profile: ProfileHMM, gumbel: GumbelParams,
-    gates: ScanGates, stats: SearchStats,
-    outcomes: List[ExecutionOutcome],
-) -> Tuple[List[Hit], Tuple[int, int, int, int]]:
-    """One sharded scan of ``search.database`` under ``search.plan``.
+def scan_databases(
+    scans: Sequence[Tuple[object, ProfileHMM, GumbelParams]],
+) -> List[Tuple[List[Hit], ExecutionOutcome]]:
+    """One sharded cascade over every database scan that can share one.
 
-    Shared by :class:`JackhmmerSearch` and
-    :class:`repro.msa.nhmmer.NhmmerSearch`.  The checkpoint shards are
-    cut into one contiguous group per worker (one group under a serial
-    plan), and ``scan`` (the module's ``scan_shard_group``) runs one
-    cascade per group, returning one result per shard.  The appended
-    outcome holds those results in shard order and one timing per
-    group, whose ``shards`` is the group's shard range.  Hits are
-    merged in shard order and the counters added to ``stats``.
-    Returns the hits and the scan's own ``(msv_cells, vit_cells,
-    fwd_cells, msv_pass)``.
+    ``scans`` holds ``(search, profile, gumbel)`` triples, ``search`` a
+    :class:`JackhmmerSearch` or :class:`repro.msa.nhmmer.NhmmerSearch`.
+    Scans whose profile and Gumbel fit are the same objects, and whose
+    gates and plans are equal, form one group: the checkpoint shard
+    payloads of its databases are concatenated in scan order, cut into
+    one contiguous group of payloads per worker (one under a serial
+    plan) and scanned by one :func:`run_sharded` call of
+    ``scan_shard_group``, which runs one cascade per worker group.
+
+    Returns, per scan and in scan order, its hits merged in shard order
+    and its own :class:`ExecutionOutcome`: the results of its shards in
+    shard order, and one timing per worker group that scanned any of
+    them, whose ``shards`` is the range of this database's shards the
+    group covered.  A group that spans several databases had its wall
+    window split between them in proportion to their shard counts, so
+    every shard of a database lies in exactly one timing range and no
+    part of a window is attributed twice.  ``wall_seconds`` is split
+    the same way.  Results and hits are exactly those of scanning each
+    database on its own.
     """
-    payloads = shard_payloads(search.database, profile, gumbel, gates,
-                              search.scan_shards)
-    workers = (1 if search.plan.resolve_backend("process") == "serial"
-               else search.plan.workers)
-    groups = shard_bounds(len(payloads), min(workers, len(payloads)))
-    outcome = run_sharded(
-        scan, [payloads[lo:hi] for lo, hi in groups], search.plan
-    )
-    outcome = dataclasses.replace(
-        outcome,
-        results=[result for group in outcome.results for result in group],
-        timings=[
-            dataclasses.replace(timing, shards=groups[timing.index])
-            for timing in outcome.timings
-        ],
-    )
-    outcomes.append(outcome)
-    hits: List[Hit] = merge_sharded(
-        (r.shard_index, r.hits) for r in outcome.results
-    )
-    return hits, stats.add_scan(outcome.results, hits)
+    groups: dict = {}
+    for position, (search, profile, gumbel) in enumerate(scans):
+        key = (id(profile), id(gumbel), search.gates, search.plan)
+        groups.setdefault(key, []).append(position)
+    scanned: List[Tuple[List[Hit], ExecutionOutcome]] = [None] * len(scans)
+    for members in groups.values():
+        searches = [scans[position][0] for position in members]
+        _, profile, gumbel = scans[members[0]]
+        gates, plan = searches[0].gates, searches[0].plan
+        own_payloads = [
+            shard_payloads(search.database, profile, gumbel, gates,
+                           search.scan_shards)
+            for search in searches
+        ]
+        payloads = [payload for own in own_payloads for payload in own]
+        workers = (1 if plan.resolve_backend("process") == "serial"
+                   else plan.workers)
+        bounds = shard_bounds(len(payloads), min(workers, len(payloads)))
+        outcome = run_sharded(
+            scan_shard_group, [payloads[lo:hi] for lo, hi in bounds], plan
+        )
+        results = [result for group in outcome.results for result in group]
+        first = 0
+        for position, own in zip(members, own_payloads):
+            last = first + len(own)
+            own_results = results[first:last]
+            scanned[position] = (
+                merge_sharded((r.shard_index, r.hits) for r in own_results),
+                dataclasses.replace(
+                    outcome,
+                    results=own_results,
+                    timings=[
+                        timing
+                        for task in outcome.timings
+                        for timing in _split_timing(
+                            task, bounds[task.index], first, last
+                        )
+                    ],
+                    wall_seconds=outcome.wall_seconds * (
+                        len(own) / len(payloads)
+                    ),
+                ),
+            )
+            first = last
+    return scanned
+
+
+def _split_timing(
+    task: TaskTiming, group: Tuple[int, int], first: int, last: int
+) -> List[TaskTiming]:
+    """The part of worker group ``task`` (over payloads ``group``) that
+    scanned payloads ``[first, last)``, one database's shards: the
+    group's window divided evenly between its shards, with ``shards``
+    counted from ``first``.  Empty when the ranges do not meet."""
+    lo, hi = max(group[0], first), min(group[1], last)
+    if lo >= hi:
+        return []
+    width = (task.end - task.start) / (group[1] - group[0])
+
+    def at(payload: int) -> float:
+        if payload == group[0]:
+            return task.start
+        if payload == group[1]:
+            return task.end
+        return task.start + (payload - group[0]) * width
+
+    return [dataclasses.replace(task, start=at(lo), end=at(hi),
+                                shards=(lo - first, hi - first))]
 
 
 def reference_scan_protein_shard(payload) -> ShardScanResult:
@@ -297,6 +359,90 @@ def _align_hit_to_profile(query_len: int, hit_seq: str) -> str:
     return hit_seq + "-" * (query_len - len(hit_seq))
 
 
+def search_databases(
+    searches: Sequence, query_name: str, query_sequence: str
+) -> List[SearchResult]:
+    """Search one query against several databases in lockstep.
+
+    ``searches`` are :class:`JackhmmerSearch` or
+    :class:`repro.msa.nhmmer.NhmmerSearch` objects, one per database;
+    each supplies its ``gates`` and ``iterations``, the query's hit
+    inflation (``_inflation``) and each iteration's paper-scale trace
+    (``_iteration_trace``).  The query's complexity profile is computed once, its profile HMM
+    once per molecule type and its Gumbel fit once per (molecule type,
+    seed); every search starts from those same objects, so
+    :func:`scan_databases` scans all the databases that share them in
+    one cascade.  Iteration ``i`` scans every search with more than
+    ``i`` iterations.  A search that re-estimates its profile from its
+    own hits (jackhmmer with ``iterations >= 2``) scans in a group of
+    its own from then on.
+
+    Returns one :class:`SearchResult` per search, in order, each
+    exactly the result of searching its database alone.
+    """
+    complexity = profile_sequence(query_sequence)
+    profiles: dict = {}
+    fits: dict = {}
+    scans = []
+    results: List[SearchResult] = []
+    for search in searches:
+        mtype = search.database.spec.molecule_type
+        if mtype not in profiles:
+            profiles[mtype] = ProfileHMM.from_query(
+                query_sequence, mtype, name=query_name
+            )
+        if (mtype, search.seed) not in fits:
+            fits[mtype, search.seed] = calibrate(profiles[mtype],
+                                                 seed=search.seed)
+        scans.append((search, profiles[mtype], fits[mtype, search.seed]))
+        results.append(SearchResult(
+            query_name=query_name,
+            database_name=search.database.spec.name,
+            hits=[],
+            stats=SearchStats(
+                scale_factor=search.database.scale_factor,
+                inflation_factor=search._inflation(complexity),
+            ),
+            trace=WorkloadTrace(),
+            gumbel=fits[mtype, search.seed],
+        ))
+
+    rounds = max((search.iterations for search in searches), default=0)
+    for iteration in range(rounds):
+        active = [i for i, search in enumerate(searches)
+                  if iteration < search.iterations]
+        scanned = scan_databases([scans[i] for i in active])
+        for i, (hits, outcome) in zip(active, scanned):
+            search, profile, _ = scans[i]
+            result = results[i]
+            result.scan_outcomes.append(outcome)
+            counts = result.stats.add_scan(outcome.results, hits)
+            result.trace.extend(search._iteration_trace(
+                profile, counts, result.stats.inflation_factor,
+                len(query_sequence),
+            ))
+            hits.sort(key=lambda h: h.evalue)
+            result.hits = hits[:MAX_HITS]
+
+            # Re-estimate the profile from the alignment for the next
+            # round (jackhmmer's defining behaviour).
+            if iteration + 1 < search.iterations and result.hits:
+                rows = [query_sequence] + [
+                    _align_hit_to_profile(len(query_sequence),
+                                          h.target_sequence)
+                    for h in result.hits
+                ]
+                profile = ProfileHMM.from_alignment(
+                    rows, search.database.spec.molecule_type,
+                    name=f"{query_name}_iter{iteration + 2}",
+                )
+                result.gumbel = calibrate(
+                    profile, seed=search.seed + iteration + 1
+                )
+                scans[i] = (search, profile, result.gumbel)
+    return results
+
+
 class JackhmmerSearch:
     """Runs the iterative cascade for one query against one database."""
 
@@ -318,68 +464,37 @@ class JackhmmerSearch:
         self.plan = plan or ExecutionPlan.serial()
         self.scan_shards = scan_shards
 
+    @property
+    def gates(self) -> ScanGates:
+        return self.config.gates
+
+    @property
+    def iterations(self) -> int:
+        return self.config.iterations
+
     def search(self, query_name: str, query_sequence: str) -> SearchResult:
-        """Run the full iterative search and return hits + trace."""
-        cfg = self.config
-        mtype = self.database.spec.molecule_type
-        complexity = profile_sequence(query_sequence)
-        inflation = complexity.hit_inflation_factor
-        scale = self.database.scale_factor
+        """Run the full iterative search and return hits + trace:
+        the one-database case of :func:`search_databases`."""
+        return search_databases([self], query_name, query_sequence)[0]
 
-        stats = SearchStats(scale_factor=scale, inflation_factor=inflation)
-        trace = WorkloadTrace()
-        hits: List[Hit] = []
-        profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
-        gumbel = calibrate(profile, seed=self.seed)
-        scan_outcomes: List[ExecutionOutcome] = []
+    @staticmethod
+    def _inflation(complexity: ComplexityProfile) -> float:
+        """Hit inflation of the query: low-complexity queries drag
+        extra candidates through the gapped stages."""
+        return complexity.hit_inflation_factor
 
-        for iteration in range(cfg.iterations):
-            iter_hits, (msv_cells, vit_cells, fwd_cells, msv_pass) = (
-                scan_database(self, scan_shard_group, profile, gumbel,
-                              cfg.gates, stats, scan_outcomes)
-            )
-            self._emit_iteration_trace(
-                trace, profile, msv_cells, vit_cells, fwd_cells,
-                msv_pass, inflation, scale,
-            )
-
-            iter_hits.sort(key=lambda h: h.evalue)
-            hits = iter_hits[:MAX_HITS]
-
-            # Re-estimate the profile from the alignment for the next
-            # round (jackhmmer's defining behaviour).
-            if iteration + 1 < cfg.iterations and hits:
-                rows = [query_sequence] + [
-                    _align_hit_to_profile(len(query_sequence), h.target_sequence)
-                    for h in hits
-                ]
-                profile = ProfileHMM.from_alignment(
-                    rows, mtype, name=f"{query_name}_iter{iteration + 2}"
-                )
-                gumbel = calibrate(profile, seed=self.seed + iteration + 1)
-
-        return SearchResult(
-            query_name=query_name,
-            database_name=self.database.spec.name,
-            hits=hits,
-            stats=stats,
-            trace=trace,
-            gumbel=gumbel,
-            scan_outcomes=scan_outcomes,
-        )
-
-    def _emit_iteration_trace(
+    def _iteration_trace(
         self,
-        trace: WorkloadTrace,
         profile: ProfileHMM,
-        msv_cells: int,
-        vit_cells: int,
-        fwd_cells: int,
-        msv_pass: int,
+        counts: Tuple[int, int, int, int],
         inflation: float,
-        scale: float,
-    ) -> None:
-        """Append paper-scale work records for one search iteration."""
+        query_length: int,
+    ) -> WorkloadTrace:
+        """Paper-scale work records of one search iteration, from its
+        scan's ``(msv_cells, vit_cells, fwd_cells, msv_pass)``."""
+        msv_cells, vit_cells, fwd_cells, msv_pass = counts
+        scale = self.database.scale_factor
+        trace = WorkloadTrace()
         reader = BufferedDatabaseReader(self.database, phase="msa.io")
         io_factor = 1.0 + (inflation - 1.0) * IO_PASS_PER_INFLATION
         trace.extend(reader.trace_full_scan(passes=1).scaled(io_factor))
@@ -452,3 +567,4 @@ class JackhmmerSearch:
             branch_rate=0.2,
             page_span_bytes=512 * 1024 * 1024,
         ))
+        return trace

@@ -64,18 +64,42 @@ class BatchKernelResult:
     band_widths: np.ndarray  # (B,) int64 half-widths (0 = unbanded)
 
 
+#: Most lanes one MSV sweep holds.  A wider bucket (an RNA chain's
+#: windows over its three databases reach 400) is swept in slices of
+#: this many lanes, so the sweep's ``(lanes, P)`` buffers stay bounded;
+#: lanes never interact, so slicing changes no score.
+MSV_LANES = 128
+
+
 def msv_filter_batch(
     profile: ProfileHMM,
     batch: TargetBatch,
 ) -> BatchKernelResult:
     """Batched ungapped Kadane diagonal scan (MSV analogue).
 
-    One sweep over the profile rows, gathering each row's ``(B, P)``
-    emissions as it runs; the running maximum-subarray state is a
-    ``(B, P)`` matrix.  Padding columns score ``NEG_INF`` so they
-    never win a row maximum, and zero-length targets come out at score
-    0 / 0 cells exactly like the scalar guard.
+    One sweep over the profile rows per :data:`MSV_LANES` lanes,
+    gathering each row's ``(B, P)`` emissions as it runs; the running
+    maximum-subarray state is a ``(B, P)`` matrix.  Padding columns
+    score ``NEG_INF`` so they never win a row maximum, and zero-length
+    targets come out at score 0 / 0 cells exactly like the scalar
+    guard.
     """
+    scores = np.empty(batch.size)
+    for lo in range(0, batch.size, MSV_LANES):
+        lanes = slice(lo, lo + MSV_LANES)
+        scores[lanes] = _msv_sweep(profile, TargetBatch(
+            batch.indices[lanes], batch.encoded[lanes],
+            batch.seq_lens[lanes], batch.padded_len,
+        ))
+    return BatchKernelResult(
+        scores=scores,
+        cells=profile.length * batch.seq_lens,
+        band_widths=np.zeros(batch.size, dtype=np.int64),
+    )
+
+
+def _msv_sweep(profile: ProfileHMM, batch: TargetBatch) -> np.ndarray:
+    """Every lane's MSV score: one sweep over the profile rows."""
     table, index = emission_gather(profile, batch)
     length = profile.length
     size, padded = batch.encoded.shape
@@ -97,11 +121,7 @@ def msv_filter_batch(
         shifted[:, 0] = 0.0
         np.add(emit, shifted, out=running)
         np.maximum(peak, running, out=peak)
-    return BatchKernelResult(
-        scores=peak.max(axis=1),
-        cells=length * batch.seq_lens,
-        band_widths=np.zeros(size, dtype=np.int64),
-    )
+    return peak.max(axis=1)
 
 
 def calc_band_9_batch(
@@ -249,9 +269,12 @@ def _fold_forward_rows(
         firsts = np.cumsum(sizes) - sizes
         leads = (rows * width + rel_starts[rows, cols]) * lanes + cols
         # Cell c of a segment lies c columns, c * lanes floats, after
-        # its lead cell.
-        steps = np.arange(int(sizes.sum())) - np.repeat(firsts, sizes)
-        cells = block.reshape(-1).take(np.repeat(leads, sizes) + steps * lanes)
+        # its lead cell: flat cell n of the gather is at ``n * lanes``
+        # plus its segment's ``lead - first * lanes``.
+        where = np.arange(0, int(sizes.sum()) * lanes, lanes)
+        where += np.repeat(leads - firsts * lanes, sizes)
+        cells = block.reshape(-1).take(where)
+        del where
         hi = np.maximum.reduceat(cells, firsts)
         cells -= np.repeat(hi, sizes)
         sums = np.add.reduceat(np.exp2(cells, out=cells), firsts)

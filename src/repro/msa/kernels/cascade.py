@@ -1,13 +1,16 @@
 """Batched acceleration cascade: MSV → Viterbi → Forward over shards.
 
 The one scan path of both searches: :func:`scan_shard_group` runs a
-contiguous group of jackhmmer (protein) or nhmmer (RNA) shards through
-one :func:`run_cascade`, and :func:`scan_shard` is its one-shard case.
+group of jackhmmer (protein) or nhmmer (RNA) shards through one
+:func:`run_cascade`, and :func:`scan_shard` is its one-shard case.
 It is the same three-stage filter pipeline as the scalar reference
 loops (:func:`repro.msa.jackhmmer.reference_scan_protein_shard`,
 :func:`repro.msa.nhmmer.reference_scan_rna_shard`), but over length
 buckets that span every shard of the group, so the batched kernels
-see a worker's whole share of the database at once.  A target is
+see a worker's whole share of a chain's databases at once.  The
+shards of a group share the profile, the Gumbel fit and the gates;
+each shard brings its own database size, and every target is gated
+with the size of the database it came from.  A target is
 scanned as one or more windows: a protein target whole, an RNA target
 in overlapping nhmmer windows.  MSV scores every window; each target
 keeps its best window, the survivors of the MSV gate are re-bucketed
@@ -122,31 +125,33 @@ def scan_shard(payload) -> ShardScanResult:
 
 
 def scan_shard_group(payloads) -> List[ShardScanResult]:
-    """One cascade over a contiguous group of one scan's shards.
+    """One cascade over a group of shards.
 
     Module-level so the fork pool can run it; ``payloads`` are
-    :func:`scan_shard` payloads sharing one profile, Gumbel fit, gates
-    and database size.  Each target's result depends only on (profile,
-    gumbel, target), so grouping never changes a result: the returned
-    list holds, in payload order, exactly what :func:`scan_shard`
-    returns for each payload.
+    :func:`scan_shard` payloads sharing one profile, Gumbel fit and
+    gates.  They may come from several databases: each shard's targets
+    are gated with its own payload's database size.  Each target's
+    result depends only on (profile, gumbel, gates, database size,
+    target), so grouping never changes a result: the returned list
+    holds, in payload order, exactly what :func:`scan_shard` returns
+    for each payload.
     """
     if not payloads:
         return []
-    _, profile, gumbel, _, gates, db_size = payloads[0]
+    _, profile, gumbel, _, gates, _ = payloads[0]
     return run_cascade(
         profile, gumbel,
         [
-            (shard_index, [
+            (shard_index, db_size, [
                 (name, seq, [
                     encoded[lo:hi]
                     for lo, hi in window_bounds(len(encoded), gates.window)
                 ])
                 for name, seq, encoded in targets
             ])
-            for shard_index, _, _, targets, _, _ in payloads
+            for shard_index, _, _, targets, _, db_size in payloads
         ],
-        gates, db_size,
+        gates,
     )
 
 
@@ -154,18 +159,21 @@ def run_cascade(
     profile: ProfileHMM,
     gumbel: GumbelParams,
     shards: Sequence[
-        Tuple[int, Sequence[Tuple[str, str, Sequence[np.ndarray]]]]
+        Tuple[int, int, Sequence[Tuple[str, str, Sequence[np.ndarray]]]]
     ],
     gates: ScanGates,
-    db_size: int,
 ) -> List[ShardScanResult]:
-    """Batched MSV → Viterbi → Forward over ``(shard_index, targets)``
-    pairs, ``targets`` being ``(name, seq, windows)``, with survivor
-    compaction between stages.  Returns one :class:`ShardScanResult`
-    per shard, in the given order."""
-    targets = [target for _, shard in shards for target in shard]
+    """Batched MSV → Viterbi → Forward over ``(shard_index, db_size,
+    targets)`` triples, ``targets`` being ``(name, seq, windows)``,
+    with survivor compaction between stages.  Every E-value gate uses
+    the ``db_size`` of the target's own shard.  Returns one
+    :class:`ShardScanResult` per shard, in the given order."""
+    targets = [target for _, _, shard in shards for target in shard]
     # Position in ``shards`` of every target and of every window.
-    target_shard = [k for k, (_, shard) in enumerate(shards) for _ in shard]
+    target_shard = [
+        k for k, (_, _, shard) in enumerate(shards) for _ in shard
+    ]
+    target_db_size = [shards[k][1] for k in target_shard]
     windows: List[np.ndarray] = []
     window_shard: List[int] = []
     for k, (_, _, ws) in zip(target_shard, targets):
@@ -191,7 +199,8 @@ def run_cascade(
         if ws:
             best = max(range(start, start + len(ws)),
                        key=msv_scores.__getitem__)
-            if not gumbel.evalue(msv_scores[best], db_size) > gates.msv_evalue:
+            evalue = gumbel.evalue(msv_scores[best], target_db_size[target])
+            if not evalue > gates.msv_evalue:
                 survivors.append((target, best))
                 msv_pass[target_shard[target]] += 1
         start += len(ws)
@@ -201,9 +210,11 @@ def run_cascade(
         vit = calc_band_9_batch(profile, batch, band=gates.band)
         keep = []
         for row, index in enumerate(batch.indices):
-            shard = target_shard[survivors[index][0]]
+            target = survivors[index][0]
+            shard = target_shard[target]
             vit_cells[shard] += int(vit.cells[row])
-            evalue = gumbel.evalue(float(vit.scores[row]), db_size)
+            evalue = gumbel.evalue(float(vit.scores[row]),
+                                   target_db_size[target])
             if not evalue > gates.viterbi_evalue:
                 keep.append(row)
                 vit_pass[shard] += 1
@@ -216,7 +227,8 @@ def run_cascade(
         for row, index in enumerate(batch.indices):
             target = survivors[index][0]
             fwd_cells[target_shard[target]] += int(fwd.cells[row])
-            evalue = gumbel.evalue(float(fwd.scores[row]), db_size)
+            evalue = gumbel.evalue(float(fwd.scores[row]),
+                                   target_db_size[target])
             if not evalue > gates.final_evalue:
                 accepted.append((
                     target,
@@ -246,5 +258,5 @@ def run_cascade(
                 len(window) for _, _, ws in shard for window in ws
             ),
         )
-        for k, (shard_index, shard) in enumerate(shards)
+        for k, (shard_index, _, shard) in enumerate(shards)
     ]

@@ -23,28 +23,25 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from ..parallel.executor import ExecutionOutcome
 from ..parallel.plan import ExecutionPlan
 from ..sequences.alphabets import MoleculeType
+from ..sequences.complexity import ComplexityProfile
 from ..trace import AccessPattern, OpRecord, WorkloadTrace
 from .database import BufferedDatabaseReader, SCAN_SHARDS, SequenceDatabase
 from .dp import calc_band_9, calc_band_10, msv_filter
-from .evalue import calibrate
 from .kernels import (
     Hit,
     ScanGates,
     ShardScanResult,
     pad_waste,
-    scan_shard_group,
     window_bounds,
 )
 from .jackhmmer import (
     FORWARD_INSTR_PER_CELL,
     MSV_INSTR_PER_CELL,
     SearchResult,
-    SearchStats,
     VITERBI_INSTR_PER_CELL,
-    scan_database,
+    search_databases,
 )
 from .profile_hmm import ProfileHMM, encode_sequence
 
@@ -197,6 +194,9 @@ def reference_scan_rna_shard(payload) -> ShardScanResult:
 class NhmmerSearch:
     """Windowed nucleotide profile search over a synthetic RNA database."""
 
+    #: nhmmer scans each database once.
+    iterations = 1
+
     def __init__(
         self,
         database: SequenceDatabase,
@@ -215,39 +215,32 @@ class NhmmerSearch:
         self.plan = plan or ExecutionPlan.serial()
         self.scan_shards = scan_shards
 
+    @property
+    def gates(self) -> ScanGates:
+        return ScanGates(self.band, MSV_EVALUE, math.inf, FINAL_EVALUE,
+                         SCAN_WINDOW)
+
     def search(self, query_name: str, query_sequence: str) -> SearchResult:
-        """Run the windowed cascade for one RNA query."""
-        mtype = self.database.spec.molecule_type
-        profile = ProfileHMM.from_query(query_sequence, mtype, name=query_name)
-        gumbel = calibrate(profile, seed=self.seed)
-        scale = self.database.scale_factor
+        """Run the windowed cascade for one RNA query: the one-database
+        case of :func:`repro.msa.jackhmmer.search_databases`."""
+        return search_databases([self], query_name, query_sequence)[0]
 
-        stats = SearchStats(scale_factor=scale, inflation_factor=1.0)
-        scan_outcomes: List[ExecutionOutcome] = []
-        gates = ScanGates(self.band, MSV_EVALUE, math.inf, FINAL_EVALUE,
-                          SCAN_WINDOW)
-        hits, (msv_cells, vit_cells, fwd_cells, _) = scan_database(
-            self, scan_shard_group, profile, gumbel, gates, stats,
-            scan_outcomes,
-        )
+    @staticmethod
+    def _inflation(complexity: ComplexityProfile) -> float:
+        """nhmmer's trace models no hit inflation."""
+        return 1.0
 
-        trace = self._emit_trace(msv_cells, vit_cells, fwd_cells, scale,
-                                 len(query_sequence))
-        hits.sort(key=lambda h: h.evalue)
-        return SearchResult(
-            query_name=query_name,
-            database_name=self.database.spec.name,
-            hits=hits,
-            stats=stats,
-            trace=trace,
-            gumbel=gumbel,
-            scan_outcomes=scan_outcomes,
-        )
-
-    def _emit_trace(
-        self, msv_cells: int, vit_cells: int, fwd_cells: int,
-        scale: float, query_length: int,
+    def _iteration_trace(
+        self,
+        profile: ProfileHMM,
+        counts: Tuple[int, int, int, int],
+        inflation: float,
+        query_length: int,
     ) -> WorkloadTrace:
+        """Paper-scale work records of the scan, from its
+        ``(msv_cells, vit_cells, fwd_cells, msv_pass)``."""
+        msv_cells, vit_cells, fwd_cells, _ = counts
+        scale = self.database.scale_factor
         # Long RNA queries blow up the candidate hit list superlinearly
         # — the same mechanism behind Fig 2's memory curve — and every
         # candidate must be re-scored, re-read and re-filtered.

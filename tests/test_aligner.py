@@ -15,6 +15,7 @@ from repro.msa.aligner import (
 )
 from repro.msa.jackhmmer import Hit
 from repro.sequences.alphabets import (
+    GAP,
     PROTEIN_ALPHABET,
     RNA_ALPHABET,
     MoleculeType,
@@ -199,6 +200,40 @@ class TestAlignManyEqualsReference:
         for query, targets in (("", ["MK"]), ("MK", ["MK", ""])):
             with pytest.raises(ValueError):
                 align_many(query, targets)
+
+
+def _target_row_by_columns(alignment):
+    """The per-character walk ``target_row`` replaced (the oracle)."""
+    return "".join(
+        t for q, t in zip(alignment.aligned_query, alignment.aligned_target)
+        if q != GAP
+    )
+
+
+class TestTargetRow:
+    """The byte mask equals the per-character walk (``==``)."""
+
+    @given(columns=st.lists(st.tuples(
+        st.one_of(st.just(GAP), st.characters()),
+        st.one_of(st.just(GAP), st.characters()),
+    ), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_mask_equals_column_walk(self, columns):
+        alignment = PairwiseAlignment(
+            "".join(q for q, _ in columns), "".join(t for _, t in columns),
+            0.0,
+        )
+        assert alignment.target_row() == _target_row_by_columns(alignment)
+
+    def test_real_alignments(self):
+        q = random_sequence(219, seed=3)
+        targets = [mutate_sequence(q, MoleculeType.PROTEIN, 0.5, seed=s)
+                   for s in range(9)] + [q[40:], q + "WWW", "KLMN"]
+        for alignment in align_many(q, targets):
+            assert GAP in alignment.aligned_query + alignment.aligned_target
+            row = alignment.target_row()
+            assert row == _target_row_by_columns(alignment)
+            assert len(row) == len(q)
 
 
 class TestMsa:

@@ -40,7 +40,7 @@ from repro.msa.dp import (
     msv_filter,
 )
 from repro.msa.evalue import calibrate, reference_calibrate
-from repro.msa import jackhmmer, nhmmer
+from repro.msa import jackhmmer
 from repro.msa.jackhmmer import (
     JackhmmerSearch,
     SearchConfig,
@@ -65,6 +65,7 @@ from repro.msa.kernels import (
 )
 from repro.msa.kernels.batched import (
     FORWARD_FOLD_ROWS,
+    MSV_LANES,
     _band_bounds,
     _fold_forward_rows,
 )
@@ -441,6 +442,20 @@ class TestMsvEdgeLanes:
             profile, encode_random(lengths, seed=seed)
         )
 
+    @pytest.mark.parametrize("lanes", [
+        MSV_LANES - 1, MSV_LANES, MSV_LANES + 1, 2 * MSV_LANES + 3,
+    ])
+    def test_bucket_wider_than_one_sweep(self, lanes):
+        """A bucket of more than ``MSV_LANES`` lanes is swept in slices;
+        every lane still equals the scalar."""
+        profile = ProfileHMM.from_query(random_sequence(30, seed=8),
+                                        PROTEIN)
+        lengths = [17 + k % 16 for k in range(lanes)]
+        encs = encode_random(lengths, seed=lanes)
+        (batch,) = batch_targets(encs)
+        assert batch.size == lanes
+        self.assert_msv_matches_scalar(profile, encs)
+
     @pytest.mark.parametrize("fill", [-1.0, -0.0, 0.0])
     def test_no_positive_score(self, fill):
         profile = ProfileHMM(np.full((9, 20), fill), PROTEIN)
@@ -644,11 +659,11 @@ class TestCascadeEquivalence:
         outcomes = run_cascade(
             profile, gumbel,
             [
-                (4 + k, [(name, seq, [enc])
-                         for name, seq, enc in targets[lo:hi]])
+                (4 + k, db.spec.num_sequences,
+                 [(name, seq, [enc]) for name, seq, enc in targets[lo:hi]])
                 for k, (lo, hi) in enumerate(bounds)
             ],
-            gates, db.spec.num_sequences,
+            gates,
         )
         assert outcomes == [
             reference_scan_protein_shard(
@@ -659,6 +674,33 @@ class TestCascadeEquivalence:
         ]
         # A shard with no MSV survivor beside two with hits.
         assert [len(outcome.hits) for outcome in outcomes] == [0, 3, 3]
+
+    def test_each_shard_gates_with_its_own_db_size(self):
+        """Two shards of one cascade hold the same target under
+        different database sizes: it clears the MSV gate under the
+        smaller size only, as each shard's own reference loop says."""
+        _, _, profile, gumbel, _ = _shard_case(seed=2)
+        seq = random_sequence(150, seed=99)
+        encoded = encode_sequence(seq, profile.molecule_type)
+        survival = gumbel.survival(msv_filter(profile, encoded).score)
+        assert survival > 1e-3
+        small = math.floor(100.0 / survival)
+        large = 10 * small
+        gates = ScanGates(64, 100.0, 1e300, 1e300)
+        payloads = [
+            (shard, profile, gumbel, [("t", seq, encoded)], gates, db_size)
+            for shard, db_size in ((0, small), (1, large))
+        ]
+        expected = [reference_scan_protein_shard(p) for p in payloads]
+        assert [r.msv_pass for r in expected] == [1, 0]
+        assert len(expected[0].hits) == 1 and expected[1].hits == ()
+        assert scan_shard_group(payloads) == expected
+        assert run_cascade(
+            profile, gumbel,
+            [(shard, db_size, [("t", seq, [encoded])])
+             for shard, _, _, _, _, db_size in payloads],
+            gates,
+        ) == expected
 
     def test_empty_shard(self):
         _, db, profile, gumbel, _ = _shard_case(seed=3)
@@ -805,7 +847,7 @@ class TestSearchEquivalence:
             return NhmmerSearch(db, seed=6, plan=plan).search("rna", query)
 
         scalar = scalar_oracle(
-            monkeypatch, nhmmer, reference_scan_rna_shard, search
+            monkeypatch, jackhmmer, reference_scan_rna_shard, search
         )
         for plan in KERNEL_PLANS:
             batched = search(plan)
@@ -850,11 +892,11 @@ class TestScanWaste:
         outcomes = run_cascade(
             profile, gumbel,
             [
-                (k, [(name, seq, [enc])
-                     for name, seq, enc in targets[lo:hi]])
+                (k, db.spec.num_sequences,
+                 [(name, seq, [enc]) for name, seq, enc in targets[lo:hi]])
                 for k, (lo, hi) in enumerate(bounds)
             ],
-            SearchConfig(iterations=1).gates, db.spec.num_sequences,
+            SearchConfig(iterations=1).gates,
         )
         assert [outcome.pad_waste for outcome in outcomes] == [
             pad_waste([len(enc) for _, _, enc in targets[lo:hi]])

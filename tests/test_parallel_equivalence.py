@@ -14,6 +14,7 @@ checkpoint-resume path and the parallel scanner share.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -24,14 +25,20 @@ from repro.model.config import ModelConfig
 from repro.model.ops import OpCounter
 from repro.model.pairformer import PairformerBlock
 from repro.model.triangle import TriangleAttention, TriangleMultiplication
+from repro.msa import jackhmmer
 from repro.msa.database import (
     NT_RNA,
     PROTEIN_SEARCH_DBS,
+    RNA_SEARCH_DBS,
     SCAN_SHARDS,
     build_database,
 )
 from repro.msa.engine import MsaEngine, MsaEngineConfig
-from repro.msa.jackhmmer import JackhmmerSearch, SearchConfig
+from repro.msa.jackhmmer import (
+    JackhmmerSearch,
+    SearchConfig,
+    search_databases,
+)
 from repro.msa.nhmmer import NhmmerSearch
 from repro.parallel import (
     ExecutionPlan,
@@ -270,6 +277,131 @@ class TestNhmmerEquivalence:
         assert parallel.stats == serial.stats
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_case(molecule):
+    """A query and its three databases, as the engine searches a chain."""
+    from repro.sequences.generator import random_sequence
+
+    if molecule == "protein":
+        query = random_sequence(150, seed=21)
+        specs = PROTEIN_SEARCH_DBS
+    else:
+        query = random_sequence(
+            90, seed=22, molecule_type=NT_RNA.molecule_type
+        )
+        specs = RNA_SEARCH_DBS
+    dbs = tuple(
+        build_database(spec, [query], num_background=12,
+                       homologs_per_query=3, low_complexity_fraction=0.1,
+                       seed=30 + k)
+        for k, spec in enumerate(specs)
+    )
+    return query, dbs
+
+
+def _chain_searches(molecule, iterations, plan):
+    query, dbs = _chain_case(molecule)
+    if molecule == "protein":
+        config = SearchConfig(iterations=iterations)
+        return query, [JackhmmerSearch(db, config, seed=4, plan=plan)
+                       for db in dbs]
+    return query, [NhmmerSearch(db, seed=4, plan=plan) for db in dbs]
+
+
+@functools.lru_cache(maxsize=None)
+def _one_by_one(molecule, iterations):
+    """Each database searched on its own, on a serial plan."""
+    query, searches = _chain_searches(molecule, iterations,
+                                      ExecutionPlan.serial())
+    return [search.search("q", query) for search in searches]
+
+
+MERGE_CASES = [("protein", 1), ("protein", 2), ("rna", 1)]
+MERGE_PLANS = [
+    ExecutionPlan(workers=workers, backend=backend)
+    for backend in ("thread", "process")
+    for workers in (1, 2, 7)
+]
+
+
+class TestMergedSearchEquivalence:
+    """:func:`search_databases` over a chain's three databases equals
+    searching each database alone, under ``==``."""
+
+    @pytest.mark.parametrize("molecule,iterations", MERGE_CASES)
+    @pytest.mark.parametrize("plan", MERGE_PLANS, ids=str)
+    def test_merged_equals_one_by_one(self, molecule, iterations, plan,
+                                      monkeypatch):
+        expected = _one_by_one(molecule, iterations)
+        # Iteration 2 re-estimates the profile of each database with
+        # hits, and each of those scans in a group of its own.
+        scans = 1 + sum(1 for r in _one_by_one(molecule, 1) if r.hits) * (
+            iterations - 1
+        )
+        calls = []
+
+        def counted(fn, payloads, plan):
+            outcome = run_sharded(fn, payloads, plan)
+            calls.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(jackhmmer, "run_sharded", counted)
+        query, searches = _chain_searches(molecule, iterations, plan)
+        merged = search_databases(searches, "q", query)
+        assert [r.database_name for r in merged] == [
+            r.database_name for r in expected
+        ]
+        for mine, theirs in zip(merged, expected):
+            assert mine.hits == theirs.hits
+            assert mine.stats == theirs.stats
+            assert mine.trace.records == theirs.trace.records
+            assert mine.gumbel == theirs.gumbel
+            assert mine.scan_waste == theirs.scan_waste
+        assert any(r.hits for r in merged)
+        assert len(calls) == scans
+        workers = 1 if plan.is_serial else plan.workers
+        for call in calls:
+            payloads = sum(len(group) for group in call.results)
+            assert len(call.timings) == min(workers, payloads)
+        self._check_timings(merged, calls)
+
+    @staticmethod
+    def _check_timings(merged, calls):
+        """Every shard of a database lies in exactly one of its timing
+        ranges, and the databases' pieces of each worker group's
+        window tile that window, each piece in one database only."""
+        pieces = []
+        for result in merged:
+            for outcome in result.scan_outcomes:
+                assert [r.shard_index for r in outcome.results] == list(
+                    range(SCAN_SHARDS)
+                )
+                covered = sorted(
+                    shard
+                    for timing in outcome.timings
+                    for shard in range(*timing.shards)
+                )
+                assert covered == list(range(SCAN_SHARDS))
+                pieces.extend(outcome.timings)
+        matched = 0
+        for task in (task for call in calls for task in call.timings):
+            own = sorted(
+                (piece for piece in pieces
+                 if piece.worker == task.worker
+                 and task.start <= piece.start <= piece.end <= task.end),
+                key=lambda piece: piece.start,
+            )
+            assert own[0].start == task.start
+            assert own[-1].end == task.end
+            for a, b in zip(own, own[1:]):
+                assert a.end == b.start
+            matched += len(own)
+        assert matched == len(pieces)
+
+    def test_empty(self):
+        assert search_databases([], "q", "ACDE") == []
+
+
 class TestEngineEquivalence:
     def test_full_msa_phase_byte_identical(self, msa_2pv7, samples):
         # Same tiny config as the session-scoped serial fixture.
@@ -407,3 +539,34 @@ class TestScanTimeline:
         assert shards == list(range(SCAN_SHARDS))
         for span in spans:
             assert span.end >= span.start >= 0.0
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_merged_scan_draws_each_window_once(self, iterations):
+        """A chain's databases scanned in one call keep the call's clock
+        and lanes: a worker's pieces sit end to end on its own track,
+        never on top of each other."""
+        plan = ExecutionPlan(workers=2, backend="thread")
+        query, searches = _chain_searches("protein", iterations, plan)
+        results = search_databases(searches, "q", query)
+        outcomes = [o for r in results for o in r.scan_outcomes]
+        labels = [r.database_name for r in results for _ in r.scan_outcomes]
+        spans = scan_timeline(outcomes, track_prefix="msa-worker",
+                              labels=labels).spans
+        assert len(spans) == sum(len(o.timings) for o in outcomes)
+        assert {span.track for span in spans} == {"msa-worker-0",
+                                                  "msa-worker-1"}
+        for track in ("msa-worker-0", "msa-worker-1"):
+            mine = sorted((s for s in spans if s.track == track),
+                          key=lambda s: s.start)
+            for a, b in zip(mine, mine[1:]):
+                assert a.end <= b.start
+        for result in results:
+            shards = sorted(
+                shard
+                for span in spans if span.attrs["label"] == result.database_name
+                for shard in range(
+                    int(span.attrs["shards"].split("-")[0]),
+                    int(span.attrs["shards"].split("-")[1]) + 1,
+                )
+            )
+            assert shards == sorted(list(range(SCAN_SHARDS)) * iterations)
