@@ -112,8 +112,7 @@ def simulated_schedule(
     """
     graph = build_graph(targets)
     pools: Dict[str, List[float]] = {
-        stage: [0.0] * max(1, int(stage_workers.get(stage, 1)))
-        for stage in STAGES
+        stage: [0.0] * stage_workers[stage] for stage in STAGES
     }
     finish: Dict[str, float] = {}
     schedule: List[ScheduledTask] = []
@@ -129,7 +128,7 @@ def simulated_schedule(
         pool = pools[task.stage]
         worker = min(range(len(pool)), key=lambda i: (pool[i], i))
         start = max(release, pool[worker])
-        end = start + float(doc.get("simulated_seconds", 0.0))
+        end = start + float(doc["simulated_seconds"])
         pool[worker] = end
         finish[task.task_id] = end
         schedule.append(
@@ -164,7 +163,7 @@ def campaign_spans(
         [
             f"{stage}-{i}"
             for stage in STAGES
-            for i in range(max(1, int(stage_workers.get(stage, 1))))
+            for i in range(stage_workers[stage])
         ]
     )
     by_target: "OrderedDict[str, List[ScheduledTask]]" = OrderedDict()
@@ -225,10 +224,7 @@ def cohort_summary(
         ),
         key=lambda doc: doc["task"],
     )
-    stage_workers = OrderedDict(
-        (stage, int(config_doc["stage_workers"].get(stage, 1)))
-        for stage in STAGES
-    )
+    stage_workers = config_doc["stage_workers"]
 
     # -- per-stage simulated phase totals (paper Fig 3) -----------------
     phase_seconds = OrderedDict((stage, 0.0) for stage in STAGES)
@@ -236,9 +232,7 @@ def cohort_summary(
     for doc in outputs.values():
         if doc.get("status") == "ok":
             done_tasks += 1
-            phase_seconds[doc["stage"]] += float(
-                doc.get("simulated_seconds", 0.0)
-            )
+            phase_seconds[doc["stage"]] += float(doc["simulated_seconds"])
     serial_seconds = sum(phase_seconds.values())
 
     # -- per-target rows (paper Table II shape) -------------------------
@@ -291,7 +285,7 @@ def cohort_summary(
     for doc in merged.values():
         for phase in _BREAKDOWN_PHASES:
             breakdown_totals[phase] += float(
-                doc["inference_breakdown"].get(phase, 0.0)
+                doc["inference_breakdown"][phase]
             )
     inference_total = sum(breakdown_totals.values())
     fig8 = OrderedDict(
@@ -322,7 +316,7 @@ def cohort_summary(
         threads=int(config_doc["threads"]),
         seed=int(config_doc["seed"]),
         stage_workers=stage_workers,
-        max_tokens=int(config_doc.get("max_tokens", 0)),
+        max_tokens=int(config_doc["max_tokens"]),
         targets=len(targets),
         targets_completed=len(merged),
         targets_failed=len(failed_targets),
@@ -366,7 +360,7 @@ def cohort_summary(
                 task=doc["task"],
                 target=doc["target"],
                 stage=doc["stage"],
-                error=doc.get("error", ""),
+                error=doc["error"],
             )
             for doc in failures
         ],

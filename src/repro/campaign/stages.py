@@ -18,7 +18,7 @@ with the actionable message, not a traceback.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, Tuple
 
 from ..core.estimator import estimate_msa_peak_bytes
 from ..hardware.gpu import GpuOutOfMemoryError
@@ -30,7 +30,10 @@ from ..model.memory_planner import (
 from ..msa.cost import msa_cost
 from ..serving.cache import chain_feature_key, chain_store_payload
 from .dag import task_id
-from .manifest import ChainSpec, TargetSpec
+from .manifest import TargetSpec
+
+if TYPE_CHECKING:
+    from .runner import CampaignConfig
 
 __all__ = ["StageError", "run_stage_shard", "stage_output"]
 
@@ -50,24 +53,26 @@ def _round(value: float) -> float:
     return round(float(value), 6)
 
 
-def _preprocess(target: TargetSpec, context: Dict) -> "OrderedDict":
+def _preprocess(
+    target: TargetSpec, config: "CampaignConfig"
+) -> "OrderedDict":
     sample = target.to_sample()
     assembly = sample.assembly
     tokens = assembly.num_tokens
-    max_tokens = int(context.get("max_tokens") or 0)
-    if max_tokens and tokens > max_tokens:
+    if config.max_tokens and tokens > config.max_tokens:
         raise StageError(
             f"target {target.target_id!r} has {tokens} tokens, over the "
-            f"campaign's max_tokens admission limit of {max_tokens} — "
+            f"campaign's max_tokens admission limit of "
+            f"{config.max_tokens} — "
             f"raise --max-tokens or split the assembly"
         )
-    platform = get_platform(context["platform"])
+    platform = get_platform(config.platform)
     # The paper's Section VI pre-check: predict the MSA-phase peak from
     # chain lengths alone — the same model ``repro estimate`` and
     # ``repro run`` admit by — and refuse admission to OOM-doomed
     # targets instead of letting them die mid-campaign.
     outcome = platform.memory.check(
-        estimate_msa_peak_bytes(assembly, int(context["threads"]))
+        estimate_msa_peak_bytes(assembly, config.threads)
     )
     if outcome is MemoryOutcome.OOM:
         raise StageError(
@@ -100,12 +105,13 @@ def _preprocess(target: TargetSpec, context: Dict) -> "OrderedDict":
 
 
 def _msa(
-    target: TargetSpec, context: Dict, upstream: Dict
+    target: TargetSpec, config: "CampaignConfig",
+    stored_keys: Collection[str],
 ) -> "OrderedDict":
     sample = target.to_sample()
-    platform = get_platform(context["platform"])
-    cost = msa_cost(sample, platform, int(context["threads"]))
-    stored = set(context.get("stored_keys") or ())
+    platform = get_platform(config.platform)
+    cost = msa_cost(sample, platform, config.threads)
+    stored = set(stored_keys)
     publish: List[Tuple[str, dict]] = []
     keys = []
     for chain in sample.msa_queries():
@@ -127,23 +133,23 @@ def _msa(
 
 
 def _inference(
-    target: TargetSpec, context: Dict, upstream: Dict
+    target: TargetSpec, config: "CampaignConfig", upstream: Dict
 ) -> "OrderedDict":
     """Inference under the campaign's attention schedule: a resident
     OOM or an infeasible tiled plan on this platform is an admission
     failure with an actionable message, never a silent fallback."""
     preprocess = upstream[task_id(target.target_id, "preprocess")]
     msa = upstream[task_id(target.target_id, "msa")]
-    platform = get_platform(context["platform"])
+    platform = get_platform(config.platform)
     tokens = int(preprocess["tokens"])
     bucket = None
-    if context.get("buckets"):
+    if config.buckets is not None:
         # Bucketed deployments execute at the padded shape: the GPU
         # computes (and admission is judged) on bucket-sized tensors.
         from ..core.server import bucket_for
 
         try:
-            bucket = bucket_for(tokens, tuple(context["buckets"]))
+            bucket = bucket_for(tokens, config.buckets)
         except ValueError as exc:
             raise StageError(
                 f"target {target.target_id!r} does not fit the "
@@ -152,7 +158,7 @@ def _inference(
         tokens = bucket
     try:
         schedule, _ = resolve_schedule(
-            AttentionSchedule(context["attention"]),
+            AttentionSchedule(config.attention),
             tokens, platform.gpu.memory_bytes,
         )
     except MemoryBudgetError as exc:
@@ -163,7 +169,7 @@ def _inference(
     try:
         breakdown = schedule.simulator(platform).run(
             tokens,
-            threads=int(context["threads"]),
+            threads=config.threads,
             msa_depth=int(msa["msa_depth"]),
             allow_unified_memory=schedule.allow_unified_memory,
         )
@@ -172,7 +178,7 @@ def _inference(
             f"target {target.target_id!r} inference OOMs on "
             f"{platform.name}: {exc}"
         ) from exc
-    body = OrderedDict(
+    return OrderedDict(
         inference_seconds=_round(breakdown.total),
         breakdown=OrderedDict(
             (phase, _round(seconds))
@@ -183,23 +189,13 @@ def _inference(
             breakdown.device_memory_demand / (1024 ** 3)
         ),
         simulated_seconds=_round(breakdown.total),
+        attention=schedule.name,
+        attention_block=schedule.block,
+        bucket=bucket,
     )
-    if schedule != AttentionSchedule():
-        # Only the explicit schedules record themselves, keeping
-        # legacy campaign outputs byte-identical.
-        body["attention"] = schedule.name
-        if schedule.block is not None:
-            body["attention_block"] = schedule.block
-    if bucket is not None:
-        # Same schema discipline: only bucketed campaigns record the
-        # padded shape they actually executed at.
-        body["bucket"] = bucket
-    return body
 
 
-def _report(
-    target: TargetSpec, context: Dict, upstream: Dict
-) -> "OrderedDict":
+def _report(target: TargetSpec, upstream: Dict) -> "OrderedDict":
     """Per-target merge (the ``join_json`` step): one record holding
     everything the cohort report aggregates."""
     preprocess = upstream[task_id(target.target_id, "preprocess")]
@@ -225,56 +221,47 @@ def _report(
     )
 
 
-_STAGE_FUNCS = {
-    "preprocess": _preprocess,
-    "msa": _msa,
-    "inference": _inference,
-    "report": _report,
-}
-
-
 def stage_output(
-    stage: str, target: TargetSpec, context: Dict, upstream: Dict
+    stage: str, target: TargetSpec, config: "CampaignConfig",
+    upstream: Dict, stored_keys: Collection[str] = (),
 ) -> "OrderedDict":
-    """One task's output document (without the task/status envelope)."""
-    func = _STAGE_FUNCS.get(stage)
-    if func is None:
-        raise ValueError(f"unknown stage {stage!r}")
+    """One task's output document (without the task/status envelope).
+
+    ``stored_keys`` are the chain keys the feature store already holds
+    (MSA only): those chains are not offered for publication.
+    """
     if stage == "preprocess":
-        return func(target, context)
-    return func(target, context, upstream)
+        return _preprocess(target, config)
+    if stage == "msa":
+        return _msa(target, config, stored_keys)
+    if stage == "inference":
+        return _inference(target, config, upstream)
+    if stage == "report":
+        return _report(target, upstream)
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 def run_stage_shard(payload) -> List["OrderedDict"]:
     """One worker's shard of a stage wave (picklable entry point).
 
-    ``payload`` is ``(stage, context, jobs)`` where each job is
-    ``(target_as_dict, upstream_outputs)``.  Returns one enveloped
+    ``payload`` is ``(stage, config, stored_keys, jobs)`` where each
+    job is ``(target, upstream_outputs)``.  Returns one enveloped
     record per job, in job order; a :class:`StageError` becomes a
     ``failed`` record, anything else propagates (a bug, not an
     operator problem).
     """
-    stage, context, jobs = payload
+    stage, config, stored_keys, jobs = payload
     out: List[OrderedDict] = []
-    for target_doc, upstream in jobs:
-        target = TargetSpec(
-            target_id=target_doc["id"],
-            chains=tuple(
-                ChainSpec(
-                    molecule_type=c["molecule_type"],
-                    sequence=c["sequence"],
-                    copies=int(c.get("copies", 1)),
-                )
-                for c in target_doc["chains"]
-            ),
-        )
+    for target, upstream in jobs:
         envelope = OrderedDict(
             task=task_id(target.target_id, stage),
             target=target.target_id,
             stage=stage,
         )
         try:
-            body = stage_output(stage, target, context, upstream)
+            body = stage_output(
+                stage, target, config, upstream, stored_keys
+            )
         except StageError as exc:
             envelope["status"] = "failed"
             envelope["error"] = str(exc)

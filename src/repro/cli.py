@@ -516,22 +516,25 @@ def _campaign_run(args: argparse.Namespace, resume: bool) -> int:
 
 
 def _campaign_errors(command):
-    """A directory that is not a campaign is an operator error: print
-    the one-line message and exit 2."""
+    """A directory that is not a campaign (or not this schema's) and a
+    bad manifest are operator errors: print the one-line message and
+    exit 2."""
 
     @functools.wraps(command)
     def run(args: argparse.Namespace) -> int:
+        from .campaign import ManifestError
         from .campaign.state import CampaignStateError
 
         try:
             return command(args)
-        except CampaignStateError as exc:
+        except (CampaignStateError, ManifestError) as exc:
             print(exc, file=sys.stderr)
             return 2
 
     return run
 
 
+@_campaign_errors
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     return _campaign_run(args, resume=False)
 
@@ -597,13 +600,14 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
         ["Stage", "Total", "Done", "Failed", "Blocked", "Pending"], rows
     ))
     for doc in state.failed_records():
-        print(f"failed {doc['task']}: {doc.get('error', '')}")
+        print(f"failed {doc['task']}: {doc['error']}")
     total = sum(c["total"] for c in status.values())
     done = sum(c["done"] for c in status.values())
     print(f"{done}/{total} stage outputs done")
     return 0
 
 
+@_campaign_errors
 def cmd_campaign_differential(args: argparse.Namespace) -> int:
     from .campaign import CampaignConfig, kill_resume_differential
 

@@ -10,10 +10,12 @@ feature-store read-through.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import (
     CampaignConfig,
@@ -36,7 +38,9 @@ from repro.campaign import (
 )
 from repro.campaign.dag import STAGES, task_id
 from repro.campaign.stages import StageError, stage_output
+from repro.campaign.state import CampaignStateError
 from repro.core.estimator import DEFAULT_PLATFORMS, estimate
+from repro.model.memory_planner import ATTENTION_SCHEDULES
 from repro.observability import CAMPAIGN_METRICS, prometheus_metrics
 from repro.parallel import ExecutionPlan
 from repro.sequences.builtin import builtin_samples
@@ -328,8 +332,6 @@ class TestFailuresAndStatus:
         assert before == after
 
     def test_mismatched_reinit_is_rejected(self, tmp_path):
-        from repro.campaign.state import CampaignStateError
-
         _run(tmp_path, seeded_manifest(2, seed=0))
         with pytest.raises(CampaignStateError, match="different"):
             run_campaign(
@@ -365,13 +367,83 @@ def test_preprocess_admits_exactly_as_estimate():
         for threads in (1, 8):
             verdicts = estimate(sample.assembly, threads=threads).verdicts
             for platform, verdict in zip(DEFAULT_PLATFORMS, verdicts):
-                context = {"platform": platform.name, "threads": threads}
+                config = CampaignConfig(
+                    platform=platform.name, threads=threads
+                )
                 try:
                     outcome = stage_output(
-                        "preprocess", target, context, {}
+                        "preprocess", target, config, {}
                     )["memory_outcome"]
                 except StageError:
                     outcome = "oom"
                 assert outcome == verdict.msa_outcome.value, (
                     sample.name, platform.name, threads,
                 )
+
+
+configs = st.builds(
+    CampaignConfig,
+    platform=st.sampled_from([p.name for p in DEFAULT_PLATFORMS]),
+    threads=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    stage_workers=st.dictionaries(
+        st.sampled_from(STAGES), st.integers(min_value=1, max_value=8)
+    ),
+    max_tokens=st.integers(min_value=0, max_value=10_000),
+    store_dir=st.none() | st.text(min_size=1, max_size=12),
+    store_budget_mb=st.floats(min_value=1e-3, max_value=1e6),
+    attention=st.sampled_from(ATTENTION_SCHEDULES),
+    buckets=st.none() | st.lists(
+        st.integers(min_value=1, max_value=5120), min_size=1, unique=True
+    ).map(lambda edges: tuple(sorted(edges))),
+)
+
+
+class TestSchema:
+    """campaign.json v2: one config schema, written whole, read strictly."""
+
+    @given(configs)
+    @settings(max_examples=150, deadline=None)
+    def test_config_doc_round_trips_through_json(self, config):
+        doc = json.loads(json.dumps(config.config_doc()))
+        assert CampaignConfig.from_doc(doc) == config
+        assert list(doc["stage_workers"]) == list(STAGES)
+
+    def test_config_doc_is_exactly_the_dataclass_fields(self):
+        names = [f.name for f in dataclasses.fields(CampaignConfig)]
+        assert list(CampaignConfig().config_doc()) == names
+        assert CampaignConfig().config_doc()["buckets"] is None
+
+    @pytest.mark.parametrize("field", ["buckets", "attention", "seed"])
+    def test_from_doc_rejects_a_missing_field(self, field):
+        doc = CampaignConfig().config_doc()
+        del doc[field]
+        with pytest.raises(CampaignStateError, match=repr(field)):
+            CampaignConfig.from_doc(doc)
+
+    def test_from_doc_rejects_an_unknown_field(self):
+        doc = dict(CampaignConfig().config_doc(), batch_size=4)
+        with pytest.raises(CampaignStateError, match="'batch_size'"):
+            CampaignConfig.from_doc(doc)
+
+    def test_inference_outputs_share_one_key_set(self):
+        target = seeded_manifest(1, seed=0)[0]
+        key_sets = set()
+        for attention in ATTENTION_SCHEDULES:
+            for buckets in (None, (256, 512, 1024)):
+                config = CampaignConfig(attention=attention,
+                                        buckets=buckets)
+                upstream = {
+                    task_id(target.target_id, stage): stage_output(
+                        stage, target, config, {}
+                    )
+                    for stage in ("preprocess", "msa")
+                }
+                body = stage_output("inference", target, config, upstream)
+                assert body["attention"] == attention
+                assert (body["bucket"] is None) == (buckets is None)
+                assert (body["attention_block"] is None) == (
+                    attention != "tiled"
+                )
+                key_sets.add(tuple(body))
+        assert len(key_sets) == 1

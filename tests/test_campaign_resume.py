@@ -20,6 +20,7 @@ from repro.campaign import (
     CampaignConfig,
     CampaignKilled,
     CampaignState,
+    ManifestError,
     kill_resume_differential,
     run_campaign,
     seeded_manifest,
@@ -135,6 +136,16 @@ class TestKillResume:
         assert result.resumed_recomputed_stages == 0
         assert result.clean_report == result.resumed_report
 
+    def test_differential_with_tiled_attention_and_buckets(self, tmp_path):
+        config = CampaignConfig(attention="tiled",
+                                buckets=(256, 512, 1024, 2048))
+        result = kill_resume_differential(
+            tmp_path, seeded_manifest(4, seed=3), config=config,
+            kill_after=3,
+        )
+        assert result.passed, result.render()
+        assert result.kills >= 1
+
     def test_differential_with_parallel_execution(self, tmp_path):
         result = kill_resume_differential(
             tmp_path,
@@ -175,3 +186,20 @@ class TestKillResume:
         again = run_campaign(tmp_path / "c")
         assert again.stages_executed == 0
         assert again.resumed_recomputed_stages == 0
+
+
+def test_tampered_target_id_writes_nothing_outside_the_campaign(tmp_path):
+    """Target ids become task file names, so a resume re-validates them:
+    a campaign.json edited to hold a path escape is refused before any
+    task runs."""
+    camp = tmp_path / "a" / "b" / "camp"
+    CampaignState(camp).initialize(
+        seeded_manifest(1, seed=0), CampaignConfig().config_doc()
+    )
+    doc = json.loads((camp / "campaign.json").read_text())
+    doc["targets"][0]["id"] = "../../escaped"
+    (camp / "campaign.json").write_text(json.dumps(doc))
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ManifestError, match="escaped"):
+        run_campaign(camp)
+    assert sorted(tmp_path.rglob("*")) == before
