@@ -60,14 +60,13 @@ class MsaEngineConfig:
     """Configuration of the MSA phase.
 
     AF3 runs jackhmmer non-iteratively (one search round per database,
-    like AF2's ``-N 1``), hence ``iterations=1`` by default.  The
+    like AF2's ``-N 1``), which is :class:`SearchConfig`'s default.  The
     synthetic-database sizing trades functional fidelity against suite
     runtime; tests shrink it further.
     """
 
     protein_dbs: Tuple[DatabaseSpec, ...] = PROTEIN_SEARCH_DBS
     rna_dbs: Tuple[DatabaseSpec, ...] = RNA_SEARCH_DBS
-    iterations: int = 1
     band: int = 64
     num_background: int = 100
     homologs_per_query: int = 12
@@ -196,8 +195,7 @@ class MsaEngine:
                 specs, queries = cfg.protein_dbs, protein_queries
                 new_search = functools.partial(
                     JackhmmerSearch,
-                    config=SearchConfig(band=cfg.band,
-                                        iterations=cfg.iterations),
+                    config=SearchConfig(band=cfg.band),
                 )
             else:
                 specs, queries = cfg.rna_dbs, rna_queries

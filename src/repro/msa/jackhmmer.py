@@ -89,7 +89,8 @@ class SearchConfig:
     msv_evalue: float = 200.0
     viterbi_evalue: float = 1.0
     final_evalue: float = 1e-3
-    iterations: int = 2
+    #: AF3 searches each database once (jackhmmer ``-N 1``).
+    iterations: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 1:

@@ -81,19 +81,17 @@ def measure_scan_scaling(
     increasing workers.  Raises if any parallel run's hits/stats
     deviate from the 1-worker run.
     """
-    from ..msa.jackhmmer import JackhmmerSearch, SearchConfig
+    from ..msa.jackhmmer import JackhmmerSearch
 
     database, query = _scan_fixture(
         seed, num_background, homologs_per_query, query_length
     )
     database.encoded_records   # encode once, outside every timed run
-    config = SearchConfig(iterations=1)
     baseline = None
     series: "OrderedDict[int, float]" = OrderedDict()
     for workers in worker_counts:
         search = JackhmmerSearch(
             database,
-            config,
             seed=seed,
             plan=ExecutionPlan(workers=workers, backend=backend),
         )
@@ -175,7 +173,7 @@ def scan_payloads(database, query: str, *, seed: int,
     )
     gumbel = calibrate(profile, seed=seed)
     return shard_payloads(database, profile, gumbel,
-                          SearchConfig(iterations=1).gates, scan_shards)
+                          SearchConfig().gates, scan_shards)
 
 
 def measure_model_scaling(
