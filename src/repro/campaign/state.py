@@ -94,8 +94,10 @@ class CampaignState:
                     f"(repro campaign resume) or use a fresh directory"
                 )
             return
-        atomic_write_json(self.campaign_doc_path, doc)
+        # The tasks directory first: it creates the root that
+        # campaign.json is written into.
         self._tasks.mkdir(parents=True, exist_ok=True)
+        atomic_write_json(self.campaign_doc_path, doc)
 
     def _read_doc(self) -> dict:
         """``campaign.json``, refusing any schema but this one."""
@@ -168,7 +170,13 @@ class CampaignState:
         return out
 
     def adopt(self) -> "OrderedDict[str, dict]":
-        """:meth:`load_outputs`, counting what a resume inherits."""
+        """:meth:`load_outputs`, counting what a resume inherits.
+
+        Also recreates a missing tasks directory (a directory whose
+        ``campaign.json`` was written before it), since the run that
+        adopts is about to save into it.
+        """
+        self._tasks.mkdir(parents=True, exist_ok=True)
         outputs = self.load_outputs()
         self.adopted = len(outputs)
         return outputs

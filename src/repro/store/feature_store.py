@@ -13,6 +13,8 @@ in-process; this module is the durable tier underneath it:
   temp file and ``os.replace``d into place, so a crash never leaves a
   half-written entry where a reader can see it, and two writers never
   share a temp file;
+* **flat layout** — objects live in one ``objects/`` directory created
+  when the store opens, so a put creates no directory;
 * **snapshot + journal index** — ``index.json`` is a snapshot of the
   recency order and byte sizes, and ``index.journal`` holds one
   ``O_APPEND`` line per mutation since it (``p <key> <size>`` for a
@@ -29,14 +31,15 @@ in-process; this module is the durable tier underneath it:
   counted, and overwriting a live key with different content counts an
   invalidation, exactly as the in-memory cache does.
 
-Opening a root reads the snapshot, replays the journal over it, drops
-keys whose object is gone and adopts objects no record names, then
-writes a fresh snapshot and starts an empty journal.  ``sync()`` does
-the same write, and so does a put once the journal holds more than
-``_JOURNAL_RATIO`` records per entry.  Reads are served from a
-verified in-memory mirror once a key has been checked, so a hot store
-costs a dict lookup per read; their recency reaches disk only through
-the next snapshot.
+Opening a root first flattens an older two-level layout
+(``objects/<key[:2]>/<key>.json``), then reads the snapshot, replays
+the journal over it, drops keys whose object is gone and adopts
+objects no record names, then writes a fresh snapshot and starts an
+empty journal.  ``sync()`` does the same write, and so does a put once
+the journal holds more than ``_JOURNAL_RATIO`` records per entry.
+Reads are served from a verified in-memory mirror once a key has been
+checked, so a hot store costs a dict lookup per read; their recency
+reaches disk only through the next snapshot.
 
 Nothing is fsynced.  Every read re-verifies its checksum, so an entry
 lost or torn by a power cut costs a recompute, never a wrong answer,
@@ -53,7 +56,9 @@ import pathlib
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-__all__ = ["DEFAULT_BYTE_BUDGET", "FeatureStore", "payload_checksum"]
+__all__ = [
+    "DEFAULT_BYTE_BUDGET", "FeatureStore", "object_path", "payload_checksum",
+]
 
 #: Default eviction budget: plenty for ~10^5 chain records while still
 #: small enough that property tests can exercise eviction cheaply.
@@ -74,6 +79,12 @@ def payload_checksum(payload) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def object_path(root, key: str) -> pathlib.Path:
+    """Where the store rooted at ``root`` keeps the object for ``key``:
+    one flat ``objects/`` directory, so a put creates no directory."""
+    return pathlib.Path(root).joinpath(_OBJECTS_DIR, f"{key}.json")
+
+
 def atomic_write_text(
     path: pathlib.Path, text: str, durable: bool = False
 ) -> None:
@@ -82,11 +93,12 @@ def atomic_write_text(
     new one, never a half-written one, and concurrent writers of one
     path never touch each other's temp file.
 
+    The caller creates the parent directory; this function makes none.
+
     ``durable`` also fsyncs the temp file before the rename and the
     directory after it, so the new file survives a power cut.  The
     store's own writes leave it off (a lost put is a checksum miss).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as handle:
@@ -122,8 +134,10 @@ def _validate_key(key: str) -> None:
 
 
 class FeatureStore:
-    """One store root on disk: ``objects/<k[:2]>/<key>.json`` plus the
-    ``index.json`` snapshot and its ``index.journal``."""
+    """One store root on disk: ``objects/<key>.json`` (see
+    :func:`object_path`) plus the ``index.json`` snapshot and its
+    ``index.journal``.  A root in the older two-level layout
+    (``objects/<key[:2]>/<key>.json``) is flattened when it opens."""
 
     def __init__(self, root, byte_budget: int = DEFAULT_BYTE_BUDGET) -> None:
         if byte_budget < 1:
@@ -152,9 +166,45 @@ class FeatureStore:
     # -- persistence ---------------------------------------------------
 
     def _object_path(self, key: str) -> pathlib.Path:
-        return self._objects / key[:2] / f"{key}.json"
+        return object_path(self.root, key)
+
+    def _migrate(self) -> None:
+        """Flatten the two-level layout: move each
+        ``objects/<xx>/<key>.json`` to ``objects/<key>.json``, then
+        remove the emptied prefix directories.
+
+        Idempotent, so a crash part-way through is finished by the next
+        open.  A move or ``rmdir`` that loses a race to a concurrent
+        opener raises ``OSError`` and is skipped: the other opener did
+        it.  A prefix directory still holding anything else is left.
+        """
+        with os.scandir(self._objects) as entries:
+            prefixes = [
+                entry.path for entry in entries
+                if entry.is_dir(follow_symlinks=False)
+            ]
+        for prefix in prefixes:
+            try:
+                with os.scandir(prefix) as entries:
+                    names = [entry.name for entry in entries]
+            except OSError:
+                continue   # removed by a concurrent opener
+            for name in names:
+                if name.endswith(".json") and _is_key(name[:-5]):
+                    try:
+                        os.replace(
+                            os.path.join(prefix, name),
+                            self._objects / name,
+                        )
+                    except OSError:
+                        pass
+            try:
+                os.rmdir(prefix)
+            except OSError:
+                pass
 
     def _load(self) -> None:
+        self._migrate()
         index = self._index
         try:
             entries = json.loads(
@@ -191,7 +241,7 @@ class FeatureStore:
                 del index[key]
         # Adopt orphaned objects (a crash between object write and its
         # record).  Sorted by key so two reopenings agree byte for byte.
-        for path in sorted(self._objects.glob("*/*.json")):
+        for path in sorted(self._objects.glob("*.json")):
             if path.stem not in index and _is_key(path.stem):
                 try:
                     index[path.stem] = path.stat().st_size

@@ -111,6 +111,19 @@ class TestKillResume:
         assert report.resumed_recomputed_stages == 0
         assert report.stages_executed == 16 - 6
 
+    def test_resume_without_a_tasks_directory_recreates_it(self, tmp_path):
+        """A directory holding only campaign.json (a crash between the
+        document and its tasks directory) resumes from scratch."""
+        targets = seeded_manifest(1, seed=0)
+        CampaignState(tmp_path / "c").initialize(
+            targets, CampaignConfig().config_doc()
+        )
+        (tmp_path / "c" / "tasks").rmdir()
+        report = run_campaign(tmp_path / "c")
+        assert report.complete
+        assert report.stages_executed == 4
+        assert len(CampaignState(tmp_path / "c").load_outputs()) == 4
+
     def test_resume_of_a_complete_campaign_runs_nothing(self, tmp_path):
         targets = seeded_manifest(3, seed=0)
         first = run_campaign(

@@ -1,9 +1,11 @@
 """Durability tests for the feature store's snapshot + journal index.
 
-* a put writes one object and one journal record, never the snapshot;
+* a put writes one object and one journal record, never the snapshot,
+  and creates no directory;
 * compaction bounds the journal, and torn records are skipped;
 * a store written before the journal existed (``index.json`` only)
-  opens unchanged;
+  opens unchanged, and one in the two-level object layout is flattened
+  on open, also half-flattened and by two openers at once;
 * a process killed after any single write step leaves a store that
   reopens with exactly the objects on disk, serves no torn object, and
   a rerun precompute computes only the missing chains;
@@ -42,8 +44,34 @@ def _snapshot(root) -> dict:
     return json.loads((pathlib.Path(root) / "index.json").read_text())
 
 
+def _is_object(path, root) -> bool:
+    """Whether ``path`` is where the store at ``root`` keeps an object,
+    by the store's own layout helper."""
+    path = pathlib.Path(path)
+    return feature_store.object_path(root, path.stem) == path
+
+
 def _on_disk(root) -> set:
-    return {p.stem for p in (pathlib.Path(root) / "objects").glob("*/*.json")}
+    return {
+        p.stem for p in pathlib.Path(root).rglob("*.json")
+        if _is_object(p, root)
+    }
+
+
+def _files(root) -> dict:
+    """Every file under ``root``, relative path -> bytes."""
+    root = pathlib.Path(root)
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in root.rglob("*") if p.is_file()
+    }
+
+
+def _old_layout_object(root, key: str, payload: dict) -> None:
+    """Write one object where the two-level layout kept it."""
+    path = pathlib.Path(root) / "objects" / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_object_text(key, payload))
 
 
 def _object_text(key: str, payload: dict) -> str:
@@ -125,6 +153,25 @@ class TestJournal:
         assert FeatureStore(tmp_path).get(_key(0)) == _payload(0)
 
 
+    def test_puts_create_no_directory(self, tmp_path, monkeypatch):
+        store = FeatureStore(tmp_path, byte_budget=8 * 1024)
+        made = []
+        mkdir = os.mkdir
+
+        def recording(path, *args, **kwargs):
+            made.append(path)
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", recording)
+        for n in range(300):
+            assert store.put(_key(n), _payload(n))
+        store.sync()
+        assert made == []
+        assert not [p for p in (tmp_path / "objects").iterdir() if p.is_dir()]
+        assert store.evictions > 0   # drops ran on the same flat layout
+        assert set(store.keys()) == _on_disk(tmp_path)
+
+
 class TestOldStore:
     def test_index_json_only_store_opens(self, tmp_path):
         """A root holding only a version-1 ``index.json`` and objects
@@ -151,6 +198,90 @@ class TestOldStore:
         assert _journal(tmp_path) == []
         assert _snapshot(tmp_path)["version"] == 1
 
+    def test_two_level_store_with_journal_records_opens_flat(self, tmp_path):
+        """A two-level root with a snapshot and a journal replays both
+        over the moved objects; no prefix directory is left."""
+        for n in (0, 1, 2, 3, 5):
+            _old_layout_object(tmp_path, _key(n), _payload(n))
+        sizes = {
+            _key(n): len(_object_text(_key(n), _payload(n)))
+            for n in range(6)
+        }
+        (tmp_path / "index.json").write_text(json.dumps({
+            "version": 1, "byte_budget": 1 << 20,
+            "entries": [[_key(n), sizes[_key(n)]] for n in (0, 1)],
+        }))
+        (tmp_path / "index.journal").write_text("".join([
+            f"p {_key(2)} {sizes[_key(2)]}\n",
+            f"p {_key(3)} {sizes[_key(3)]}\n",
+            f"p {_key(4)} {sizes[_key(4)]}\n",
+            f"d {_key(4)}\n",
+            f"p {_key(0)} {sizes[_key(0)]}\n",
+        ]))
+        store = FeatureStore(tmp_path)
+        # Replayed order, the dropped key gone, then the orphan.
+        assert store.keys() == [_key(n) for n in (1, 2, 3, 0, 5)]
+        for n in (0, 1, 2, 3, 5):
+            assert store.get(_key(n)) == _payload(n)
+        assert store.total_bytes == sum(
+            sizes[_key(n)] for n in (0, 1, 2, 3, 5)
+        )
+        assert _on_disk(tmp_path) == set(store.keys())
+        assert not [p for p in (tmp_path / "objects").iterdir() if p.is_dir()]
+        assert _journal(tmp_path) == []
+
+    def test_half_migrated_store_opens_and_then_stays_put(self, tmp_path):
+        """A crash mid-migration leaves some objects flat and some
+        nested: the next open finishes it, and a further open changes
+        no file."""
+        held = [_key(n) for n in range(8)]
+        for n, key in enumerate(held):
+            if n % 2:
+                _old_layout_object(tmp_path, key, _payload(n))
+            else:
+                path = tmp_path / "objects" / f"{key}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(_object_text(key, _payload(n)))
+        # One emptied prefix directory, as a crash before its rmdir
+        # leaves it.
+        (tmp_path / "objects" / "zz").mkdir()
+        (tmp_path / "index.json").write_text(json.dumps({
+            "version": 1, "byte_budget": 1 << 20,
+            "entries": [
+                [key, len(_object_text(key, _payload(n)))]
+                for n, key in enumerate(held)
+            ],
+        }))
+        store = FeatureStore(tmp_path)
+        assert store.keys() == held
+        for n, key in enumerate(held):
+            assert store.get(key) == _payload(n)
+        assert not [p for p in (tmp_path / "objects").iterdir() if p.is_dir()]
+        before = _files(tmp_path)
+        assert FeatureStore(tmp_path).keys() == held
+        assert _files(tmp_path) == before
+
+    def test_two_processes_open_one_two_level_store(self, tmp_path):
+        """Two openers race through one migration; both serve every
+        payload and the root ends flat."""
+        keys = [_key(n) for n in range(200)]
+        for n, key in enumerate(keys):
+            _old_layout_object(tmp_path, key, _payload(n))
+        (tmp_path / "index.json").write_text(json.dumps({
+            "version": 1, "byte_budget": 1 << 20,
+            "entries": [
+                [key, len(_object_text(key, _payload(n)))]
+                for n, key in enumerate(keys[:100])
+            ],
+        }))
+        outputs = _race(_OPENER, tmp_path, json.dumps(keys))
+        expected = {key: _payload(n) for n, key in enumerate(keys)}
+        for out in outputs:
+            assert json.loads(out) == expected
+        assert _on_disk(tmp_path) == set(keys)
+        assert not [p for p in (tmp_path / "objects").iterdir() if p.is_dir()]
+        assert sorted(FeatureStore(tmp_path).keys()) == sorted(keys)
+
 
 # -- crash injection ------------------------------------------------------
 
@@ -164,9 +295,10 @@ STEPS = (
 )
 
 
-def _crash_after(step: str, occurrence: int) -> None:
+def _crash_after(root, step: str, occurrence: int) -> None:
     """Patch this (forked) process to die, as by SIGKILL, right after
-    the ``occurrence``-th time ``step`` completes."""
+    the ``occurrence``-th time ``step`` completes in the store at
+    ``root``."""
     seen = [0]
 
     def tick():
@@ -178,7 +310,7 @@ def _crash_after(step: str, occurrence: int) -> None:
 
     def crashing_replace(src, dst):
         dst = pathlib.Path(dst)
-        is_object = dst.parent.parent.name == "objects"
+        is_object = _is_object(dst, root)
         if step == "temp object written" and is_object:
             tick()
         replace(src, dst)
@@ -214,7 +346,7 @@ def _run_until_crash(root, samples, step: str, occurrence: int) -> int:
     if pid == 0:   # pragma: no cover - runs in the child
         code = 1
         try:
-            _crash_after(step, occurrence)
+            _crash_after(root, step, occurrence)
             _campaign(root, samples)
             code = 0
         finally:
@@ -262,8 +394,8 @@ def test_crash_after_every_write_step(step, tmp_path):
 
 # -- concurrent writers ---------------------------------------------------
 
-_WRITER = """
-import pathlib, sys, time
+_START_TOGETHER = """
+import json, pathlib, sys, time
 sys.path.insert(0, sys.argv[1])
 from repro.store import FeatureStore
 root, writer = pathlib.Path(sys.argv[2]), int(sys.argv[3])
@@ -271,29 +403,43 @@ root, writer = pathlib.Path(sys.argv[2]), int(sys.argv[3])
 while not all((root / f"ready-{i}").exists() for i in (0, 1)):
     time.sleep(0.001)
 store = FeatureStore(root)   # both processes open at once
+"""
+
+_WRITER = _START_TOGETHER + """
 for n in range(1500):
     store.put("ab" * 16, {"writer": writer, "n": n})
 """
 
+_OPENER = _START_TOGETHER + """
+print(json.dumps({key: store.get(key) for key in json.loads(sys.argv[4])}))
+"""
 
-def test_two_processes_put_one_key_into_one_store(tmp_path):
+
+def _race(script: str, root, *args) -> list:
+    """Run ``script`` in two processes that open ``root`` at once;
+    returns their stdouts once both exit cleanly."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    writers = [
+    procs = [
         subprocess.Popen(
-            [sys.executable, "-c", _WRITER, str(src), str(tmp_path),
-             str(writer)],
+            [sys.executable, "-c", script, str(src), str(root),
+             str(writer), *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for writer in (0, 1)
     ]
     try:
-        errors = [proc.communicate(timeout=120)[1] for proc in writers]
+        results = [proc.communicate(timeout=120) for proc in procs]
     finally:
-        for proc in writers:
-            proc.kill()   # a no-op for a writer that has exited
-    for proc, err in zip(writers, errors):
+        for proc in procs:
+            proc.kill()   # a no-op for a process that has exited
+    for proc, (_out, err) in zip(procs, results):
         assert proc.returncode == 0, err
         assert err == ""
+    return [out for out, _err in results]
+
+
+def test_two_processes_put_one_key_into_one_store(tmp_path):
+    _race(_WRITER, tmp_path)
     reopened = FeatureStore(tmp_path)
     assert reopened.keys() == ["ab" * 16]
     payload = reopened.get("ab" * 16)   # checksum-verified
