@@ -115,8 +115,8 @@ def test_record_batched_kernel_micro(bench_recorder, kernel_case):
     (batch,) = batch_targets(encoded)
 
     def gather_rows():
-        # The score table, the column index and every row's (B, P)
-        # gather: the emission work of one MSV sweep.
+        # The score table, the column index and every row's full
+        # (B, P) gather over the bucket.
         table, index = emission_gather(profile, batch)
         row = np.empty(index.shape)
         for i in range(profile.length):
@@ -128,7 +128,7 @@ def test_record_batched_kernel_micro(bench_recorder, kernel_case):
     )
     bench_recorder.record(
         "kernels_batched", "msv_filter_batch",
-        lambda: msv_filter_batch(profile, batch), repeats=REPEATS,
+        lambda: msv_filter_batch(profile, encoded), repeats=REPEATS,
     )
     bench_recorder.record(
         "kernels_batched", "calc_band_9_batch",

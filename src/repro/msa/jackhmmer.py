@@ -172,10 +172,11 @@ class SearchResult:
     @property
     def scan_waste(self) -> dict:
         """Per-bucket padded-token waste (padded vs real tokens under
-        the batched kernels' power-of-two buckets) of every scanned
-        target or RNA window, merged across shards and iterations by
-        :func:`repro.msa.kernels.scan_waste_summary` — kernel bucketing
-        overhead as measured by this search, not assumed."""
+        the power-of-two bucket model) of every scanned target or RNA
+        window, merged across shards and iterations by
+        :func:`repro.msa.kernels.scan_waste_summary`.  It models the
+        scan's windows, not what MSV computes: MSV sweeps them unpadded
+        and no longer pays it."""
         return scan_waste_summary(
             triple
             for outcome in self.scan_outcomes

@@ -2,9 +2,10 @@
 
 ``repro.msa.dp`` scores one target at a time; this package scores a
 worker's whole share of a chain's database scans at once.
-:func:`batch_targets` buckets encoded sequences by power-of-two padded
-length, and the three batched kernels (:func:`msv_filter_batch`,
-:func:`calc_band_9_batch`, :func:`calc_band_10_batch`) advance the
+:func:`msv_filter_batch` sweeps every window end to end in one flat,
+unpadded state.  :func:`batch_targets` buckets encoded sequences by
+power-of-two padded length, and the banded kernels
+(:func:`calc_band_9_batch`, :func:`calc_band_10_batch`) advance the
 whole bucket per profile row, gathering that row's emissions from
 :func:`emission_gather`'s score table as it runs.  :func:`run_cascade`
 chains them with survivor compaction between stages over a group of

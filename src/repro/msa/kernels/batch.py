@@ -1,10 +1,11 @@
 """Length-bucketed target batching for the DP kernels.
 
 The scalar kernels in :mod:`repro.msa.dp` process one target sequence
-at a time; the batched kernels in :mod:`repro.msa.kernels.batched`
-process a whole :class:`TargetBatch` as ``(batch, ...)`` tensors.  A
-batch groups encoded sequences whose lengths round up to the same
-power of two, padded to that length:
+at a time; the batched Viterbi and Forward kernels in
+:mod:`repro.msa.kernels.batched` process a whole :class:`TargetBatch`
+as ``(batch, ...)`` tensors (MSV sweeps its windows unpadded, end to
+end, and takes no batch).  A batch groups encoded sequences whose
+lengths round up to the same power of two, padded to that length:
 
 * padding columns carry the sentinel index :data:`PAD` in
   ``encoded`` so they can never be mistaken for a wildcard (``-1``);
@@ -120,12 +121,13 @@ def batch_targets(
 def pad_waste(lengths: Iterable[int]) -> Tuple[Tuple[int, int, int], ...]:
     """Per-bucket ``(padded_len, targets, real_tokens)`` accounting.
 
-    A pure function of the target lengths under :func:`pad_length`
-    geometry, so the scalar reference loop (which never pads) can report
-    the *same* numbers the batched cascade measures from its actual
-    :class:`TargetBatch` shapes — waste is a property of the bucketing
-    scheme, not of which kernel executed, and keeping both paths equal
-    preserves the kernels' bit-identity contract.
+    The power-of-two model of a scan's windows: a pure function of
+    their lengths under :func:`pad_length` geometry, so the cascade and
+    the scalar reference loop (which never pads) report the *same*
+    numbers, which keeps the kernels' bit-identity contract.  It is
+    what :func:`batch_targets` would pad every window to; MSV sweeps
+    the windows unpadded and no longer pays it, and Viterbi and
+    Forward bucket only the survivors of the MSV gate.
     """
     buckets: Dict[int, List[int]] = {}
     for length in lengths:

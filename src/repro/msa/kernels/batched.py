@@ -2,16 +2,17 @@
 
 These are the striped-engine counterparts of the scalar kernels in
 :mod:`repro.msa.dp`: instead of a Python loop over targets, each
-kernel advances the row recurrence of an entire :class:`TargetBatch`
-at once, turning the scalar ``(N,)`` state vectors (``m_prev`` /
-``i_prev`` / ``d_prev``) into matrices over the whole batch.  The
-banded kernels hold them ``(column, lane)`` and run each row only over
-the union of its lanes' band windows, not over the padded width.  This
-is the same restructuring real HMMER applies with 16-lane SIMD
-stripes — the paper's Table IV attributes ~55 % of MSA CPU cycles to
-exactly these loops — done at the numpy level: one interpreter
-iteration per profile row for the whole batch instead of one per row
-*per target*.
+kernel advances the row recurrence of many targets at once.  MSV lays
+every window end to end in one flat, unpadded ``(n,)`` state.  The
+banded kernels take an entire :class:`TargetBatch`, turning the scalar
+``(N,)`` state vectors (``m_prev`` / ``i_prev`` / ``d_prev``) into
+matrices over the whole batch; they hold them ``(column, lane)`` and
+run each row only over the union of its lanes' band windows, not over
+the padded width.  This is the same restructuring real HMMER applies
+with 16-lane SIMD stripes — the paper's Table IV attributes ~55 % of
+MSA CPU cycles to exactly these loops — done at the numpy level: one
+interpreter iteration per profile row for the whole batch instead of
+one per row *per target*.
 
 **Bit-identity contract.**  Every result (scores, DP cell counts, band
 widths) is bit-identical to the scalar kernel's, not merely close:
@@ -19,7 +20,9 @@ widths) is bit-identical to the scalar kernel's, not merely close:
 * all elementwise recurrence arithmetic maps lane-for-lane onto the
   scalar vector ops, and padding columns are pinned to ``NEG_INF`` so
   they can never propagate into a valid lane (padding sits at the row
-  end; column ``j`` only ever reads column ``j - 1``);
+  end; column ``j`` only ever reads column ``j - 1``); MSV's flat
+  state has no padding, and resets each window's first column to the
+  scalar kernel's ``0.0`` after the shift;
 * columns outside a row's window are never computed and hold
   ``NEG_INF``, which is what computing them would give: a finite
   transition score added to ``-1e30`` rounds back to ``-1e30``;
@@ -41,7 +44,7 @@ the contract with ``==``, never ``approx``.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +57,10 @@ from .batch import TargetBatch, batch_targets, emission_gather
 class BatchKernelResult:
     """Per-target outcomes of one batched kernel invocation.
 
-    Arrays align with the batch's rows; ``KernelResult(scores[b],
-    cells[b], band_widths[b])`` is exactly what the scalar kernel
-    returns for target ``b``.
+    Arrays align with the batch's rows (with the input windows, for
+    :func:`msv_filter_batch`); ``KernelResult(scores[b], cells[b],
+    band_widths[b])`` is exactly what the scalar kernel returns for
+    target ``b``.
     """
 
     scores: np.ndarray       # (B,) float64 bit scores
@@ -64,64 +68,87 @@ class BatchKernelResult:
     band_widths: np.ndarray  # (B,) int64 half-widths (0 = unbanded)
 
 
-#: Most lanes one MSV sweep holds.  A wider bucket (an RNA chain's
-#: windows over its three databases reach 400) is swept in slices of
-#: this many lanes, so the sweep's ``(lanes, P)`` buffers stay bounded;
-#: lanes never interact, so slicing changes no score.
-MSV_LANES = 128
+#: Most columns one MSV sweep holds.  Windows are swept in chunks of
+#: at most this many columns laid end to end, so the sweep's four
+#: ``(n,)`` float buffers and its column index stay bounded however
+#: many windows a cascade scans (an RNA chain's windows over its three
+#: databases reach 447); a window longer than this is swept alone.
+#: Windows never interact, so chunking changes no score.
+MSV_COLUMNS = 65_536
 
 
 def msv_filter_batch(
     profile: ProfileHMM,
-    batch: TargetBatch,
+    encoded_seqs: Sequence[np.ndarray],
 ) -> BatchKernelResult:
-    """Batched ungapped Kadane diagonal scan (MSV analogue).
+    """Ungapped Kadane diagonal scan (MSV analogue) over many windows.
 
-    One sweep over the profile rows per :data:`MSV_LANES` lanes,
-    gathering each row's ``(B, P)`` emissions as it runs; the running
-    maximum-subarray state is a ``(B, P)`` matrix.  Padding columns
-    score ``NEG_INF`` so they never win a row maximum, and zero-length
-    targets come out at score 0 / 0 cells exactly like the scalar
-    guard.
+    Results are in input order.  The windows are laid end to end with
+    no padding and swept together, one pass over the profile rows per
+    chunk of at most :data:`MSV_COLUMNS` columns.  Zero-length windows
+    never enter a sweep: they score ``+0.0`` over 0 cells, exactly
+    like the scalar guard.
     """
-    scores = np.empty(batch.size)
-    for lo in range(0, batch.size, MSV_LANES):
-        lanes = slice(lo, lo + MSV_LANES)
-        scores[lanes] = _msv_sweep(profile, TargetBatch(
-            batch.indices[lanes], batch.encoded[lanes],
-            batch.seq_lens[lanes], batch.padded_len,
-        ))
+    lengths = np.array([len(enc) for enc in encoded_seqs], dtype=np.int64)
+    # The score table plus a zeros column that wildcards (-1) read.
+    table = np.concatenate(
+        [profile.match_scores, np.zeros((profile.length, 1))], axis=1
+    )
+    scores = np.zeros(len(lengths))
+    for chunk in _msv_chunks(lengths.tolist()):
+        scores[chunk] = _msv_sweep(table, [encoded_seqs[k] for k in chunk])
     return BatchKernelResult(
         scores=scores,
-        cells=profile.length * batch.seq_lens,
-        band_widths=np.zeros(batch.size, dtype=np.int64),
+        cells=profile.length * lengths,
+        band_widths=np.zeros(len(lengths), dtype=np.int64),
     )
 
 
-def _msv_sweep(profile: ProfileHMM, batch: TargetBatch) -> np.ndarray:
-    """Every lane's MSV score: one sweep over the profile rows."""
-    table, index = emission_gather(profile, batch)
-    length = profile.length
-    size, padded = batch.encoded.shape
-    emit = np.empty((size, padded))
-    running = np.zeros((size, padded))
-    shifted = np.empty((size, padded))
+def _msv_chunks(lengths: Sequence[int]) -> List[List[int]]:
+    """Positions of the nonempty windows, cut in input order into runs
+    of at most :data:`MSV_COLUMNS` columns; a longer window runs alone."""
+    chunks: List[List[int]] = []
+    chunk: List[int] = []
+    columns = 0
+    for position, length in enumerate(lengths):
+        if not length:
+            continue
+        if chunk and columns + length > MSV_COLUMNS:
+            chunks.append(chunk)
+            chunk, columns = [], 0
+        chunk.append(position)
+        columns += length
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
+def _msv_sweep(table: np.ndarray, windows: List[np.ndarray]) -> np.ndarray:
+    """Every window's MSV score: one sweep over the profile rows of
+    ``table`` with the nonempty ``windows`` laid end to end."""
+    index = np.concatenate(windows)
+    index[index < 0] = table.shape[1] - 1
+    sizes = np.array([len(window) for window in windows], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    columns = index.size
+    emit = np.empty(columns)
+    running = np.zeros(columns)
+    shifted = np.empty(columns)
     # Elementwise max of every row's running state; a max is exact in
-    # any order, so its lane max after the sweep is the best row max.
-    peak = np.zeros((size, padded))
-    flat_running, flat_shifted = running.reshape(-1), shifted.reshape(-1)
-    for i in range(length):
+    # any order, so its maximum over a window is the best row max.
+    peak = np.zeros(columns)
+    for row in table:
         # Every index is in range, so "clip" never clips; it only spares
         # the temporary "raise" mode would buffer ``out`` through.
-        np.take(table[i], index, out=emit, mode="clip")
-        # The diagonal shift as one contiguous pass over all lanes; it
-        # carries each lane's last column into the next lane's first,
-        # which the column-0 reset then overwrites.
-        np.maximum(flat_running[:-1], 0.0, out=flat_shifted[1:])
-        shifted[:, 0] = 0.0
+        np.take(row, index, out=emit, mode="clip")
+        # The diagonal shift as one contiguous pass over all windows; it
+        # carries each window's last column into the next one's first,
+        # which the reset at every window start then overwrites.
+        np.maximum(running[:-1], 0.0, out=shifted[1:])
+        shifted[starts] = 0.0
         np.add(emit, shifted, out=running)
         np.maximum(peak, running, out=peak)
-    return peak.max(axis=1)
+    return np.maximum.reduceat(peak, starts)
 
 
 def calc_band_9_batch(

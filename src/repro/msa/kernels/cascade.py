@@ -5,21 +5,21 @@ group of jackhmmer (protein) or nhmmer (RNA) shards through one
 :func:`run_cascade`, and :func:`scan_shard` is its one-shard case.
 It is the same three-stage filter pipeline as the scalar reference
 loops (:func:`repro.msa.jackhmmer.reference_scan_protein_shard`,
-:func:`repro.msa.nhmmer.reference_scan_rna_shard`), but over length
-buckets that span every shard of the group, so the batched kernels
-see a worker's whole share of a chain's databases at once.  The
-shards of a group share the profile, the Gumbel fit and the gates;
-each shard brings its own database size, and every target is gated
-with the size of the database it came from.  A target is
-scanned as one or more windows: a protein target whole, an RNA target
-in overlapping nhmmer windows.  MSV scores every window; each target
-keeps its best window, the survivors of the MSV gate are re-bucketed
-for Viterbi, and the survivors of the Viterbi gate are compacted out
-of their batch before Forward runs.  Each kernel gathers a profile
-row's emissions when that row runs, so no stage holds an emission
-tensor.  Counters, hits and padding waste are split back per shard by
-the shard each lane came from, so every shard's result is exactly the
-one its own reference loop reports.
+:func:`repro.msa.nhmmer.reference_scan_rna_shard`), but batched across
+every shard of the group, so the kernels see a worker's whole share
+of a chain's databases at once.  The shards of a group share the
+profile, the Gumbel fit and the gates; each shard brings its own
+database size, and every target is gated with the size of the
+database it came from.  A target is scanned as one or more windows: a
+protein target whole, an RNA target in overlapping nhmmer windows.
+MSV scores every window in one flat, unpadded sweep; each target
+keeps its best window, the survivors of the MSV gate are bucketed by
+length for Viterbi, and the survivors of the Viterbi gate are
+compacted out of their batch before Forward runs.  Each kernel
+gathers a profile row's emissions when that row runs, so no stage
+holds an emission tensor.  Counters, hits and padding waste are split
+back per shard by the shard each window came from, so every shard's
+result is exactly the one its own reference loop reports.
 
 Gating decisions call :meth:`GumbelParams.evalue` per target with the
 same floats the scalar path sees, so the survivor sets — and therefore
@@ -81,11 +81,11 @@ class ShardScanResult:
     msv_cells: int
     vit_cells: int
     fwd_cells: int
-    #: Per-bucket ``(padded_len, targets, real_tokens)`` of MSV
-    #: batches over every window this shard scans (the full candidate
-    #: set, before survivor compaction: waste is paid by the scan, not
-    #: by what clears the gates).  A pure function of the shard's own
-    #: window lengths under the power-of-two geometry, whichever group
+    #: Per-bucket ``(padded_len, targets, real_tokens)`` of every
+    #: window this shard scans (the full candidate set, before
+    #: survivor compaction) under the power-of-two bucket model; MSV
+    #: sweeps the windows unpadded and no longer pays it.  A pure
+    #: function of the shard's own window lengths, whichever group
     #: the shard was scanned in, so the reference loops report the
     #: same value and the ``==`` oracle contract covers it too.
     pad_waste: Tuple[Tuple[int, int, int], ...] = ()
@@ -179,17 +179,15 @@ def run_cascade(
     for k, (_, _, ws) in zip(target_shard, targets):
         windows.extend(ws)
         window_shard.extend([k] * len(ws))
-    msv_scores = [0.0] * len(windows)
     msv_cells = [0] * len(shards)
     vit_cells = [0] * len(shards)
     fwd_cells = [0] * len(shards)
     msv_pass = [0] * len(shards)
     vit_pass = [0] * len(shards)
-    for batch in batch_targets(windows):
-        msv = msv_filter_batch(profile, batch)
-        for row, index in enumerate(batch.indices):
-            msv_scores[index] = float(msv.scores[row])
-            msv_cells[window_shard[index]] += int(msv.cells[row])
+    msv = msv_filter_batch(profile, windows)
+    msv_scores = msv.scores.tolist()
+    for shard, cells in zip(window_shard, msv.cells.tolist()):
+        msv_cells[shard] += cells
 
     # Each target keeps its best-MSV window; ``max`` keeps the first
     # maximum, as the reference loop's strict ``>`` does.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,11 +64,13 @@ from repro.msa.kernels import (
     scan_waste_summary,
     window_bounds,
 )
+from repro.msa.kernels import batched
 from repro.msa.kernels.batched import (
     FORWARD_FOLD_ROWS,
-    MSV_LANES,
+    MSV_COLUMNS,
     _band_bounds,
     _fold_forward_rows,
+    _msv_chunks,
 )
 from repro.msa.nhmmer import (
     FINAL_EVALUE,
@@ -175,16 +178,18 @@ class TestBatching:
 
 def assert_batch_matches_scalar(profile, encs, band):
     """Every batched result must equal the scalar result bit for bit."""
+    msv = msv_filter_batch(profile, encs)
+    for idx, enc in enumerate(encs):
+        s_msv = msv_filter(profile, enc)
+        assert msv.scores[idx] == s_msv.score
+        assert msv.cells[idx] == s_msv.cells
+        assert msv.band_widths[idx] == s_msv.band_width
     for batch in batch_targets(encs):
-        msv = msv_filter_batch(profile, batch)
         vit = calc_band_9_batch(profile, batch, band=band)
         fwd = calc_band_10_batch(profile, batch, band=band)
         for row, idx in enumerate(batch.indices):
-            s_msv = msv_filter(profile, encs[idx])
             s_vit = calc_band_9(profile, encs[idx], band=band)
             s_fwd = calc_band_10(profile, encs[idx], band=band)
-            assert msv.scores[row] == s_msv.score
-            assert msv.cells[row] == s_msv.cells
             assert vit.scores[row] == s_vit.score
             assert vit.cells[row] == s_vit.cells
             assert vit.band_widths[row] == s_vit.band_width
@@ -410,19 +415,30 @@ class TestFoldSegments:
         assert np.signbit(total).tolist() == [True, False, True, False]
 
 
-class TestMsvEdgeLanes:
-    """Batched MSV equals scalar ``msv_filter`` (``==`` and sign) on
-    zero-length lanes and on lanes whose running sum lands on 0.0."""
+def assert_msv_matches_scalar(profile, encs):
+    """Flat MSV equals scalar ``msv_filter`` on every window, in input
+    order: score (``==`` and sign) and cells."""
+    msv = msv_filter_batch(profile, encs)
+    assert msv.scores.shape == msv.cells.shape == (len(encs),)
+    for idx, enc in enumerate(encs):
+        scalar = msv_filter(profile, enc)
+        assert msv.scores[idx] == scalar.score
+        assert np.signbit(msv.scores[idx]) == np.signbit(scalar.score)
+        assert msv.cells[idx] == scalar.cells
 
-    @staticmethod
-    def assert_msv_matches_scalar(profile, encs):
-        for batch in batch_targets(encs):
-            msv = msv_filter_batch(profile, batch)
-            for row, idx in enumerate(batch.indices):
-                scalar = msv_filter(profile, encs[idx])
-                assert msv.scores[row] == scalar.score
-                assert np.signbit(msv.scores[row]) == np.signbit(scalar.score)
-                assert msv.cells[row] == scalar.cells
+
+def integer_profile(qlen, seed):
+    """Small integer scores, -0.0 among them: running sums hit 0.0
+    exactly on most rows."""
+    rng = np.random.default_rng(seed)
+    scores = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (qlen, 20))
+    return ProfileHMM(scores, PROTEIN)
+
+
+class TestMsvEdgeLanes:
+    """Flat MSV equals scalar ``msv_filter`` (``==`` and sign) on
+    zero-length windows, on windows whose running sum lands on 0.0,
+    and across the edges of its column budget."""
 
     @given(
         qlen=st.integers(min_value=1, max_value=20),
@@ -433,35 +449,81 @@ class TestMsvEdgeLanes:
     )
     @settings(max_examples=40, deadline=None)
     def test_integer_scores_sum_to_zero(self, qlen, lengths, seed):
-        # Small integer scores, -0.0 among them, make running sums hit
-        # 0.0 exactly on most rows.
-        rng = np.random.default_rng(seed)
-        scores = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (qlen, 20))
-        profile = ProfileHMM(scores, PROTEIN)
-        self.assert_msv_matches_scalar(
-            profile, encode_random(lengths, seed=seed)
+        assert_msv_matches_scalar(
+            integer_profile(qlen, seed), encode_random(lengths, seed=seed)
         )
 
-    @pytest.mark.parametrize("lanes", [
-        MSV_LANES - 1, MSV_LANES, MSV_LANES + 1, 2 * MSV_LANES + 3,
+    @given(
+        qlen=st.integers(min_value=1, max_value=20),
+        lengths=st.lists(
+            st.integers(min_value=0, max_value=40), min_size=1, max_size=12
+        ),
+        wildcard_rate=st.sampled_from([0.0, 0.2, 1.0]),
+        integer_scores=st.booleans(),
+        budget=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_window_lists(
+        self, qlen, lengths, wildcard_rate, integer_scores, budget, seed
+    ):
+        """Random window lists, with empty windows and wildcards, swept
+        under a small column budget so that windows land on both sides
+        of every chunk edge, and some alone in a chunk of their own."""
+        profile = (integer_profile(qlen, seed) if integer_scores
+                   else make_profile(qlen, seed=seed))
+        encs = encode_random(lengths, seed=seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        for enc in encs:
+            enc[rng.random(len(enc)) < wildcard_rate] = -1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batched, "MSV_COLUMNS", budget)
+            assert_msv_matches_scalar(profile, encs)
+
+    @pytest.mark.parametrize("total,chunks", [
+        (MSV_COLUMNS - 1, 1), (MSV_COLUMNS, 1), (MSV_COLUMNS + 1, 2),
     ])
-    def test_bucket_wider_than_one_sweep(self, lanes):
-        """A bucket of more than ``MSV_LANES`` lanes is swept in slices;
-        every lane still equals the scalar."""
-        profile = ProfileHMM.from_query(random_sequence(30, seed=8),
-                                        PROTEIN)
-        lengths = [17 + k % 16 for k in range(lanes)]
-        encs = encode_random(lengths, seed=lanes)
-        (batch,) = batch_targets(encs)
-        assert batch.size == lanes
-        self.assert_msv_matches_scalar(profile, encs)
+    def test_windows_at_the_column_budget(self, total, chunks):
+        """Windows totalling one column under, at and over the budget
+        take one, one and two sweeps; every window equals the scalar."""
+        lengths = [1000] * (total // 1000) + [total % 1000, 0]
+        assert len(_msv_chunks(lengths)) == chunks
+        encs = encode_random(lengths, seed=total)
+        encs[-2][::7] = -1
+        assert_msv_matches_scalar(integer_profile(3, seed=total), encs)
+
+    def test_window_longer_than_the_budget(self):
+        """A window longer than the budget is swept in a chunk of its
+        own, between its neighbours' chunks."""
+        lengths = [5, MSV_COLUMNS + 3, 0, 7]
+        assert _msv_chunks(lengths) == [[0], [1], [3]]
+        encs = encode_random(lengths, seed=11)
+        assert_msv_matches_scalar(make_profile(3, seed=11), encs)
 
     @pytest.mark.parametrize("fill", [-1.0, -0.0, 0.0])
     def test_no_positive_score(self, fill):
         profile = ProfileHMM(np.full((9, 20), fill), PROTEIN)
-        self.assert_msv_matches_scalar(
+        assert_msv_matches_scalar(
             profile, encode_random([0, 5, 0, 12, 16, 0], seed=3)
         )
+
+    def test_sweep_memory_is_one_budget(self):
+        """One call over windows totalling several budgets allocates no
+        more than one budget's four float buffers plus its index: the
+        sweep never holds all of a cascade's columns at once."""
+        profile = make_profile(4, seed=12)
+        encs = encode_random([997] * (5 * MSV_COLUMNS // 997), seed=12)
+        msv_filter_batch(profile, encs)  # warm numpy's own caches
+        tracemalloc.start()
+        try:
+            msv_filter_batch(profile, encs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers = 4 * MSV_COLUMNS * 8
+        index = MSV_COLUMNS * 8
+        # Slack for the score table, the window starts and the result.
+        assert peak <= buffers + index + 64 * 1024
 
 
 @pytest.mark.parametrize("length", [1, 3, 7, 12, 49, 242])
